@@ -30,6 +30,36 @@ fn bench_tensor_quantize(suite: &mut BenchSuite) {
     });
 }
 
+/// Activation fake quantization at the served shapes: one decode-step row
+/// of the small engine (`d_model` 64 and `d_ff` 256) and one eval forward's
+/// per-tensor `[16, 64]` input. Each `_reference` twin runs the
+/// per-candidate reference search and the packed round trip the fast path
+/// must match bit for bit.
+fn bench_act_quant(suite: &mut BenchSuite) {
+    let mut rng = Rng::seed_from(0xAC);
+    let q = OliveQuantizer::int4();
+    for (name, shape) in [
+        ("olive4_row64", vec![1, 64]),
+        ("olive4_row256", vec![1, 256]),
+        ("olive4_tensor16x64", vec![16, 64]),
+    ] {
+        let t = SynthProfile::transformer().generate(shape, &mut rng);
+        let elements = t.len() as u64;
+        let mut out = vec![0.0f32; t.len()];
+        suite.bench_with_elements(&format!("act_quant/{name}"), elements, || {
+            q.quantize_dequantize_into(black_box(t.data()), &mut out);
+            black_box(out[0])
+        });
+        suite.bench_with_elements(&format!("act_quant/{name}_reference"), elements, || {
+            let t = black_box(&t);
+            black_box(
+                q.quantize_with_scale(t, q.reference_select_scale(t))
+                    .dequantize(),
+            )
+        });
+    }
+}
+
 fn bench_dequantize(suite: &mut BenchSuite) {
     let mut rng = Rng::seed_from(0xDE);
     let t = SynthProfile::transformer().generate(vec![256, 1024], &mut rng);
@@ -63,6 +93,7 @@ fn main() {
     let cli = BenchCli::parse();
     let mut suite = cli.suite("encoding");
     bench_tensor_quantize(&mut suite);
+    bench_act_quant(&mut suite);
     bench_dequantize(&mut suite);
     bench_abfloat(&mut suite);
     cli.finish(&[&suite]);

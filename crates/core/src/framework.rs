@@ -65,6 +65,17 @@ pub trait TensorQuantizer: Send + Sync {
     /// Quantizes and dequantizes a tensor.
     fn quantize_dequantize(&self, t: &Tensor) -> Tensor;
 
+    /// Quantizes and dequantizes `input` as one rank-1 tensor, writing the
+    /// result to `out`. The default runs [`TensorQuantizer::quantize_dequantize`]
+    /// on a copy; OliVe overrides it with a fused, allocation-free path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input` and `out` differ in length.
+    fn quantize_dequantize_into(&self, input: &[f32], out: &mut [f32]) {
+        out.copy_from_slice(self.quantize_dequantize(&Tensor::from_slice(input)).data());
+    }
+
     /// Average storage bits per element (used by the memory-traffic models).
     fn bits_per_element(&self) -> f64;
 
@@ -97,6 +108,10 @@ impl<Q: TensorQuantizer + ?Sized> TensorQuantizer for Box<Q> {
         (**self).quantize_dequantize(t)
     }
 
+    fn quantize_dequantize_into(&self, input: &[f32], out: &mut [f32]) {
+        (**self).quantize_dequantize_into(input, out)
+    }
+
     fn bits_per_element(&self) -> f64 {
         (**self).bits_per_element()
     }
@@ -120,7 +135,8 @@ impl<Q: TensorQuantizer + ?Sized> TensorQuantizer for Box<Q> {
 ///
 /// Rank-0/1 and single-row tensors are passed through to the inner quantizer
 /// unchanged, so per-row and per-tensor granularity agree bit-exactly there
-/// (each row is handed to the inner quantizer as a `[1, cols]` tensor and all
+/// (each row is handed to the inner quantizer's
+/// [`TensorQuantizer::quantize_dequantize_into`] as a slice, and all
 /// workspace quantizers are shape-agnostic).
 #[derive(Debug, Clone)]
 pub struct PerRowQuantizer<Q: TensorQuantizer> {
@@ -156,13 +172,19 @@ impl<Q: TensorQuantizer> TensorQuantizer for PerRowQuantizer<Q> {
             return self.inner.quantize_dequantize(t);
         }
         let cols = t.len() / rows;
-        let data = t.data();
-        let mut out = Vec::with_capacity(t.len());
+        let mut out = Tensor::zeros(t.shape().to_vec());
         for r in 0..rows {
-            let row = Tensor::from_vec(vec![1, cols], data[r * cols..(r + 1) * cols].to_vec());
-            out.extend_from_slice(self.inner.quantize_dequantize(&row).data());
+            let span = r * cols..(r + 1) * cols;
+            self.inner
+                .quantize_dequantize_into(&t.data()[span.clone()], &mut out.data_mut()[span]);
         }
-        Tensor::from_vec(t.shape().to_vec(), out)
+        out
+    }
+
+    /// A flat slice is a single row, so it goes to the inner quantizer
+    /// whole, as a rank-1 tensor does.
+    fn quantize_dequantize_into(&self, input: &[f32], out: &mut [f32]) {
+        self.inner.quantize_dequantize_into(input, out)
     }
 
     fn bits_per_element(&self) -> f64 {
@@ -211,6 +233,10 @@ impl TensorQuantizer for OliveQuantizer {
 
     fn quantize_dequantize(&self, t: &Tensor) -> Tensor {
         OliveQuantizer::quantize_dequantize(self, t)
+    }
+
+    fn quantize_dequantize_into(&self, input: &[f32], out: &mut [f32]) {
+        OliveQuantizer::quantize_dequantize_into(self, input, out)
     }
 
     fn bits_per_element(&self) -> f64 {

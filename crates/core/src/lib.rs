@@ -10,7 +10,10 @@
 //!   byte layout.
 //! * [`quantizer`] — [`OliveQuantizer`]: per-tensor post-training quantization
 //!   with the MSE-minimizing scale/threshold search seeded at 3σ (Sec. 3.4),
-//!   producing packed [`OvpTensor`]s.
+//!   producing packed [`OvpTensor`]s. For the 4-bit types the search scores
+//!   every candidate in one pass and fuses with the fake-quantization round
+//!   trip; the per-candidate loop stays in-tree as its oracle
+//!   ([`OliveQuantizer::reference_select_scale`]).
 //! * [`mac`] — the OliVe MAC unit operating on exponent-integer pairs with an
 //!   int32 accumulator (Sec. 4.4–4.5), including the four-PE decomposition of
 //!   8-bit values.
@@ -20,10 +23,10 @@
 //!   kernel is branch-free with an i32-overflow magnitude pre-bound; the
 //!   pre-refactor kernel stays in-tree as the bit-identity oracle
 //!   ([`gemm::reference_quantized_matmul`]).
-//! * [`simd`] — runtime SSE2/AVX2 dispatch for the packed kernel (the only
-//!   module in the workspace allowed to contain `unsafe`), with the
-//!   `OLIVE_SIMD` override mirroring `OLIVE_THREADS`. Every path is
-//!   bit-identical to the scalar kernel.
+//! * [`simd`] — runtime SSE2/AVX2 dispatch for the packed kernel and the
+//!   scale search (the only module in the workspace allowed to contain
+//!   `unsafe`), with the `OLIVE_SIMD` override mirroring `OLIVE_THREADS`.
+//!   Every path is bit-identical to the scalar kernel.
 //! * [`framework`] — the model-level PTQ framework: per-tensor type selection,
 //!   optional 8-bit escalation, and a [`TensorQuantizer`] trait shared with the
 //!   baselines crate.

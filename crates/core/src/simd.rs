@@ -1,15 +1,21 @@
-//! SIMD dispatch for the packed quantized GEMM kernel.
+//! SIMD dispatch for the packed quantized GEMM kernel and the OVP scale
+//! search.
 //!
 //! This module is the **only** place in the workspace where `unsafe` code is
 //! permitted (enforced by the `no-unsafe-outside-simd` olive-lint rule; the
 //! runtime pool's lifetime-erasure internals carry the one grandfathered
-//! exemption in `lint.toml`). Everything here reduces to the same exact
-//! integer arithmetic: an *axpy* step `acc[j] += a * x[j]` over `i32`
-//! accumulators. The caller (`gemm.rs`) only enters these kernels for rows
-//! whose magnitude pre-bound proves the `i32` accumulation cannot overflow,
-//! so every path — scalar, SSE2, AVX2 — produces bit-identical accumulators
-//! regardless of lane count or add order (integer addition is associative
-//! when it cannot wrap).
+//! exemption in `lint.toml`). It holds two kernel families:
+//!
+//! * the GEMM's *axpy* step `acc[j] += a * x[j]` over `i32` accumulators.
+//!   The caller (`gemm.rs`) only enters these kernels for rows whose
+//!   magnitude pre-bound proves the `i32` accumulation cannot overflow, so
+//!   every path — scalar, SSE2, AVX2 — produces bit-identical accumulators
+//!   regardless of lane count or add order (integer addition is associative
+//!   when it cannot wrap);
+//! * the scale search's candidate scoring (`score_candidates`), which is
+//!   floating point and stays bit-identical the other way: lanes hold
+//!   candidates, never pairs, so every candidate's f64 error sum is formed
+//!   by the same IEEE operations in the same order on every path.
 //!
 //! Dispatch order is `AVX2 > SSE2 > scalar`, resolved at runtime with
 //! [`std::arch::is_x86_feature_detected!`] and overridable per process with
@@ -20,6 +26,7 @@
 //! every path is bit-identical, falling back can only cost speed, never
 //! correctness.
 
+use crate::quantizer::FourBitGrid;
 use std::cell::Cell;
 use std::sync::Once;
 
@@ -27,13 +34,15 @@ use std::sync::Once;
 /// `0`/`scalar`, `sse2`, or `avx2`.
 pub const SIMD_ENV: &str = "OLIVE_SIMD";
 
-/// The instruction-set path the packed GEMM kernel dispatches to.
+/// The instruction-set path the packed GEMM kernel and the scale search
+/// dispatch to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimdPath {
     /// Plain Rust loops; always available, the oracle all others must match.
     Scalar,
     /// 128-bit SSE2 (baseline on `x86_64`); `i16` grids only — `i32` grids
-    /// and broadcasts wider than `i16` drop to scalar element-wise code.
+    /// and broadcasts wider than `i16` drop to scalar element-wise code, and
+    /// the scale search runs its scalar loop.
     Sse2,
     /// 256-bit AVX2, the widest path this workspace targets.
     Avx2,
@@ -237,6 +246,78 @@ pub fn axpy_i32(acc: &mut [i32], a: i32, x: &[i32], path: SimdPath) {
     }
 }
 
+/// Candidate scales one pass of the OVP scale search scores: three 8-lane
+/// AVX2 f32 vectors, the default search width.
+pub(crate) const CANDIDATE_BLOCK: usize = 24;
+
+/// Scores the first `lanes` candidate scales of a 4-bit OVP scale search in
+/// one pass over `sample`: `errs[k]` becomes the sum of squared round-trip
+/// errors at `scales[k]` (`invs[k]` is its inverse), accumulated in f64 pair
+/// by pair in element order with a separate multiply and add — exactly the
+/// sum `OliveQuantizer::round_trip_mse` forms. Lanes at or past `lanes` must
+/// hold a finite placeholder scale; their errors are unspecified.
+///
+/// Every path vectorises across candidates, never across pairs, so each
+/// candidate's sum is formed in the same order and the paths agree bit for
+/// bit. `Sse2` runs the scalar loop.
+pub(crate) fn score_candidates(
+    sample: &[f32],
+    scales: &[f32; CANDIDATE_BLOCK],
+    invs: &[f32; CANDIDATE_BLOCK],
+    lanes: usize,
+    grid: &FourBitGrid,
+    errs: &mut [f64; CANDIDATE_BLOCK],
+    path: SimdPath,
+) {
+    match path {
+        #[cfg(target_arch = "x86_64")]
+        SimdPath::Avx2 => {
+            // SAFETY: AVX2 availability was established at dispatch time.
+            unsafe {
+                if grid.integer_normals {
+                    x86::score_candidates_avx2::<true>(sample, scales, invs, grid, errs)
+                } else {
+                    x86::score_candidates_avx2::<false>(sample, scales, invs, grid, errs)
+                }
+            }
+        }
+        _ => score_candidates_scalar(
+            sample,
+            &scales[..lanes],
+            &invs[..lanes],
+            grid,
+            &mut errs[..lanes],
+        ),
+    }
+}
+
+fn score_candidates_scalar(
+    sample: &[f32],
+    scales: &[f32],
+    invs: &[f32],
+    grid: &FourBitGrid,
+    errs: &mut [f64],
+) {
+    let mut pairs = sample.chunks_exact(2);
+    for pair in &mut pairs {
+        let (x0, x1) = (pair[0], pair[1]);
+        for ((err, &scale), &inv) in errs.iter_mut().zip(scales).zip(invs) {
+            let (g0, g1) = grid.pair(x0 * inv, x1 * inv);
+            let d0 = (g0 * scale - x0) as f64;
+            *err += d0 * d0;
+            let d1 = (g1 * scale - x1) as f64;
+            *err += d1 * d1;
+        }
+    }
+    if let [x0] = *pairs.remainder() {
+        for ((err, &scale), &inv) in errs.iter_mut().zip(scales).zip(invs) {
+            let (g0, _) = grid.pair(x0 * inv, 0.0);
+            let d0 = (g0 * scale - x0) as f64;
+            *err += d0 * d0;
+        }
+    }
+}
+
 fn axpy_i16_scalar(acc: &mut [i32], a: i32, x: &[i16]) {
     for (o, &v) in acc.iter_mut().zip(x) {
         *o += a * i32::from(v);
@@ -254,7 +335,174 @@ mod x86 {
     //! The intrinsic kernels. `#[target_feature]` makes each function compile
     //! for its ISA regardless of build flags; callers must (and do) prove the
     //! feature is present at runtime before invoking them.
+    use super::CANDIDATE_BLOCK;
+    use crate::quantizer::FourBitGrid;
     use std::arch::x86_64::*;
+
+    /// A [`FourBitGrid`] broadcast across eight lanes.
+    #[derive(Clone, Copy)]
+    struct Grid8 {
+        sign: __m256,
+        normal_max: __m256,
+        half: __m256,
+        one: __m256,
+        normal_cuts: [__m256; 7],
+        normal_mags: __m256,
+        outlier_cuts: [__m256; 6],
+        outlier_mags: __m256,
+    }
+
+    /// `mags[k]` per lane, where `k` counts the `cuts` at or below `a`.
+    ///
+    /// # Safety
+    /// Caller must have verified AVX2 via `is_x86_feature_detected!`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn lookup<const N: usize>(a: __m256, cuts: &[__m256; N], mags: __m256) -> __m256 {
+        let mut k = _mm256_setzero_si256();
+        for &cut in cuts {
+            // A true compare is all ones, i.e. -1.
+            k = _mm256_sub_epi32(k, _mm256_castps_si256(_mm256_cmp_ps::<_CMP_GE_OQ>(a, cut)));
+        }
+        _mm256_permutevar8x32_ps(mags, k)
+    }
+
+    /// Normal magnitudes of `a`; `INTEGER` rounds half away from zero by
+    /// truncating and adding one when the fraction is at least one half.
+    /// Lanes above the normal range yield garbage the caller discards.
+    ///
+    /// # Safety
+    /// Caller must have verified AVX2 via `is_x86_feature_detected!`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn normal<const INTEGER: bool>(a: __m256, g: &Grid8) -> __m256 {
+        if INTEGER {
+            let t = _mm256_cvtepi32_ps(_mm256_cvttps_epi32(a));
+            let up = _mm256_cmp_ps::<_CMP_GE_OQ>(_mm256_sub_ps(a, t), g.half);
+            _mm256_add_ps(t, _mm256_and_ps(up, g.one))
+        } else {
+            lookup(a, &g.normal_cuts, g.normal_mags)
+        }
+    }
+
+    /// `acc_lo:acc_hi += (d as f64)²` lane by lane, as a multiply then an
+    /// add (never fused).
+    ///
+    /// # Safety
+    /// Caller must have verified AVX2 via `is_x86_feature_detected!`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn add_square(acc: &mut [__m256d; 2], d: __m256) {
+        let lo = _mm256_cvtps_pd(_mm256_castps256_ps128(d));
+        let hi = _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(d));
+        acc[0] = _mm256_add_pd(acc[0], _mm256_mul_pd(lo, lo));
+        acc[1] = _mm256_add_pd(acc[1], _mm256_mul_pd(hi, hi));
+    }
+
+    /// One pair `(x0, x1)` scored at eight candidates: the lane-wise form
+    /// of `FourBitGrid::pair` followed by the error update. `SECOND` is
+    /// false for the unpaired last element of an odd-length sample, whose
+    /// partner is `+0.0` and scores nothing.
+    ///
+    /// # Safety
+    /// Caller must have verified AVX2 via `is_x86_feature_detected!`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn score_pair<const INTEGER: bool, const SECOND: bool>(
+        x0: __m256,
+        x1: __m256,
+        scale: __m256,
+        inv: __m256,
+        g: &Grid8,
+        acc: &mut [__m256d; 2],
+    ) {
+        let v1 = _mm256_mul_ps(x0, inv);
+        let v2 = _mm256_mul_ps(x1, inv);
+        let a1 = _mm256_andnot_ps(g.sign, v1);
+        let a2 = _mm256_andnot_ps(g.sign, v2);
+        // Algorithm 1: the larger outlier keeps its slot (the left one on a
+        // tie) and its partner becomes the victim.
+        let left = _mm256_and_ps(
+            _mm256_cmp_ps::<_CMP_GT_OQ>(a1, g.normal_max),
+            _mm256_cmp_ps::<_CMP_GE_OQ>(a1, a2),
+        );
+        let right = _mm256_andnot_ps(left, _mm256_cmp_ps::<_CMP_GT_OQ>(a2, g.normal_max));
+        let outlier = lookup(_mm256_max_ps(a1, a2), &g.outlier_cuts, g.outlier_mags);
+        let m1 = _mm256_blendv_ps(
+            _mm256_andnot_ps(right, normal::<INTEGER>(a1, g)),
+            outlier,
+            left,
+        );
+        let g1 = _mm256_or_ps(m1, _mm256_and_ps(v1, g.sign));
+        add_square(acc, _mm256_sub_ps(_mm256_mul_ps(g1, scale), x0));
+        if SECOND {
+            let m2 = _mm256_blendv_ps(
+                _mm256_andnot_ps(left, normal::<INTEGER>(a2, g)),
+                outlier,
+                right,
+            );
+            let g2 = _mm256_or_ps(m2, _mm256_and_ps(v2, g.sign));
+            add_square(acc, _mm256_sub_ps(_mm256_mul_ps(g2, scale), x1));
+        }
+    }
+
+    /// The AVX2 form of `score_candidates_scalar` over all
+    /// [`CANDIDATE_BLOCK`] lanes: three f32 vectors of candidates, six f64
+    /// vectors of error sums, one pass over the sample.
+    ///
+    /// # Safety
+    /// Caller must have verified AVX2 via `is_x86_feature_detected!`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn score_candidates_avx2<const INTEGER: bool>(
+        sample: &[f32],
+        scales: &[f32; CANDIDATE_BLOCK],
+        invs: &[f32; CANDIDATE_BLOCK],
+        grid: &FourBitGrid,
+        errs: &mut [f64; CANDIDATE_BLOCK],
+    ) {
+        let mut g = Grid8 {
+            sign: _mm256_set1_ps(-0.0),
+            normal_max: _mm256_set1_ps(grid.normal_max),
+            half: _mm256_set1_ps(0.5),
+            one: _mm256_set1_ps(1.0),
+            normal_cuts: [_mm256_setzero_ps(); 7],
+            normal_mags: _mm256_loadu_ps(grid.normal_mags.as_ptr()),
+            outlier_cuts: [_mm256_setzero_ps(); 6],
+            outlier_mags: _mm256_loadu_ps(grid.outlier_mags.as_ptr()),
+        };
+        for (v, &c) in g.normal_cuts.iter_mut().zip(&grid.normal_cuts) {
+            *v = _mm256_set1_ps(c);
+        }
+        for (v, &c) in g.outlier_cuts.iter_mut().zip(&grid.outlier_cuts) {
+            *v = _mm256_set1_ps(c);
+        }
+        let mut scale = [_mm256_setzero_ps(); 3];
+        let mut inv = [_mm256_setzero_ps(); 3];
+        for j in 0..3 {
+            scale[j] = _mm256_loadu_ps(scales[8 * j..].as_ptr());
+            inv[j] = _mm256_loadu_ps(invs[8 * j..].as_ptr());
+        }
+        let mut acc = [[_mm256_setzero_pd(); 2]; 3];
+        let mut pairs = sample.chunks_exact(2);
+        for pair in &mut pairs {
+            let x0 = _mm256_set1_ps(pair[0]);
+            let x1 = _mm256_set1_ps(pair[1]);
+            for j in 0..3 {
+                score_pair::<INTEGER, true>(x0, x1, scale[j], inv[j], &g, &mut acc[j]);
+            }
+        }
+        if let [last] = *pairs.remainder() {
+            let x0 = _mm256_set1_ps(last);
+            let x1 = _mm256_setzero_ps();
+            for j in 0..3 {
+                score_pair::<INTEGER, false>(x0, x1, scale[j], inv[j], &g, &mut acc[j]);
+            }
+        }
+        for (j, halves) in acc.iter().enumerate() {
+            _mm256_storeu_pd(errs[8 * j..].as_mut_ptr(), halves[0]);
+            _mm256_storeu_pd(errs[8 * j + 4..].as_mut_ptr(), halves[1]);
+        }
+    }
 
     /// # Safety
     /// Caller must have verified AVX2 via `is_x86_feature_detected!`.
@@ -434,5 +682,73 @@ mod tests {
         assert!(SimdPath::Scalar.supported());
         // detect() must never resolve to something the CPU cannot run.
         assert!(detect().supported());
+    }
+
+    #[test]
+    fn score_candidates_matches_round_trip_mse_on_every_path_at_the_boundaries() {
+        use crate::OliveQuantizer;
+        use olive_dtypes::NormalDataType;
+        let scales: [f32; CANDIDATE_BLOCK] = std::array::from_fn(|k| 0.3 + 0.137 * k as f32);
+        let invs = scales.map(|s| 1.0 / s);
+        // The x near `v / inv` whose product with `inv` lies closest to `v`
+        // (`v` itself when some float reaches it).
+        let preimage = |v: f32, inv: f32| {
+            (-4..=4)
+                .map(|s| f32::from_bits((v / inv).to_bits().wrapping_add_signed(s)))
+                .min_by(|a, b| (a * inv - v).abs().total_cmp(&(b * inv - v).abs()))
+                .expect("nine candidates")
+        };
+        for ty in [NormalDataType::Int4, NormalDataType::Flint4] {
+            let grid = FourBitGrid::of(ty).expect("4-bit");
+            // Every lane meets values landing on, and a few ulps around,
+            // each cut and the normal/outlier boundary once scaled.
+            let cuts = grid.normal_cuts.iter().chain(&grid.outlier_cuts);
+            let mut values = Vec::new();
+            for (i, &cut) in cuts.chain([&grid.normal_max]).enumerate() {
+                for steps in -4..=4 {
+                    let v = f32::from_bits(cut.to_bits().wrapping_add_signed(steps));
+                    for (k, &inv) in invs.iter().enumerate() {
+                        let sign = if (i + k) % 3 == 0 { -1.0 } else { 1.0 };
+                        values.push(sign * preimage(v, inv));
+                    }
+                }
+            }
+            // Shuffle so normals meet outliers and outliers meet each other,
+            // then add equal-magnitude outlier pairs (Algorithm 1 keeps the
+            // left one) and an unpaired tail value.
+            let seeds = splitmix_vals(0x5CA1E, values.len(), i32::MAX);
+            let mut order: Vec<usize> = (0..values.len()).collect();
+            order.sort_by_key(|&i| seeds[i]);
+            let mut sample: Vec<f32> = order.iter().map(|&i| values[i]).collect();
+            sample.truncate(sample.len() & !1);
+            let outliers: Vec<f32> = values
+                .iter()
+                .zip(invs.iter().cycle())
+                .filter(|&(&x, &inv)| (x * inv).abs() > 2.0 * grid.normal_max)
+                .map(|(&x, _)| x)
+                .collect();
+            for &x in outliers.iter().step_by(5) {
+                sample.extend([x, x, x, -x]);
+            }
+            sample.push(values[1]);
+            let quant = OliveQuantizer::new(ty);
+            for path in all_paths() {
+                let mut errs = [0.0f64; CANDIDATE_BLOCK];
+                score_candidates(
+                    &sample,
+                    &scales,
+                    &invs,
+                    CANDIDATE_BLOCK,
+                    grid,
+                    &mut errs,
+                    path,
+                );
+                for (k, &scale) in scales.iter().enumerate() {
+                    let want = quant.round_trip_mse(&sample, scale);
+                    let got = errs[k] / sample.len() as f64;
+                    assert_eq!(got.to_bits(), want.to_bits(), "{ty} path={path} lane={k}");
+                }
+            }
+        }
     }
 }

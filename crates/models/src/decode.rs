@@ -52,7 +52,7 @@
 //!   the softmax over the unmasked prefix (masked lanes contribute exactly
 //!   `exp(-inf) = 0.0`, and the GEMM kernels skip zero activations);
 //! * activation quantization is **per row** (each position's activation is
-//!   calibrated as its own `[1, d]` tensor — dynamic per-token scales, as
+//!   calibrated on its own `d` values — dynamic per-token scales, as
 //!   decode-time quantization does in deployment), so a row's quantized
 //!   values cannot depend on later rows.
 //!
@@ -68,18 +68,16 @@ use olive_core::TensorQuantizer;
 use olive_tensor::matmul::{gelu, layer_norm, matmul, matmul_transpose_b, softmax_rows};
 use olive_tensor::Tensor;
 
-/// Fake-quantizes each row of `t` as its own `[1, cols]` tensor (per-token
-/// dynamic calibration — see the module docs for why decode requires this).
+/// Fake-quantizes each row of `t` on its own (per-token dynamic calibration
+/// — see the module docs for why decode requires this), writing every row
+/// straight into the output.
 fn quantize_rows(t: &Tensor, q: Option<&dyn TensorQuantizer>) -> Tensor {
     let Some(q) = q else {
         return t.clone();
     };
-    let (m, n) = (t.rows(), t.cols());
-    let mut out = Tensor::zeros(vec![m, n]);
-    for i in 0..m {
-        let row = Tensor::from_vec(vec![1, n], t.row(i).to_vec());
-        let qrow = q.quantize_dequantize(&row);
-        out.row_mut(i).copy_from_slice(qrow.row(0));
+    let mut out = Tensor::zeros(vec![t.rows(), t.cols()]);
+    for i in 0..t.rows() {
+        q.quantize_dequantize_into(t.row(i), out.row_mut(i));
     }
     out
 }

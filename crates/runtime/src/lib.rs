@@ -85,9 +85,10 @@ thread_local! {
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Minimum per-call work (in fused multiply-add-equivalents) below which
-/// [`should_parallelize`] recommends staying sequential: dispatching to the
-/// pool costs a few microseconds, so tiny kernels are faster inline.
+/// Minimum work per pool lane (in fused multiply-add-equivalents) below
+/// which [`should_parallelize`] recommends staying sequential: dispatching to
+/// the pool costs a few microseconds, so kernels whose lanes would each get
+/// less are faster inline.
 pub const MIN_PARALLEL_WORK: u64 = 32_768;
 
 /// How many chunks each thread lane gets on average; >1 lets fast lanes
@@ -199,13 +200,19 @@ pub(crate) fn enter_worker<R>(f: impl FnOnce() -> R) -> R {
 }
 
 /// Whether a kernel over `rows` rows doing `work` fused multiply-adds (or an
-/// equivalent cost measure) is worth dispatching to the pool.
+/// equivalent cost measure) is worth dispatching to the pool: each of the
+/// `min(rows, threads)` lanes it can use must get at least
+/// [`MIN_PARALLEL_WORK`].
 ///
 /// Deterministic: depends only on the arguments, the thread-count
 /// configuration and whether the caller is already inside a pool job — never
 /// on timing.
 pub fn should_parallelize(rows: usize, work: u64) -> bool {
-    rows >= 2 && work >= MIN_PARALLEL_WORK && !in_worker() && effective_threads() > 1
+    if rows < 2 || in_worker() {
+        return false;
+    }
+    let lanes = rows.min(effective_threads()) as u64;
+    lanes > 1 && work / lanes >= MIN_PARALLEL_WORK
 }
 
 /// The chunk geometry both row primitives share: rows per chunk and chunk
@@ -419,9 +426,19 @@ mod tests {
     #[test]
     fn should_parallelize_respects_work_threshold() {
         with_threads(8, || {
-            assert!(should_parallelize(1024, MIN_PARALLEL_WORK));
-            assert!(!should_parallelize(1024, MIN_PARALLEL_WORK - 1));
+            // The threshold is per lane: eight lanes for 1024 rows, two for
+            // a 2-row kernel.
+            assert!(should_parallelize(1024, 8 * MIN_PARALLEL_WORK));
+            assert!(!should_parallelize(1024, 8 * MIN_PARALLEL_WORK - 1));
+            assert!(should_parallelize(2, 2 * MIN_PARALLEL_WORK));
+            assert!(!should_parallelize(2, 2 * MIN_PARALLEL_WORK - 1));
             assert!(!should_parallelize(1, u64::MAX));
+        });
+        with_threads(2, || {
+            // A 2-row decode tick's [2,64]x[64,256] and [2,256]x[256,64]
+            // GEMMs (32768 MACs each) stay inline; a 256³ GEMM dispatches.
+            assert!(!should_parallelize(2, 2 * 64 * 256));
+            assert!(should_parallelize(256, 256 * 256 * 256));
         });
         with_threads(1, || {
             assert!(!should_parallelize(1024, u64::MAX));

@@ -99,6 +99,42 @@ fn quantize_round_trips_a_matrix() {
 }
 
 #[test]
+fn quantize_answers_finite_values_for_inputs_spanning_f32_max() {
+    // Every value is finite, so the body is accepted; 3σ of it overflows
+    // f32, which once turned every answered value and the mse into null.
+    let server = start();
+    for (scheme, per_row) in [
+        ("olive-4bit", ""),
+        ("olive-4bit-flint", ""),
+        ("olive-8bit", ""),
+        ("olive-4bit", "@per-row"),
+    ] {
+        let body = format!(
+            r#"{{"scheme": "{scheme}{per_row}", "rows": 1, "cols": 4,
+                "data": [3e38, -3e38, 1.0, 2.0]}}"#
+        );
+        let response = client::post_json(server.local_addr(), "/v1/quantize", &body).unwrap();
+        assert_eq!(response.status, 200, "{}", response.body);
+        let v = JsonValue::parse(&response.body).unwrap();
+        let values = v.get("values").and_then(JsonValue::as_array).unwrap();
+        assert_eq!(values.len(), 4);
+        for value in values {
+            assert!(
+                value.as_f64().is_some_and(f64::is_finite),
+                "{scheme}: {}",
+                response.body
+            );
+        }
+        assert!(
+            v.get("mse").and_then(JsonValue::as_f64).is_some(),
+            "{}",
+            response.body
+        );
+    }
+    server.shutdown();
+}
+
+#[test]
 fn protocol_errors_map_to_specific_statuses() {
     let server = start();
     let addr = server.local_addr();

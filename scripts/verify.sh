@@ -29,6 +29,13 @@ cargo test --workspace -q
 echo "== OLIVE_SIMD=scalar cargo test -q -p olive-core =="
 OLIVE_SIMD=scalar cargo test -q -p olive-core
 
+# The served-path benchmark (servebench/, a package of its own, built into
+# servebench/target) imports the library surface — TensorQuantizer,
+# should_parallelize, olive_serve::http — so a library change that breaks
+# it fails here rather than when the benchmark next runs.
+echo "== cargo test --release --manifest-path servebench/Cargo.toml =="
+cargo test --release --manifest-path servebench/Cargo.toml
+
 # Static analysis: the determinism & concurrency contracts (see
 # crates/lint/RULES.md). The self-test proves the rules still bite by
 # injecting one violation per rule.
