@@ -6,7 +6,7 @@
 //!             [--max-new-tokens T]
 //! ```
 //!
-//! Starts an in-process server (dynamic batching on, ephemeral port), warms
+//! Starts an in-process server (shipped defaults, ephemeral port), warms
 //! the generation-preparation cache with one request, then drives it with N
 //! client threads × M keep-alive streamed `/v1/generate` requests each and
 //! reports the per-request latency distribution (p50/p95/p99), the

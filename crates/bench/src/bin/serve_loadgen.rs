@@ -5,7 +5,7 @@
 //! serve_loadgen [--quick] [--json <results.json>] [--clients N] [--requests M]
 //! ```
 //!
-//! Starts an in-process server (dynamic batching on, ephemeral port), warms
+//! Starts an in-process server (shipped defaults, ephemeral port), warms
 //! the model cache with one request, then drives it with N client threads ×
 //! M keep-alive `/v1/eval` requests each and reports the latency
 //! distribution (p50/p95/p99) and sustained req/s. With `--json`, the p50 is
@@ -15,8 +15,8 @@
 //! like the GEMM kernels.
 //!
 //! The measured path is the serving hot path of the quantize-once,
-//! serve-many deployment model: HTTP parse → queue → micro-batch →
-//! cache hit → response write.
+//! serve-many deployment model: HTTP parse → response-cache hit, answered
+//! on the connection thread before admission → response write.
 
 use olive_bench::gate;
 use olive_bench::loadgen::{drive, warmup, LatencySummary};

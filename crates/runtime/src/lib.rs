@@ -4,7 +4,7 @@
 //! persistent [`Pool`] of `std::thread` workers plus the row-range primitives
 //! ([`par_rows`], [`par_rows_mut`], [`par_map`]) the tensor, core and model
 //! layers build their hot loops on, and a bounded micro-batching
-//! [`queue::BoundedQueue`] that `olive-serve` turns into its dynamic batcher.
+//! [`queue::BoundedQueue`] that feeds `olive-serve`'s decode scheduler.
 //!
 //! ## Thread-count selection
 //!

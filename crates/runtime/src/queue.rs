@@ -1,5 +1,5 @@
-//! A bounded multi-producer/single-consumer queue — the batching primitive
-//! behind `olive-serve`'s dynamic batcher.
+//! A bounded multi-producer/single-consumer queue — the admission queue in
+//! front of `olive-serve`'s continuous-batching decode scheduler.
 //!
 //! Producers [`try_push`](BoundedQueue::try_push) items; when the queue is at
 //! capacity the push fails *immediately* instead of blocking, which is what

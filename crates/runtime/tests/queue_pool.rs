@@ -1,8 +1,8 @@
-//! The batcher composition contract: a bounded producer/consumer queue
+//! The queue/pool composition contract: a bounded producer/consumer queue
 //! ([`BoundedQueue`]) drained in micro-batches that execute on the
-//! [`Pool`]-backed [`par_map`] primitive — exactly the shape `olive-serve`'s
-//! dynamic batcher uses. Pins down FIFO-order preservation end to end and
-//! panic propagation out of batch execution, at 1 and 8 threads.
+//! [`Pool`]-backed [`par_map`] primitive. Pins down FIFO-order preservation
+//! end to end and panic propagation out of batch execution, at 1 and 8
+//! threads.
 
 use olive_runtime::{par_map, with_threads, BoundedQueue};
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -1,16 +1,18 @@
 //! The `olive-serve` daemon: binds, prints the URL, serves until shut down.
 //!
 //! ```text
-//! olive-serve [--addr HOST] [--port N] [--max-batch N] [--max-wait-ms N]
-//!             [--queue-capacity N] [--max-sessions N] [--kv-pool-pages N]
-//!             [--artifact-dir DIR] [--allow-shutdown] [--trace-log PATH]
-//!             [--no-telemetry]
+//! olive-serve [--addr HOST] [--port N] [--queue-capacity N] [--max-sessions N]
+//!             [--kv-pool-pages N] [--artifact-dir DIR] [--allow-shutdown]
+//!             [--trace-log PATH] [--no-telemetry]
 //! ```
 //!
 //! `--port 0` (the default) picks an ephemeral port; the chosen URL is
 //! printed as `olive-serve listening on http://HOST:PORT` so harnesses can
-//! scrape it. With `--allow-shutdown`, `POST /shutdown` stops the server and
-//! the process exits 0 after draining queued requests. With
+//! scrape it. `--queue-capacity` bounds both the unary requests computing at
+//! once and the generation requests waiting for the decode scheduler; past
+//! it, requests are answered 503 + `Retry-After: 1`. With
+//! `--allow-shutdown`, `POST /shutdown` stops the server and the process
+//! exits 0 after finishing the requests it accepted. With
 //! `--artifact-dir`, preparation misses cold-start bit-identically from
 //! `olive-prepare` snapshots in DIR instead of quantizing in-process (the
 //! `cached_artifacts` gauge on `/healthz` counts the snapshots used).
@@ -20,14 +22,13 @@
 //! turns off latency timing and tracing; counters, `/healthz` and `/metrics`
 //! stay live, and response bodies are byte-identical either way.
 
-use olive_serve::{BatchConfig, SchedConfig, ServeConfig, Server};
-use std::time::Duration;
+use olive_serve::{SchedConfig, ServeConfig, Server};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: olive-serve [--addr HOST] [--port N] [--max-batch N] [--max-wait-ms N] \
-         [--queue-capacity N] [--max-sessions N] [--kv-pool-pages N] [--artifact-dir DIR] \
-         [--allow-shutdown] [--trace-log PATH] [--no-telemetry]"
+        "usage: olive-serve [--addr HOST] [--port N] [--queue-capacity N] [--max-sessions N] \
+         [--kv-pool-pages N] [--artifact-dir DIR] [--allow-shutdown] [--trace-log PATH] \
+         [--no-telemetry]"
     );
     std::process::exit(2);
 }
@@ -35,7 +36,7 @@ fn usage() -> ! {
 fn parse_args() -> ServeConfig {
     let mut host = "127.0.0.1".to_string();
     let mut port = 0u16;
-    let mut batch = BatchConfig::default();
+    let mut unary_capacity = ServeConfig::default().unary_capacity;
     let mut sched = SchedConfig::default();
     let mut allow_shutdown = false;
     let mut artifact_dir = None;
@@ -56,17 +57,9 @@ fn parse_args() -> ServeConfig {
                 Ok(p) => port = p,
                 Err(_) => usage(),
             },
-            "--max-batch" => match value("--max-batch").parse() {
-                Ok(n) if n >= 1 => batch.max_batch = n,
-                _ => usage(),
-            },
-            "--max-wait-ms" => match value("--max-wait-ms").parse() {
-                Ok(ms) => batch.max_wait = Duration::from_millis(ms),
-                Err(_) => usage(),
-            },
             "--queue-capacity" => match value("--queue-capacity").parse() {
                 Ok(n) if n >= 1 => {
-                    batch.queue_capacity = n;
+                    unary_capacity = n;
                     sched.queue_capacity = n;
                 }
                 _ => usage(),
@@ -93,7 +86,7 @@ fn parse_args() -> ServeConfig {
     }
     ServeConfig {
         addr: format!("{host}:{port}"),
-        batch,
+        unary_capacity,
         sched,
         allow_shutdown,
         artifact_dir,

@@ -154,6 +154,12 @@ impl ModelCache {
         self.artifacts_loaded.load(Ordering::Relaxed)
     }
 
+    /// The cached `/v1/eval` response body for `req`, if one is resident —
+    /// a lookup only, never a computation.
+    pub fn cached_eval_body(&self, req: &EvalRequest) -> Option<Arc<String>> {
+        lock_or_recover(&self.responses).get(&req.response_key())
+    }
+
     /// The rendered `/v1/eval` response body for `req`, computing and caching
     /// on miss.
     ///
@@ -162,8 +168,7 @@ impl ModelCache {
     /// determinism contract), so the race is a wasted computation, never a
     /// wrong answer.
     pub fn eval_body(&self, req: &EvalRequest) -> Arc<String> {
-        let response_key = req.response_key();
-        if let Some(hit) = lock_or_recover(&self.responses).get(&response_key) {
+        if let Some(hit) = self.cached_eval_body(req) {
             return hit;
         }
         let pipeline = req.pipeline();
@@ -191,7 +196,7 @@ impl ModelCache {
                 .without_wall_times()
                 .to_json(),
         );
-        lock_or_recover(&self.responses).insert(response_key, Arc::clone(&body));
+        lock_or_recover(&self.responses).insert(req.response_key(), Arc::clone(&body));
         body
     }
 

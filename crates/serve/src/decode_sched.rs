@@ -1,10 +1,10 @@
 //! The continuous-batching decode scheduler behind `/v1/generate`.
 //!
-//! The PR-5 batcher executed a generation request as one opaque job: a
-//! stream occupied its micro-batch slot for its *whole* decode, so a long
-//! generation delayed everything queued behind it (head-of-line blocking),
-//! and K concurrent streams cost K independent forward passes per step.
-//! This module replaces that with vLLM-style **continuous batching**:
+//! Run as one opaque job, a generation request would hold its slot for its
+//! *whole* decode, so a long generation would delay everything queued
+//! behind it (head-of-line blocking), and K concurrent streams would cost K
+//! independent forward passes per step. This module uses vLLM-style
+//! **continuous batching** instead:
 //!
 //! * every in-flight stream is a [`Flight`] — a step-schedulable decode
 //!   session whose KV state lives in pages reserved from a shared
@@ -43,11 +43,11 @@
 //! staggered concurrent streams, mixed prompt lengths and a mid-stream
 //! client disconnect, at `OLIVE_THREADS` ∈ {1, 8}.
 //!
-//! The split below mirrors the batcher: [`SchedCore`] is the synchronous
-//! engine (admission, one [`tick`](SchedCore::tick) = one merged step —
-//! directly drivable by tests), [`DecodeScheduler`] wraps it in the
-//! bounded-queue/worker-thread lifecycle with the same 503 back-pressure
-//! contract as [`Batcher`](crate::batch::Batcher).
+//! [`SchedCore`] is the synchronous engine (admission, one
+//! [`tick`](SchedCore::tick) = one merged step — directly drivable by
+//! tests); [`DecodeScheduler`] wraps it in the bounded-queue/worker-thread
+//! lifecycle with the same 503 back-pressure contract as the unary
+//! admission counter.
 
 use crate::cache::ModelCache;
 use crate::http::Response;
@@ -670,8 +670,8 @@ impl GroupModel {
 
 /// The continuous-batching scheduler: [`SchedCore`] driven by one worker
 /// thread behind a bounded queue, with the same back-pressure contract as
-/// the [`Batcher`](crate::batch::Batcher). One instance per server; shut
-/// down explicitly.
+/// the unary admission counter. One instance per server; shut down
+/// explicitly.
 pub struct DecodeScheduler {
     queue: Arc<BoundedQueue<GenJob>>,
     stats: Arc<SchedStats>,
@@ -1082,8 +1082,8 @@ mod tests {
         scheduler.shutdown();
     }
 
-    /// The submit back-pressure contract, bit-for-bit the batcher's: full
-    /// queue -> 503 + Retry-After, closed queue -> 503 without.
+    /// The submit back-pressure contract, bit-for-bit the unary path's:
+    /// full queue -> 503 + Retry-After, closed queue -> 503 without.
     #[test]
     fn full_queue_is_answered_503_with_retry_after() {
         let scheduler = DecodeScheduler::paused(&SchedConfig {

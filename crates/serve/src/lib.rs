@@ -28,7 +28,7 @@
 //! decode step the moment its token is produced, then the per-scheme
 //! summary and the terminating chunk.
 //!
-//! Generation requests do **not** ride the unary batcher. They are admitted
+//! Generation requests do **not** take the unary path. They are admitted
 //! onto the continuous-batching decode scheduler ([`decode_sched`]): each
 //! in-flight stream holds externally-owned KV state paged out of a shared
 //! [`olive_models::KvPool`], and every scheduler tick merges the *current
@@ -36,7 +36,7 @@
 //! group ([`olive_models::TinyTransformer::advance_batch`]), then fans the
 //! produced fragments back out to their connections. New streams join the
 //! batch at the next tick instead of waiting for running ones to finish —
-//! no head-of-line blocking — and the door keeps the batcher's 503 +
+//! no head-of-line blocking — and the door keeps the unary path's 503 +
 //! `Retry-After` back-pressure contract. The prepared teacher + prompt are
 //! cached per `(family, size, seed, prompt_tokens)` and the quantized
 //! student per scheme on top of that, so scheme comparisons share one
@@ -62,13 +62,14 @@
 //!     .without_wall_times().to_json()
 //! ```
 //!
-//! at *any* micro-batch size, queue state, concurrency level, session
-//! interleaving and `OLIVE_THREADS` setting. This holds by construction,
-//! not by testing alone:
+//! at *any* admission state, concurrency level, session interleaving and
+//! `OLIVE_THREADS` setting. This holds by construction, not by testing
+//! alone:
 //!
 //! * each request is computed by a pure function of its decoded parameters —
-//!   the batcher only chooses *which thread* runs it ([`par_map`] never
-//!   changes what a job computes, per the `olive-runtime` contract);
+//!   admission only decides *whether* it runs now, and the pool only
+//!   chooses *which thread* computes each row range, never how (the
+//!   `olive-runtime` contract);
 //! * the model cache is keyed by everything that feeds the computation, so a
 //!   hit returns bytes a miss would have produced;
 //! * the incremental decode path obeys the **decode-cache determinism
@@ -86,28 +87,31 @@
 //!   `GenReport` — are stripped (`without_wall_times`) before rendering.
 //!
 //! `crates/serve/tests/determinism.rs` enforces both contracts end to end
-//! with concurrent clients at `OLIVE_THREADS` ∈ {1, 8} and micro-batch sizes
-//! {1, 4}, with streamed and unary requests interleaved over the same
-//! kept-alive connections; `crates/serve/tests/continuous.rs` runs the
-//! concurrent-session matrix (staggered starts, mixed prompt lengths, a
-//! mid-stream disconnect) against the decode scheduler.
+//! with concurrent clients at `OLIVE_THREADS` ∈ {1, 8}, with streamed and
+//! unary requests interleaved over the same kept-alive connections;
+//! `crates/serve/tests/continuous.rs` runs the concurrent-session matrix
+//! (staggered starts, mixed prompt lengths, a mid-stream disconnect)
+//! against the decode scheduler.
 //!
-//! ## Dynamic batching & back-pressure
+//! ## Unary admission & back-pressure
 //!
-//! Requests enqueue into a bounded [`BoundedQueue`] and a drain thread
-//! executes them in micro-batches (up to `max_batch` jobs, lingering at most
-//! `max_wait` for stragglers) on the shared worker pool — so ten concurrent
-//! tiny requests cost one pool dispatch, not ten thread pile-ups. When the
-//! queue is full the server answers **503 + `Retry-After: 1`** immediately:
-//! overload is shed at the door, visible to clients, instead of growing an
-//! unbounded backlog. Quantize-once-serve-many lives in [`cache`]: teachers
-//! are prepared once per configuration and shared across requests and
-//! schemes.
+//! `/v1/eval` and `/v1/quantize` jobs never share compute, so they are not
+//! batched: each is answered on the connection thread that read it. An
+//! `/v1/eval` response-cache hit is answered before admission and is never
+//! shed. Every other unary request takes a slot from a bounded in-flight
+//! counter (`--queue-capacity`, default 64); when every slot is taken the
+//! server answers **503 + `Retry-After: 1`** immediately: overload is shed
+//! at the door, visible to clients, instead of growing an unbounded
+//! backlog. Admitted misses share the CPUs — up to `--queue-capacity` at
+//! once, their row-parallel kernels taking turns on the global pool —
+//! rather than waiting in FIFO order. Quantize-once-serve-many lives in
+//! [`cache`]: teachers are prepared once per configuration and shared
+//! across requests and schemes.
 //!
 //! ## Observability
 //!
 //! `GET /metrics` serves the full serving state — per-endpoint request
-//! counts and latency histograms, batcher queue-wait/execute splits, decode
+//! counts and latency histograms, unary admission-wait/execute splits, decode
 //! tick durations and time-to-first-chunk, cache occupancy and KV-page
 //! gauges — as Prometheus text exposition via `olive_telemetry`; see
 //! `crates/telemetry/METRICS.md` for the reference. Every request carries
@@ -140,15 +144,13 @@
 //! ```
 //!
 //! The `olive-serve` binary wraps [`Server`] as a daemon (`--port`,
-//! `--max-batch`, `--max-wait-ms`, `--queue-capacity`, `--allow-shutdown`),
-//! and `serve_client` is a std-only CLI client for smoke scripts; see the
-//! README's "Serving" section for the curl quickstart.
+//! `--queue-capacity`, `--allow-shutdown`, …), and `serve_client` is a
+//! std-only CLI client for smoke scripts; see the README's "Serving"
+//! section for the curl quickstart.
 //!
-//! [`par_map`]: olive_runtime::par_map
-//! [`BoundedQueue`]: olive_runtime::BoundedQueue
 //! [`EvalReport`]: olive_api::EvalReport
 
-pub mod batch;
+mod admission;
 pub mod cache;
 pub mod client;
 pub mod decode_sched;
@@ -156,7 +158,6 @@ pub mod http;
 pub mod protocol;
 pub mod server;
 
-pub use batch::{BatchConfig, Batcher, Job};
 pub use cache::ModelCache;
 pub use decode_sched::{DecodeScheduler, SchedConfig, SchedStats, StreamEvent};
 pub use http::{Request, Response};

@@ -1,6 +1,6 @@
 //! The TCP accept loop, connection handling and endpoint routing.
 
-use crate::batch::{BatchConfig, Batcher, Job};
+use crate::admission::Admission;
 use crate::cache::ModelCache;
 use crate::decode_sched::{DecodeScheduler, SchedConfig, StreamEvent};
 use crate::http::{
@@ -33,8 +33,11 @@ pub struct ServeConfig {
     /// Bind address; port 0 picks an ephemeral port (see
     /// [`Server::local_addr`]).
     pub addr: String,
-    /// Batching policy for unary requests (see [`BatchConfig`]).
-    pub batch: BatchConfig,
+    /// Most unary jobs (`/v1/eval` misses, `/v1/quantize`) computing at
+    /// once; one more is answered 503 + `Retry-After: 1`. Response-cache
+    /// hits never count against it. `--queue-capacity` sets it together
+    /// with the decode queue bound.
+    pub unary_capacity: usize,
     /// Continuous-batching policy for `/v1/generate` (see [`SchedConfig`]).
     pub sched: SchedConfig,
     /// Whether `POST /shutdown` is honoured (the smoke harness uses it; off
@@ -54,7 +57,7 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
-            batch: BatchConfig::default(),
+            unary_capacity: 64,
             sched: SchedConfig::default(),
             allow_shutdown: false,
             artifact_dir: None,
@@ -76,7 +79,7 @@ struct ScrapeGauges {
 
 struct ServerState {
     config: ServeConfig,
-    batcher: Batcher,
+    unary: Admission,
     scheduler: DecodeScheduler,
     cache: Arc<ModelCache>,
     telemetry: Telemetry,
@@ -89,12 +92,13 @@ struct ServerState {
 }
 
 impl ServerState {
-    /// Mirrors live sizes (queue depth, cache occupancy) onto their gauges.
+    /// Mirrors live sizes (unary jobs in flight plus the decode queue, cache
+    /// occupancy) onto their gauges.
     fn refresh_gauges(&self) {
         let (prepared, gen_prepared, responses) = self.cache.sizes();
         self.scrape
             .queue_depth
-            .set((self.batcher.queue_depth() + self.scheduler.queue_depth()) as u64);
+            .set((self.unary.in_flight() + self.scheduler.queue_depth()) as u64);
         self.scrape.cached_models.set(prepared as u64);
         self.scrape.cached_generators.set(gen_prepared as u64);
         self.scrape.cached_responses.set(responses as u64);
@@ -105,7 +109,7 @@ impl ServerState {
 
     fn healthz_body(&self) -> String {
         self.refresh_gauges();
-        let stats = self.batcher.stats();
+        let unary = &self.unary;
         let sched = self.scheduler.stats();
         // Sessions fed per tick, keyed by the batch size as a decimal string
         // (BTreeMap keeps the keys in ascending numeric-by-construction
@@ -122,13 +126,13 @@ impl ServerState {
             ("status", JsonValue::Str("ok".into())),
             (
                 "requests_served",
-                JsonValue::UInt(stats.served.get() + sched.served.get()),
+                JsonValue::UInt(unary.served.get() + sched.served.get()),
             ),
             (
                 "requests_rejected",
-                JsonValue::UInt(stats.rejected.get() + sched.rejected.get()),
+                JsonValue::UInt(unary.rejected.get() + sched.rejected.get()),
             ),
-            ("batches_executed", JsonValue::UInt(stats.batches.get())),
+            ("batches_executed", JsonValue::UInt(unary.batches.get())),
             (
                 "queue_depth",
                 JsonValue::Int(self.scrape.queue_depth.get() as i64),
@@ -233,7 +237,7 @@ impl Server {
         let scrape = ScrapeGauges {
             queue_depth: registry.gauge(
                 "olive_queue_depth",
-                "Queued-but-unserved requests across the batcher and the decode scheduler.",
+                "Unary jobs in flight plus requests queued for the decode scheduler.",
             ),
             cached_models: registry.gauge(
                 "olive_cached_models",
@@ -257,7 +261,7 @@ impl Server {
             "TCP connections accepted since startup.",
         );
         let state = Arc::new(ServerState {
-            batcher: Batcher::start(config.batch.clone(), Arc::clone(&cache), telemetry.clone()),
+            unary: Admission::new(config.unary_capacity, telemetry.clone()),
             scheduler: DecodeScheduler::start(
                 config.sched.clone(),
                 Arc::clone(&cache),
@@ -299,13 +303,13 @@ impl Server {
     }
 
     /// Blocks until shutdown is requested, then tears the server down:
-    /// stops accepting, drains queued requests, joins the worker threads.
-    /// The daemon binary's main loop.
+    /// stops accepting, waits for admitted unary jobs, drains queued
+    /// streams, joins the worker threads. The daemon binary's main loop.
     pub fn wait(&self) {
         if let Some(handle) = lock_or_recover(&self.accept_handle).take() {
             let _ = handle.join();
         }
-        self.state.batcher.shutdown();
+        self.state.unary.close_and_wait();
         self.state.scheduler.shutdown();
     }
 
@@ -567,7 +571,17 @@ fn route(request: &Request, state: &ServerState, span: &Option<Arc<Span>>) -> Ro
         ("POST", "/v1/eval") => match decode_body(request)
             .and_then(|v| EvalRequest::decode(&v).map_err(|e| Response::error(400, &e.0)))
         {
-            Ok(req) => state.batcher.submit(Job::Eval(req), span.clone()).into(),
+            // A response-cache hit skips admission, so it is never shed.
+            Ok(req) => {
+                let hit = state.cache.cached_eval_body(&req);
+                state
+                    .unary
+                    .serve(span.as_deref(), hit.is_none(), || {
+                        let body = hit.unwrap_or_else(|| state.cache.eval_body(&req));
+                        Response::json(200, body.as_str())
+                    })
+                    .into()
+            }
             Err(response) => response.into(),
         },
         ("POST", "/v1/generate") => match decode_body(request)
@@ -583,8 +597,8 @@ fn route(request: &Request, state: &ServerState, span: &Option<Arc<Span>>) -> Ro
             .and_then(|v| QuantizeRequest::decode(&v).map_err(|e| Response::error(400, &e.0)))
         {
             Ok(req) => state
-                .batcher
-                .submit(Job::Quantize(req), span.clone())
+                .unary
+                .serve(span.as_deref(), true, || Response::json(200, req.execute()))
                 .into(),
             Err(response) => response.into(),
         },
@@ -637,4 +651,40 @@ fn decode_body(request: &Request) -> Result<JsonValue, Response> {
         return Err(Response::error(400, "expected a JSON request body"));
     }
     JsonValue::parse(text).map_err(|e| Response::error(400, &e.to_string()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::{get, post_json};
+
+    #[test]
+    fn cache_hits_are_never_shed_when_every_slot_is_taken() {
+        let server = Server::start(ServeConfig {
+            unary_capacity: 1,
+            ..ServeConfig::default()
+        })
+        .expect("server start");
+        let addr = server.local_addr();
+        let warm = r#"{"scheme": "fp32", "batches": 2, "oversample": 2}"#;
+        let first = post_json(addr, "/v1/eval", warm).expect("eval");
+        assert_eq!(first.status, 200, "{}", first.body);
+
+        let slot = server.state.unary.admit().expect("the only slot is free");
+        let fresh = r#"{"scheme": "fp32", "seed": 5, "batches": 2, "oversample": 2}"#;
+        let shed = post_json(addr, "/v1/eval", fresh).expect("eval");
+        assert_eq!(shed.status, 503, "{}", shed.body);
+        assert_eq!(shed.header("Retry-After"), Some("1"));
+        let hit = post_json(addr, "/v1/eval", warm).expect("eval");
+        assert_eq!(hit.status, 200, "{}", hit.body);
+        assert_eq!(hit.body, first.body, "a hit must serve the same bytes");
+        let metrics = get(addr, "/metrics").expect("metrics");
+        assert!(
+            metrics.body.contains("olive_batch_jobs_rejected_total 1\n"),
+            "{}",
+            metrics.body
+        );
+        drop(slot);
+        server.shutdown();
+    }
 }

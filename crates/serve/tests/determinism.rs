@@ -5,22 +5,21 @@
 //! `/v1/generate` response — chunks concatenated — must be byte-identical to
 //! the direct `Pipeline::generation(GenOptions)` rendering via
 //! `without_wall_times().to_json()` —
-//! under concurrent clients, at micro-batch sizes 1 and 4, at
-//! `OLIVE_THREADS` ∈ {1, 8}, with both kinds of request interleaved over the
-//! same kept-alive connections (mid-stream keep-alive reuse).
+//! under 4 concurrent clients, at `OLIVE_THREADS` ∈ {1, 8}, with both kinds
+//! of request interleaved over the same kept-alive connections (mid-stream
+//! keep-alive reuse).
 //!
 //! One `#[test]` drives the whole matrix because it mutates the
 //! process-global `OLIVE_THREADS` variable; splitting it would race the
 //! test harness's thread pool.
 
 use olive_serve::client::Connection;
-use olive_serve::{BatchConfig, ServeConfig, Server};
+use olive_serve::{ServeConfig, Server};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// The request mix: eval and streamed-generate requests over distinct
 /// schemes, seeds, batch counts, sizes and calibrations, so concurrent
-/// micro-batches interleave unrelated (and differently-shaped) work.
+/// requests interleave unrelated (and differently-shaped) work.
 fn request_mix() -> Vec<(&'static str, String)> {
     vec![
         (
@@ -115,9 +114,9 @@ fn assert_bit_identical_under_load(
             std::thread::spawn(move || {
                 let mut connection = Connection::open(addr).expect("client connect");
                 for round in 0..rounds {
-                    // Stagger request order per client so batches mix — and
-                    // so streamed and unary responses alternate over the
-                    // same kept-alive connection.
+                    // Stagger request order per client so concurrent work
+                    // mixes — and so streamed and unary responses alternate
+                    // over the same kept-alive connection.
                     for k in 0..expected.len() {
                         let (path, body, want) =
                             &expected[(k + client_id + round) % expected.len()];
@@ -165,21 +164,9 @@ fn eval_responses_are_byte_identical_to_direct_runs() {
 
     for threads in ["1", "8"] {
         std::env::set_var("OLIVE_THREADS", threads);
-        for max_batch in [1usize, 4] {
-            let server = Server::start(ServeConfig {
-                batch: BatchConfig {
-                    max_batch,
-                    // Long enough that concurrent clients really coalesce
-                    // into multi-request batches.
-                    max_wait: Duration::from_millis(5),
-                    queue_capacity: 256,
-                },
-                ..ServeConfig::default()
-            })
-            .expect("server start");
-            assert_bit_identical_under_load(&server, &expected, 4, 2);
-            server.shutdown();
-        }
+        let server = Server::start(ServeConfig::default()).expect("server start");
+        assert_bit_identical_under_load(&server, &expected, 4, 2);
+        server.shutdown();
     }
     std::env::remove_var("OLIVE_THREADS");
 }

@@ -20,7 +20,7 @@ struct ServerProcess {
 impl ServerProcess {
     fn spawn() -> ServerProcess {
         let mut child = Command::new(env!("CARGO_BIN_EXE_olive-serve"))
-            .args(["--port", "0", "--allow-shutdown", "--max-wait-ms", "1"])
+            .args(["--port", "0", "--allow-shutdown"])
             .stdout(Stdio::piped())
             .spawn()
             .expect("spawning olive-serve");
