@@ -8,7 +8,7 @@
 //!   `OLIVE_BENCH_SAMPLES`) and heavyweight kernels are skipped;
 //! * `--json <path>` — append this run's `suite/kernel → median ns` entries
 //!   to a flat JSON file (created if missing, existing keys overwritten).
-//!   `scripts/bench_gate.sh` aggregates all three benches into one
+//!   `scripts/bench_gate.sh` aggregates all four benches into one
 //!   `BENCH_results.json` this way and diffs it against the checked-in
 //!   `BENCH_baseline.json`;
 //! * `--list-schemes` — print every spec in the `olive::api` scheme registry

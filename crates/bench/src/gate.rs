@@ -1,6 +1,6 @@
 //! The bench-regression gate: flat-JSON median recording and comparison.
 //!
-//! `scripts/bench_gate.sh` runs the three micro-benchmarks with
+//! `scripts/bench_gate.sh` runs the four micro-benchmarks with
 //! `--json BENCH_results.json`, producing one flat object mapping
 //! `"<suite>/<kernel>"` to its median wall time in nanoseconds, then invokes
 //! the `bench_gate` binary to diff it against the checked-in

@@ -18,23 +18,30 @@
 //! The incremental path is itself split so a serving scheduler can drive
 //! many streams through shared GEMMs:
 //!
-//! * [`TinyTransformer::advance_batch`] advances the *current step* of K
-//!   independent streams at once: one `[K, d]` embed, one batched
-//!   layer-norm/quantize/GEMM pipeline per layer, with each stream's
-//!   attention reading only its own externally-owned [`KvStore`]
-//!   ([`StepSlot`] carries the store, token, and position per stream);
-//! * [`TinyTransformer::advance_one`] is the K = 1 case, and
+//! * [`TinyTransformer::feed_batch`] advances K independent streams at once,
+//!   each by a *run* of tokens ([`FeedSlot`] carries the stream's
+//!   externally-owned [`KvStore`], its run and the run's first position):
+//!   one token while decoding, the whole prompt while prefilling. Every
+//!   run's rows are stacked into one `[Σ run, d]` embed → layer-norm →
+//!   per-row act-quant → GEMM pipeline per layer. Each row appends its
+//!   key/value row to its own store, then attends over its stream's
+//!   positions `0..=pos`, reading them in place from the store. Only each
+//!   run's last row goes through the final layer-norm and LM head: a
+//!   prefill discards the other rows' logits;
+//! * [`TinyTransformer::advance_batch`] ([`StepSlot`]) is the one-token
+//!   case, [`TinyTransformer::advance_one`] the K = 1 case of that, and
 //!   [`DecodeSession::push`] is a thin wrapper over it holding a
-//!   [`VecKv`](crate::kv::VecKv) — single-stream and batched decoding share
-//!   one code path, so they cannot drift apart.
+//!   [`VecKv`](crate::kv::VecKv) — single-stream, batched and prefill
+//!   decoding share one code path, so they cannot drift apart.
 //!
 //! Because every non-GEMM op in the step is per-row (layer norm, per-row
 //! activation quantization, GELU, residual add) and every GEMM row is
 //! accumulated in ascending-`k` order regardless of the batch's row count
-//! (the `olive-tensor` kernel contract), row *i* of an `advance_batch` over
-//! K streams is **bit-identical** to the lone-stream `push` of that token —
-//! the property that lets `olive-serve` merge concurrent `/v1/generate`
-//! streams into one forward per tick without changing a single output byte.
+//! (the `olive-tensor` kernel contract), the row for token *t* of a run is
+//! **bit-identical** to the lone-stream `push` of that token — the property
+//! that lets `olive-serve` merge concurrent `/v1/generate` streams, and
+//! feed a new stream's whole prompt, into one forward per tick without
+//! changing a single output byte.
 //!
 //! ## The decode-cache determinism contract
 //!
@@ -65,21 +72,32 @@
 use crate::engine::{argmax, TinyTransformer};
 use crate::kv::{KvStore, VecKv};
 use olive_core::TensorQuantizer;
-use olive_tensor::matmul::{gelu, layer_norm, matmul, matmul_transpose_b, softmax_rows};
+use olive_tensor::matmul::{
+    gelu, gelu_in_place, layer_norm, matmul, matmul_transpose_b, softmax_row, softmax_rows,
+};
 use olive_tensor::Tensor;
+use std::borrow::Cow;
 
-/// Fake-quantizes each row of `t` on its own (per-token dynamic calibration
-/// — see the module docs for why decode requires this), writing every row
-/// straight into the output.
-fn quantize_rows(t: &Tensor, q: Option<&dyn TensorQuantizer>) -> Tensor {
-    let Some(q) = q else {
-        return t.clone();
-    };
-    let mut out = Tensor::zeros(vec![t.rows(), t.cols()]);
-    for i in 0..t.rows() {
-        q.quantize_dequantize_into(t.row(i), out.row_mut(i));
+/// Fake-quantizes each row of `t` in place, on its own (per-token dynamic
+/// calibration — see the module docs for why decode requires this).
+fn quantize_rows_owned(mut t: Tensor, q: Option<&dyn TensorQuantizer>) -> Tensor {
+    if let Some(q) = q {
+        let mut row = vec![0.0; t.cols()];
+        for i in 0..t.rows() {
+            row.copy_from_slice(t.row(i));
+            q.quantize_dequantize_into(&row, t.row_mut(i));
+        }
     }
-    out
+    t
+}
+
+/// [`quantize_rows_owned`] for a borrowed `t`: quantizes a copy, and
+/// passes `t` through uncopied when there is no quantizer.
+fn quantize_rows<'t>(t: &'t Tensor, q: Option<&dyn TensorQuantizer>) -> Cow<'t, Tensor> {
+    match q {
+        None => Cow::Borrowed(t),
+        Some(_) => Cow::Owned(quantize_rows_owned(t.clone(), q)),
+    }
 }
 
 /// The token-embedding row for `token` at position `pos`, including the
@@ -182,16 +200,96 @@ impl TinyTransformer {
         out
     }
 
-    /// Advances the current step of every stream in `slots` through **one**
-    /// batched forward: a `[K, d]` embed and one layer-norm → quantize →
-    /// GEMM pipeline per layer, shared by all K streams. Each stream's
-    /// attention reads only its own [`KvStore`] (its new key/value rows are
-    /// appended first), so streams stay fully independent. Returns each
-    /// stream's logits in slot order.
+    /// Advances every stream in `slots` by its run of tokens through **one**
+    /// batched forward: the runs' rows are stacked into a `[Σ run, d]`
+    /// embed and one layer-norm → quantize → GEMM pipeline per layer,
+    /// shared by all K streams. Each row appends its key/value row to its
+    /// own stream's [`KvStore`], then attends over that stream's positions
+    /// up to its own, so streams stay fully independent. Returns the logits
+    /// of each run's **last** token, in slot order — the distribution over
+    /// the stream's next token; the other rows skip the LM head.
     ///
-    /// Row *i* of the batch is bit-identical to advancing stream *i* alone
-    /// (see the module docs for why), at any `OLIVE_THREADS` — the property
-    /// continuous batching in `olive-serve` rests on.
+    /// The logits of a run ending at token *t* are bit-identical to
+    /// [`forward_causal`](Self::forward_causal)'s row *t* and to the lone
+    /// `push` of that token (see the module docs for why), at any
+    /// `OLIVE_THREADS` and any split of the tokens into runs and slots — the
+    /// property continuous batching and one-tick prefill in `olive-serve`
+    /// rest on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any slot's run is empty or holds an out-of-vocabulary
+    /// token id.
+    pub fn feed_batch(
+        &self,
+        act_quant: Option<&dyn TensorQuantizer>,
+        slots: &mut [FeedSlot<'_>],
+    ) -> Vec<Vec<f32>> {
+        if slots.is_empty() {
+            return Vec::new();
+        }
+        let d = self.config.d_model;
+        let rows: usize = slots.iter().map(|slot| slot.tokens.len()).sum();
+        let mut x = Tensor::zeros(vec![rows, d]);
+        let mut r = 0;
+        for slot in slots.iter() {
+            assert!(!slot.tokens.is_empty(), "a feed slot needs a token");
+            for (o, &token) in slot.tokens.iter().enumerate() {
+                x.row_mut(r)
+                    .copy_from_slice(embed_row(self, token, slot.pos + o).row(0));
+                r += 1;
+            }
+        }
+
+        // Every intermediate is quantized and activated in place and freed
+        // as soon as its consumer has run, so a long prefill holds only a
+        // few live tensors at a time.
+        let mut scores = Vec::new();
+        for (li, layer) in self.layers.iter().enumerate() {
+            let normed = layer_norm(&x, &layer.ln1_gamma, &layer.ln1_beta, 1e-5);
+            let qkv = matmul(&quantize_rows_owned(normed, act_quant), &layer.wqkv);
+            let mut attn = Tensor::zeros(vec![rows, d]);
+            let mut r = 0;
+            for slot in slots.iter_mut() {
+                for o in 0..slot.tokens.len() {
+                    let row = qkv.row(r);
+                    slot.kv.append(li, &row[d..2 * d], &row[2 * d..3 * d]);
+                    let positions = slot.pos + o + 1;
+                    self.attend(
+                        &*slot.kv,
+                        li,
+                        &row[..d],
+                        positions,
+                        &mut scores,
+                        attn.row_mut(r),
+                    );
+                    r += 1;
+                }
+            }
+            drop(qkv);
+            x = x.add(&matmul(&quantize_rows_owned(attn, act_quant), &layer.wo));
+
+            let normed = layer_norm(&x, &layer.ln2_gamma, &layer.ln2_beta, 1e-5);
+            let mut h = matmul(&quantize_rows_owned(normed, act_quant), &layer.w1);
+            gelu_in_place(&mut h);
+            x = x.add(&matmul(&quantize_rows_owned(h, act_quant), &layer.w2));
+        }
+
+        let mut last = Tensor::zeros(vec![slots.len(), d]);
+        let mut end = 0;
+        for (s, slot) in slots.iter().enumerate() {
+            end += slot.tokens.len();
+            last.row_mut(s).copy_from_slice(x.row(end - 1));
+        }
+        drop(x);
+        let normed = layer_norm(&last, &self.ln_f_gamma, &self.ln_f_beta, 1e-5);
+        let logits = matmul_transpose_b(&quantize_rows_owned(normed, act_quant), &self.embedding);
+        (0..slots.len()).map(|s| logits.row(s).to_vec()).collect()
+    }
+
+    /// Advances the current step of every stream in `slots` by one token:
+    /// [`feed_batch`](Self::feed_batch) with runs of length 1. Returns each
+    /// stream's logits in slot order.
     ///
     /// # Panics
     ///
@@ -201,44 +299,15 @@ impl TinyTransformer {
         act_quant: Option<&dyn TensorQuantizer>,
         slots: &mut [StepSlot<'_>],
     ) -> Vec<Vec<f32>> {
-        let d = self.config.d_model;
-        let k = slots.len();
-        if k == 0 {
-            return Vec::new();
-        }
-        let mut x = Tensor::zeros(vec![k, d]);
-        for (i, slot) in slots.iter().enumerate() {
-            let row = embed_row(self, slot.token, slot.pos);
-            x.row_mut(i).copy_from_slice(row.row(0));
-        }
-
-        for (li, layer) in self.layers.iter().enumerate() {
-            let normed = layer_norm(&x, &layer.ln1_gamma, &layer.ln1_beta, 1e-5);
-            let qkv_in = quantize_rows(&normed, act_quant);
-            let qkv = matmul(&qkv_in, &layer.wqkv);
-            let mut attn = Tensor::zeros(vec![k, d]);
-            for (i, slot) in slots.iter_mut().enumerate() {
-                let row = qkv.row(i);
-                slot.kv.append(li, &row[d..2 * d], &row[2 * d..3 * d]);
-                let ctx = self.attention_step(&*slot.kv, li, row, slot.pos + 1);
-                attn.row_mut(i).copy_from_slice(ctx.row(0));
-            }
-            let attn_in = quantize_rows(&attn, act_quant);
-            let out = matmul(&attn_in, &layer.wo);
-            x = x.add(&out);
-
-            let normed = layer_norm(&x, &layer.ln2_gamma, &layer.ln2_beta, 1e-5);
-            let ffn_in = quantize_rows(&normed, act_quant);
-            let h = gelu(&matmul(&ffn_in, &layer.w1));
-            let h_in = quantize_rows(&h, act_quant);
-            let ffn = matmul(&h_in, &layer.w2);
-            x = x.add(&ffn);
-        }
-
-        let normed = layer_norm(&x, &self.ln_f_gamma, &self.ln_f_beta, 1e-5);
-        let head_in = quantize_rows(&normed, act_quant);
-        let logits = matmul_transpose_b(&head_in, &self.embedding);
-        (0..k).map(|i| logits.row(i).to_vec()).collect()
+        let mut feeds: Vec<FeedSlot<'_>> = slots
+            .iter_mut()
+            .map(|slot| FeedSlot {
+                kv: &mut *slot.kv,
+                tokens: std::slice::from_ref(&slot.token),
+                pos: slot.pos,
+            })
+            .collect();
+        self.feed_batch(act_quant, &mut feeds)
     }
 
     /// Advances one stream by one token against an externally-owned
@@ -257,40 +326,68 @@ impl TinyTransformer {
             .expect("one slot in, one logits row out")
     }
 
-    /// Attention for a stream's newest position: its query row against the
-    /// cached keys/values of positions `0..rows` (the just-appended row
-    /// included). `qkv_row` is the fused `[3·d_model]` QKV row; only its
-    /// query third is read here (keys/values come from the store).
-    fn attention_step(&self, kv: &dyn KvStore, li: usize, qkv_row: &[f32], rows: usize) -> Tensor {
-        let d = self.config.d_model;
-        let heads = self.config.n_heads;
+    /// Attention of one query row against positions `0..positions` of a
+    /// stream's keys/values, read in place from `kv` and written into `out`
+    /// (`d_model` wide). `q` is the query third of the fused QKV row;
+    /// `scores` is scratch, `[heads × positions]`, reused across calls.
+    ///
+    /// The arithmetic is that of the per-head `[1, dh] × [positions, dh]ᵀ`
+    /// GEMM, scale, [`softmax_rows`] and `[1, positions] × [positions, dh]`
+    /// GEMM this replaces, element for element: each score sums from 0.0 in
+    /// ascending `k` and is then scaled, and each context value sums from
+    /// 0.0 in ascending position, skipping zero probabilities.
+    fn attend(
+        &self,
+        kv: &dyn KvStore,
+        li: usize,
+        q: &[f32],
+        positions: usize,
+        scores: &mut Vec<f32>,
+        out: &mut [f32],
+    ) {
         let dh = self.config.head_dim();
-        let mut out = Tensor::zeros(vec![1, d]);
-        for h in 0..heads {
-            let mut q = Tensor::zeros(vec![1, dh]);
-            let mut k = Tensor::zeros(vec![rows, dh]);
-            let mut v = Tensor::zeros(vec![rows, dh]);
-            for j in 0..dh {
-                q[[0, j]] = qkv_row[h * dh + j];
-            }
-            for i in 0..rows {
-                let kc = kv.k_row(li, i);
-                let vc = kv.v_row(li, i);
-                for j in 0..dh {
-                    k[[i, j]] = kc[h * dh + j];
-                    v[[i, j]] = vc[h * dh + j];
+        let scale = 1.0 / (dh as f32).sqrt();
+        scores.resize(self.config.n_heads * positions, 0.0);
+        for pos in 0..positions {
+            let k = kv.k_row(li, pos);
+            for (h, (qh, kh)) in q.chunks_exact(dh).zip(k.chunks_exact(dh)).enumerate() {
+                let mut acc = 0.0f32;
+                for (&a, &b) in qh.iter().zip(kh) {
+                    acc += a * b;
                 }
-            }
-            let scale = 1.0 / (dh as f32).sqrt();
-            let scores = matmul_transpose_b(&q, &k).scale(scale);
-            let probs = softmax_rows(&scores);
-            let ctx = matmul(&probs, &v);
-            for j in 0..dh {
-                out[[0, j + h * dh]] = ctx[[0, j]];
+                scores[h * positions + pos] = acc * scale;
             }
         }
-        out
+        for head in scores.chunks_exact_mut(positions) {
+            softmax_row(head);
+        }
+        out.fill(0.0);
+        for pos in 0..positions {
+            let v = kv.v_row(li, pos);
+            for (h, (oh, vh)) in out.chunks_exact_mut(dh).zip(v.chunks_exact(dh)).enumerate() {
+                let p = scores[h * positions + pos];
+                if p == 0.0 {
+                    continue;
+                }
+                for (o, &vv) in oh.iter_mut().zip(vh) {
+                    *o += p * vv;
+                }
+            }
+        }
     }
+}
+
+/// One stream's run of tokens, as fed to
+/// [`TinyTransformer::feed_batch`]: which tokens to decode, from which
+/// position, into which externally-owned KV store.
+pub struct FeedSlot<'s> {
+    /// The stream's KV store (exclusively borrowed for the feed).
+    pub kv: &'s mut dyn KvStore,
+    /// The tokens to decode, in order: at least one.
+    pub tokens: &'s [usize],
+    /// The first token's position — the number of positions already in
+    /// `kv`.
+    pub pos: usize,
 }
 
 /// One stream's current step, as fed to
@@ -434,6 +531,8 @@ pub fn generate_greedy_recompute(
 mod tests {
     use super::*;
     use crate::engine::{EngineConfig, OutlierSeverity};
+    use crate::kv::{pages_needed, KvPool, PagedKv};
+    use olive_baselines::UniformQuantizer;
     use olive_core::OliveQuantizer;
     use olive_tensor::rng::Rng;
 
@@ -521,7 +620,6 @@ mod tests {
     /// and streams of different lengths joining/leaving the batch.
     #[test]
     fn advance_batch_is_bit_identical_to_independent_pushes() {
-        use crate::kv::{pages_needed, KvPool, KvStore, PagedKv};
         let model = teacher(11);
         let cfg = &model.config;
         let mut rng = Rng::seed_from(41);
@@ -593,6 +691,195 @@ mod tests {
                                 act.is_some()
                             );
                         }
+                    }
+                });
+            }
+        }
+    }
+
+    /// A `PagedKv` for `positions` positions over pages of two rows each, so
+    /// any run longer than two crosses a page boundary.
+    fn small_paged(cfg: &EngineConfig, pool: &mut KvPool, positions: usize) -> PagedKv {
+        let page_floats = 2 * cfg.d_model;
+        let pages = pool
+            .try_reserve(pages_needed(cfg.n_layers, positions, 2))
+            .expect("the pool holds every store");
+        PagedKv::new(cfg.n_layers, cfg.d_model, page_floats, pages)
+    }
+
+    /// Feeds one run to one stream, alone in its `feed_batch` call.
+    fn feed_alone(
+        model: &TinyTransformer,
+        act: Option<&dyn TensorQuantizer>,
+        kv: &mut dyn KvStore,
+        tokens: &[usize],
+        pos: usize,
+    ) -> Vec<f32> {
+        let mut slot = [FeedSlot { kv, tokens, pos }];
+        model
+            .feed_batch(act, &mut slot)
+            .pop()
+            .expect("one slot, one row")
+    }
+
+    /// Splits `len` tokens into runs: single tokens, random lengths and
+    /// whole remainders (a prefill) all occur.
+    fn random_runs(rng: &mut Rng, len: usize) -> Vec<usize> {
+        let mut runs = Vec::new();
+        let mut rest = len;
+        while rest > 0 {
+            let run = match rng.below(3) {
+                0 => 1,
+                1 => 1 + rng.below(rest),
+                _ => rest,
+            };
+            runs.push(run);
+            rest -= run;
+        }
+        runs
+    }
+
+    /// The one-tick prefill contract, property-tested: a token sequence fed
+    /// through `feed_batch` as random runs — over `VecKv`, and over `PagedKv`
+    /// pages so small that a run crosses several page boundaries — returns,
+    /// for every run, `forward_causal`'s row at the run's last token, bit
+    /// for bit, without act-quant and with olive-4bit and uniform:4, at 1
+    /// and 8 threads.
+    #[test]
+    fn feeding_random_runs_is_bit_identical_to_batch_causal_forward() {
+        let cfg = EngineConfig::tiny();
+        let config = olive_harness::check::CheckConfig {
+            cases: 10,
+            ..Default::default()
+        };
+        olive_harness::check::check_with(
+            config,
+            "feed_runs_match_batch",
+            |rng| {
+                let seed = rng.next_u64();
+                let len = 1 + rng.below(2 * cfg.seq_len);
+                let tokens = random_tokens(rng, cfg.vocab, len);
+                (seed, tokens, random_runs(rng, len))
+            },
+            |(seed, tokens, runs)| {
+                let model = teacher(*seed);
+                let olive = OliveQuantizer::int4();
+                let uniform = UniformQuantizer::new(4);
+                let acts: [(&str, Option<&dyn TensorQuantizer>); 3] = [
+                    ("none", None),
+                    ("olive-4bit", Some(&olive)),
+                    ("uniform:4", Some(&uniform)),
+                ];
+                for (name, act) in acts {
+                    for threads in [1usize, 8] {
+                        let diverged = olive_runtime::with_threads(threads, || {
+                            let batch = model.forward_causal(tokens, act);
+                            let mut pool = KvPool::new(2 * cfg.d_model, 1024);
+                            let mut paged = small_paged(&cfg, &mut pool, tokens.len());
+                            let mut flat = VecKv::new(cfg.n_layers, cfg.d_model);
+                            let mut pos = 0;
+                            for &run in runs {
+                                let run_tokens = &tokens[pos..pos + run];
+                                for kv in [&mut flat as &mut dyn KvStore, &mut paged] {
+                                    let logits = feed_alone(&model, act, kv, run_tokens, pos);
+                                    if logits != batch.row(pos + run - 1) {
+                                        return Some(pos);
+                                    }
+                                }
+                                pos += run;
+                            }
+                            None
+                        });
+                        if let Some(pos) = diverged {
+                            return Err(format!(
+                                "the run starting at position {pos} diverged from the batch \
+                                 causal forward (act={name}, threads={threads})"
+                            ));
+                        }
+                    }
+                }
+                Ok(())
+            },
+        );
+    }
+
+    /// One `feed_batch` mixing a decode step (run of 1), a run of 3 and a
+    /// whole fresh prompt equals feeding each slot alone, and each stream's
+    /// store is left as if it had been fed alone (its next step agrees too).
+    #[test]
+    fn one_feed_mixing_run_lengths_equals_each_slot_fed_alone() {
+        let model = teacher(13);
+        let cfg = model.config;
+        let mut rng = Rng::seed_from(43);
+        // (tokens already in the store, the run fed in the mixed call).
+        let shapes = [(5usize, 1usize), (2, 3), (0, 7)];
+        let streams: Vec<Vec<usize>> = shapes
+            .iter()
+            .map(|&(prefix, run)| random_tokens(&mut rng, cfg.vocab, prefix + run + 1))
+            .collect();
+        let olive = OliveQuantizer::int4();
+        let uniform = UniformQuantizer::new(4);
+        for act in [None, Some(&olive as &dyn TensorQuantizer), Some(&uniform)] {
+            for threads in [1usize, 8] {
+                olive_runtime::with_threads(threads, || {
+                    let mut pool = KvPool::new(2 * cfg.d_model, 1024);
+                    let mut stores: Vec<Box<dyn KvStore>> = streams
+                        .iter()
+                        .enumerate()
+                        .map(|(s, tokens)| -> Box<dyn KvStore> {
+                            if s == 1 {
+                                Box::new(VecKv::new(cfg.n_layers, cfg.d_model))
+                            } else {
+                                Box::new(small_paged(&cfg, &mut pool, tokens.len()))
+                            }
+                        })
+                        .collect();
+                    let mut alone = Vec::new();
+                    for (tokens, &(prefix, run)) in streams.iter().zip(&shapes) {
+                        let mut kv = VecKv::new(cfg.n_layers, cfg.d_model);
+                        if prefix > 0 {
+                            feed_alone(&model, act, &mut kv, &tokens[..prefix], 0);
+                        }
+                        let logits =
+                            feed_alone(&model, act, &mut kv, &tokens[prefix..prefix + run], prefix);
+                        let next =
+                            model.advance_one(act, &mut kv, tokens[prefix + run], prefix + run);
+                        alone.push((logits, next));
+                    }
+                    for ((tokens, &(prefix, _)), kv) in
+                        streams.iter().zip(&shapes).zip(stores.iter_mut())
+                    {
+                        if prefix > 0 {
+                            feed_alone(&model, act, kv.as_mut(), &tokens[..prefix], 0);
+                        }
+                    }
+                    let mut slots: Vec<FeedSlot<'_>> = stores
+                        .iter_mut()
+                        .zip(&streams)
+                        .zip(&shapes)
+                        .map(|((kv, tokens), &(prefix, run))| FeedSlot {
+                            kv: kv.as_mut(),
+                            tokens: &tokens[prefix..prefix + run],
+                            pos: prefix,
+                        })
+                        .collect();
+                    let mixed = model.feed_batch(act, &mut slots);
+                    drop(slots);
+                    let mut steps: Vec<StepSlot<'_>> = stores
+                        .iter_mut()
+                        .zip(&streams)
+                        .zip(&shapes)
+                        .map(|((kv, tokens), &(prefix, run))| StepSlot {
+                            kv: kv.as_mut(),
+                            token: tokens[prefix + run],
+                            pos: prefix + run,
+                        })
+                        .collect();
+                    let next = model.advance_batch(act, &mut steps);
+                    for (s, (want, want_next)) in alone.iter().enumerate() {
+                        let ctx = format!("stream {s} (act={}, threads={threads})", act.is_some());
+                        assert_eq!(&mixed[s], want, "run logits, {ctx}");
+                        assert_eq!(&next[s], want_next, "next step, {ctx}");
                     }
                 });
             }

@@ -15,8 +15,10 @@
 //! * [`decode`] — causal (autoregressive) forward pass plus the KV-cached
 //!   incremental [`DecodeSession`], bit-identical to the batch path — the
 //!   generative workload class behind `olive-serve`'s `/v1/generate` — and
-//!   the step-schedulable [`StepSlot`]/`advance_batch` API that lets a
-//!   scheduler merge many streams' current steps into one batched forward.
+//!   the step-schedulable [`FeedSlot`]/`feed_batch` API that lets a
+//!   scheduler merge many streams' current steps, and whole prompts, into
+//!   one batched forward ([`StepSlot`]/`advance_batch` is its one-token
+//!   case).
 //! * [`kv`] — externally-owned KV-cache storage: the [`KvStore`] trait,
 //!   plain [`VecKv`], and the paged [`KvPool`]/[`PagedKv`] pair the serving
 //!   layer uses for continuous batching.
@@ -36,7 +38,7 @@ pub mod workload;
 
 pub use artifact::{ArtifactError, ArtifactReader, ArtifactWriter};
 pub use config::{ModelConfig, ModelFamily};
-pub use decode::{generate_greedy, generate_greedy_recompute, DecodeSession, StepSlot};
+pub use decode::{generate_greedy, generate_greedy_recompute, DecodeSession, FeedSlot, StepSlot};
 pub use engine::{
     agreement, argmax, eval_scores, logit_fidelity, position_agreement, pseudo_perplexity,
     EngineConfig, EvalScores, EvalTask, OutlierSeverity, TinyTransformer,

@@ -9,15 +9,26 @@
 //! * every in-flight stream is a [`Flight`] — a step-schedulable decode
 //!   session whose KV state lives in pages reserved from a shared
 //!   [`KvPool`];
-//! * each scheduler **tick** advances the *current step* of every flight:
-//!   the feeds are grouped by model (one group per distinct quantized
-//!   student, one per distinct teacher) and each group runs as **one**
-//!   batched causal forward ([`TinyTransformer::advance_batch`]) — K
-//!   streams over the same model cost one GEMM pipeline per tick, not K;
-//! * the logits come back per stream, each flight emits its own JSON
-//!   fragment as an HTTP chunk, and the next tick feeds the next token —
-//!   new requests are admitted *between* steps, so a long stream never
-//!   blocks a short one.
+//! * each scheduler **tick** advances every flight by one *run* of tokens:
+//!   a new flight's whole prompt on its first tick, then one token per
+//!   tick. The feeds are grouped by model (one group per distinct
+//!   quantized student, one per distinct teacher) and each group runs as
+//!   **one** batched causal forward ([`TinyTransformer::feed_batch`]) — K
+//!   streams over the same model cost one GEMM pipeline per tick, not K,
+//!   and a late arrival's prefill rides in the same forward as the other
+//!   flights' decode rows;
+//! * the logits of each run's last token come back per stream, each flight
+//!   emits its own JSON fragment as an HTTP chunk, and the next tick feeds
+//!   the next token — new requests are admitted *between* steps, so a long
+//!   stream never blocks a short one. A stream takes `1 + max_new_tokens −
+//!   1` feeding ticks.
+//!
+//! The trade-off of one-tick prefill: the tick that carries a long prompt
+//! stalls every co-running stream for that prompt's rows (roughly
+//! 0.15–0.2 ms per prompt row for a gpt2-small student plus teacher). A
+//! per-tick row budget that splits prompts into chunks, as in
+//! Sarathi-Serve, is left until a workload mixes new arrivals with running
+//! decodes.
 //!
 //! ## Determinism
 //!
@@ -26,10 +37,12 @@
 //! (wall times stripped), at any thread count, tick order, admission order
 //! and batch composition, because:
 //!
-//! * row *i* of an [`advance_batch`](TinyTransformer::advance_batch) over K
-//!   streams is bit-identical to advancing stream *i* alone (the
-//!   `olive-models` step-batching contract: every non-GEMM op is per-row,
-//!   every GEMM row accumulates in ascending-`k` order);
+//! * the logits of each run in a [`feed_batch`](TinyTransformer::feed_batch)
+//!   over K streams are bit-identical to feeding that stream's tokens one
+//!   `push` at a time, alone (the `olive-models` step-batching contract:
+//!   every non-GEMM op is per-row, every GEMM row accumulates in
+//!   ascending-`k` order), so a one-tick prefill streams the bytes of
+//!   `DecodeSession::prefill`;
 //! * a flight's attention reads only its own [`PagedKv`] pages, and the
 //!   paged layout is byte-equivalent to the session-owned store;
 //! * a short pool only ever *defers admission* (a parked request waits for
@@ -44,7 +57,7 @@
 //! client disconnect, at `OLIVE_THREADS` ∈ {1, 8}.
 //!
 //! [`SchedCore`] is the synchronous engine (admission, one
-//! [`tick`](SchedCore::tick) = one merged step — directly drivable by
+//! [`tick`](SchedCore::tick) = one merged feed — directly drivable by
 //! tests); [`DecodeScheduler`] wraps it in the bounded-queue/worker-thread
 //! lifecycle with the same 503 back-pressure contract as the unary
 //! admission counter.
@@ -57,7 +70,7 @@ use olive_api::gen::{
 };
 use olive_api::{GenSchemeResult, GenStep, PreparedGen, Scheme};
 use olive_core::TensorQuantizer;
-use olive_models::{argmax, pages_needed, KvPool, PagedKv, StepSlot, TinyTransformer};
+use olive_models::{argmax, pages_needed, FeedSlot, KvPool, PagedKv, TinyTransformer};
 use olive_runtime::{lock_or_recover, BoundedQueue, PushError};
 use olive_telemetry::{
     latency_buckets_us, Counter, Gauge, Histogram, Registry, Span, Stopwatch, Telemetry,
@@ -139,6 +152,9 @@ pub struct SchedStats {
     /// Submit → first emitted chunk, µs:
     /// `olive_decode_time_to_first_chunk_us`.
     pub time_to_first_chunk_us: Histogram,
+    /// Submit → the first decode step's chunk, µs:
+    /// `olive_decode_time_to_first_token_us`.
+    pub time_to_first_token_us: Histogram,
     /// Sessions fed per tick, as the labelled counter family
     /// `olive_decode_batch_size_total{size="N"}`. Handles are cached here;
     /// the cells live in the registry like every other instrument.
@@ -179,6 +195,11 @@ impl SchedStats {
             time_to_first_chunk_us: registry.histogram(
                 "olive_decode_time_to_first_chunk_us",
                 "Generation submit to first emitted chunk, microseconds.",
+                &latency_buckets_us(),
+            ),
+            time_to_first_token_us: registry.histogram(
+                "olive_decode_time_to_first_token_us",
+                "Generation submit to the first decode step's chunk, microseconds.",
                 &latency_buckets_us(),
             ),
             batch_sizes: Mutex::new(BTreeMap::new()),
@@ -232,7 +253,8 @@ pub struct GenJob {
     /// The request's trace span, when tracing is on; observe-only.
     span: Option<Arc<Span>>,
     /// Started at submit; inert when telemetry is off. Feeds the
-    /// time-to-first-chunk histogram at admission.
+    /// time-to-first-chunk histogram at admission and the
+    /// time-to-first-token histogram at the first step.
     queued_at: Stopwatch,
 }
 
@@ -249,6 +271,9 @@ enum Lane {
 /// its per-step emit/feed state.
 struct Flight {
     sink: mpsc::Sender<StreamEvent>,
+    /// The request's span and submit stopwatch (see [`GenJob`]).
+    span: Option<Arc<Span>>,
+    queued_at: Stopwatch,
     scheme: Scheme,
     quantize_acts: bool,
     prepared: Arc<PreparedGen>,
@@ -279,13 +304,14 @@ impl Flight {
         self.prepared.prompt.len()
     }
 
-    /// The token to feed this tick: the next prompt token during prefill,
-    /// then the student's own greedy pick.
-    fn next_token(&self) -> usize {
+    /// The tokens to feed this tick: the rest of the prompt while
+    /// prefilling (all of it, on the flight's first tick), then the
+    /// student's own greedy pick.
+    fn run(&self) -> &[usize] {
         if self.fed < self.prompt_len() {
-            self.prepared.prompt[self.fed]
+            &self.prepared.prompt[self.fed..]
         } else {
-            self.pending_token
+            std::slice::from_ref(&self.pending_token)
         }
     }
 
@@ -303,7 +329,8 @@ impl Flight {
 /// per-session forwards).
 #[derive(Debug, Default)]
 pub struct TickReport {
-    /// Row count of every batched forward executed, in model-group order.
+    /// Slot count (flights merged) of every batched forward executed, in
+    /// model-group order. A prefilling slot carries many rows.
     pub forwards: Vec<usize>,
     /// Flights fed this tick.
     pub fed: usize,
@@ -399,6 +426,8 @@ impl SchedCore {
             let cfg = &prepared.teacher.config;
             let mut flight = Flight {
                 sink: job.sink,
+                span: job.span,
+                queued_at: job.queued_at,
                 quantize_acts,
                 result: GenSchemeResult {
                     spec: req.scheme.to_string(),
@@ -446,7 +475,7 @@ impl SchedCore {
             flight.send(StreamEvent::Chunk(head_fragment(&skeleton)));
             self.stats
                 .time_to_first_chunk_us
-                .observe_elapsed(&job.queued_at);
+                .observe_elapsed(&flight.queued_at);
             flight.send(StreamEvent::Chunk(scheme_head_fragment(
                 &flight.result,
                 true,
@@ -480,6 +509,14 @@ impl SchedCore {
                 token: argmax(&s_logits),
                 teacher_token: argmax(&t_logits),
             };
+            if flight.steps_done == 0 {
+                self.stats
+                    .time_to_first_token_us
+                    .observe_elapsed(&flight.queued_at);
+                if let Some(span) = &flight.span {
+                    span.event("first-token");
+                }
+            }
             flight.send(StreamEvent::Chunk(step_fragment(
                 &step,
                 flight.steps_done == 0,
@@ -500,9 +537,9 @@ impl SchedCore {
         finished
     }
 
-    /// Merges the current step of every live flight into one batched causal
-    /// forward per model group and scatters the logits back. Returns the
-    /// group sizes, in group-key order.
+    /// Merges the run of every live flight into one batched causal forward
+    /// per model group and scatters each run's last logits back. Returns
+    /// the group sizes, in group-key order.
     fn feed(&mut self) -> Vec<usize> {
         let mut groups: BTreeMap<String, Vec<(usize, Lane)>> = BTreeMap::new();
         for (i, flight) in self.flights.iter().enumerate() {
@@ -540,30 +577,30 @@ impl SchedCore {
             };
             // Move each member's KV store out of the flight table so the
             // slots can borrow them mutably side by side.
-            let mut taken: Vec<(usize, Lane, PagedKv, usize, usize)> = members
+            let mut taken: Vec<(usize, Lane, PagedKv, Vec<usize>, usize)> = members
                 .iter()
                 .map(|&(i, lane)| {
                     let flight = &mut self.flights[i];
-                    let token = flight.next_token();
+                    let tokens = flight.run().to_vec();
                     let pos = flight.fed;
                     let kv = std::mem::take(match lane {
                         Lane::Student => &mut flight.student_kv,
                         Lane::Teacher => &mut flight.teacher_kv,
                     });
-                    (i, lane, kv, token, pos)
+                    (i, lane, kv, tokens, pos)
                 })
                 .collect();
-            let mut slots: Vec<StepSlot<'_>> = taken
+            let mut slots: Vec<FeedSlot<'_>> = taken
                 .iter_mut()
-                .map(|(_, _, kv, token, pos)| StepSlot {
+                .map(|(_, _, kv, tokens, pos)| FeedSlot {
                     kv,
-                    token: *token,
+                    tokens,
                     pos: *pos,
                 })
                 .collect();
             let logits = group_model
                 .model()
-                .advance_batch(act_quant.as_deref(), &mut slots);
+                .feed_batch(act_quant.as_deref(), &mut slots);
             drop(slots);
             for ((i, lane, kv, _, _), row) in taken.into_iter().zip(logits) {
                 let flight = &mut self.flights[i];
@@ -601,7 +638,8 @@ impl SchedCore {
     /// One scheduler tick: emit pending steps, release finished flights,
     /// admit parked requests (freed pages are reusable immediately), then
     /// run one merged batched forward per model group and advance every fed
-    /// flight's position. Returns what happened, for instrumentation.
+    /// flight's position by its run. Returns what happened, for
+    /// instrumentation.
     pub fn tick(&mut self) -> TickReport {
         let finished = self.emit();
         self.sweep();
@@ -610,7 +648,7 @@ impl SchedCore {
         let mut fed = 0;
         for flight in &mut self.flights {
             if !flight.done {
-                flight.fed += 1;
+                flight.fed += flight.run().len();
                 fed += 1;
             }
         }
@@ -907,14 +945,54 @@ mod tests {
                 );
             }
         }
-        // prompt + max_new_tokens - 1 feeds per stream.
-        assert_eq!(feeding_ticks, 4 + 3 - 1);
+        // One whole-prompt feed + max_new_tokens - 1 decode feeds per stream.
+        assert_eq!(feeding_ticks, 1 + 3 - 1);
         let direct = direct_body(&gen_request(req_text));
         for rx in &receivers {
             let (body, chunks) = drain(rx);
             assert_eq!(chunks, 1 + 1 + 3 + 1 + 1);
             assert_eq!(body, direct);
         }
+    }
+
+    /// One-tick prefill beside a running decode: a request that arrives
+    /// after an identical flight has emitted two steps is prefilled whole in
+    /// the next tick, inside the same two group forwards as the earlier
+    /// flight's decode row, emits its first step one tick later, and both
+    /// streams still match a direct pipeline run byte for byte.
+    #[test]
+    fn late_arrival_prefills_in_one_tick_beside_a_running_decode() {
+        let req_text = r#"{"scheme": "olive-4bit", "prompt_tokens": 4, "max_new_tokens": 5}"#;
+        let mut core = core_with_config(SchedConfig::default());
+        let (tx, early) = mpsc::channel();
+        core.enqueue(job(gen_request(req_text), tx));
+        while core.flights.first().map_or(0, |f| f.steps_done) < 2 {
+            core.tick();
+        }
+        let (tx, late) = mpsc::channel();
+        core.enqueue(job(gen_request(req_text), tx));
+        let report = core.tick();
+        assert_eq!(report.admitted, 1);
+        assert_eq!(
+            report.forwards,
+            vec![2, 2],
+            "the prefill shares the student and teacher forwards"
+        );
+        let newcomer = &core.flights[1];
+        assert_eq!(
+            newcomer.fed,
+            newcomer.prompt_len(),
+            "whole prompt in one tick"
+        );
+        assert_eq!(newcomer.steps_done, 0);
+        core.tick();
+        assert_eq!(core.flights[1].steps_done, 1, "first step one tick later");
+        while core.has_work() {
+            core.tick();
+        }
+        let direct = direct_body(&gen_request(req_text));
+        assert_eq!(drain(&early).0, direct);
+        assert_eq!(drain(&late).0, direct);
     }
 
     /// Different schemes split the student group but still share one merged
@@ -1077,7 +1155,7 @@ mod tests {
         assert_eq!(chunks, 1 + 1 + 3 + 1 + 1);
         assert_eq!(body, direct_body(&req));
         assert_eq!(scheduler.stats().served.get(), 1);
-        assert!(scheduler.stats().ticks.get() >= (4 + 3 - 1));
+        assert!(scheduler.stats().ticks.get() >= (1 + 3 - 1));
         assert_eq!(scheduler.stats().sessions.get(), 0);
         scheduler.shutdown();
     }

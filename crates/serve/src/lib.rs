@@ -32,9 +32,10 @@
 //! onto the continuous-batching decode scheduler ([`decode_sched`]): each
 //! in-flight stream holds externally-owned KV state paged out of a shared
 //! [`olive_models::KvPool`], and every scheduler tick merges the *current
-//! step* of all live streams into one batched causal forward per model
-//! group ([`olive_models::TinyTransformer::advance_batch`]), then fans the
-//! produced fragments back out to their connections. New streams join the
+//! step* of all live streams — a new stream's whole prompt, then one token
+//! per tick — into one batched causal forward per model group
+//! ([`olive_models::TinyTransformer::feed_batch`]), then fans the produced
+//! fragments back out to their connections. New streams join the
 //! batch at the next tick instead of waiting for running ones to finish —
 //! no head-of-line blocking — and the door keeps the unary path's 503 +
 //! `Retry-After` back-pressure contract. The prepared teacher + prompt are
@@ -74,8 +75,8 @@
 //!   hit returns bytes a miss would have produced;
 //! * the incremental decode path obeys the **decode-cache determinism
 //!   contract** (see [`olive_models::decode`]): the logits
-//!   [`advance_batch`](olive_models::TinyTransformer::advance_batch)
-//!   produces for row *i* are bit-identical to advancing stream *i* alone —
+//!   [`feed_batch`](olive_models::TinyTransformer::feed_batch) produces
+//!   for a stream's run are bit-identical to pushing its tokens alone —
 //!   per-row normalisation, softmax and quantization, element-wise
 //!   activations and fixed ascending-`k` GEMM accumulation — and the paged
 //!   KV layout is byte-equivalent to a contiguous cache, so merging steps
@@ -112,13 +113,14 @@
 //!
 //! `GET /metrics` serves the full serving state — per-endpoint request
 //! counts and latency histograms, unary admission-wait/execute splits, decode
-//! tick durations and time-to-first-chunk, cache occupancy and KV-page
-//! gauges — as Prometheus text exposition via `olive_telemetry`; see
-//! `crates/telemetry/METRICS.md` for the reference. Every request carries
-//! an `x-olive-trace` id (honoured from the router, generated otherwise,
-//! echoed on the response) and its span timeline (accepted → queued →
-//! batched → first-byte → done) lands in a bounded flight recorder behind
-//! `GET /debug/trace?n=K` (and, with `--trace-log`, as JSON lines on disk).
+//! tick durations, time to first chunk and to first token, cache occupancy
+//! and KV-page gauges — as Prometheus text exposition via `olive_telemetry`;
+//! see `crates/telemetry/METRICS.md` for the reference. Every request
+//! carries an `x-olive-trace` id (honoured from the router, generated
+//! otherwise, echoed on the response) and its span timeline (accepted →
+//! queued → batched → first-byte → first-token → done) lands in a bounded
+//! flight recorder behind `GET /debug/trace?n=K` (and, with `--trace-log`,
+//! as JSON lines on disk).
 //! Telemetry is strictly **out of band**: response bodies are byte-identical
 //! with it on or off (`crates/serve/tests/telemetry.rs` proves both), and
 //! telemetry commits before a response's final byte is written, so a client

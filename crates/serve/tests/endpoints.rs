@@ -221,18 +221,19 @@ fn generate_streams_a_chunked_decode_trace() {
         Some(1)
     );
     // Scheduler gauges: the finished stream released its session and pages,
-    // and each of its prompt+max_new_tokens-1 = 8 feeds was one tick.
+    // and each of its 1 + max_new_tokens - 1 = 5 feeds (the whole prompt,
+    // then one token at a time) was one tick.
     assert_eq!(
         v.get("decode_sessions").and_then(JsonValue::as_u64),
         Some(0)
     );
     assert_eq!(v.get("kv_pages_used").and_then(JsonValue::as_u64), Some(0));
-    assert!(v.get("decode_ticks").and_then(JsonValue::as_u64).unwrap() >= 8);
+    assert!(v.get("decode_ticks").and_then(JsonValue::as_u64).unwrap() >= 5);
     assert_eq!(
         v.get("decode_batch_sizes")
             .and_then(|h| h.get("1"))
             .and_then(JsonValue::as_u64),
-        Some(8)
+        Some(5)
     );
     // Bad generation requests still answer as plain 400s.
     let bad = connection

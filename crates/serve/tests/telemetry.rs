@@ -3,10 +3,11 @@
 //! `/v1/generate` must be byte-identical with telemetry enabled and
 //! disabled, at `OLIVE_THREADS` ∈ {1, 8} — observation must never leak into
 //! the served bytes. Plus the observability surface itself: `/metrics`
-//! serves Prometheus text with the request counters moving, `/debug/trace`
-//! returns recent spans, the `x-olive-trace` header is generated when
-//! absent and echoed verbatim when supplied, and `--trace-log` appends one
-//! JSON line per finished span.
+//! serves Prometheus text with the request counters moving, each generation
+//! stream observes its time to first token once and marks it on its span,
+//! `/debug/trace` returns recent spans, the `x-olive-trace` header is
+//! generated when absent and echoed verbatim when supplied, and
+//! `--trace-log` appends one JSON line per finished span.
 //!
 //! One `#[test]` drives the on/off × thread-count matrix because it mutates
 //! the process-global `OLIVE_THREADS` variable; splitting it would race the
@@ -169,11 +170,51 @@ fn trace_header_is_generated_and_echoed() {
         "supplied trace missing: {}",
         trace.body
     );
-    for stage in ["accepted", "queued", "first-byte", "done"] {
+    for stage in ["accepted", "queued", "first-byte", "first-token", "done"] {
         assert!(
             trace.body.contains(&format!(r#""stage":"{stage}""#)),
             "stage {stage} missing: {}",
             trace.body
+        );
+    }
+}
+
+#[test]
+fn each_stream_observes_time_to_first_token_once() {
+    let server = server_with(true);
+    let addr = server.local_addr();
+    for _ in 0..2 {
+        let gen = post_json(addr, "/v1/generate", GEN_BODY).expect("generate");
+        assert_eq!(gen.status, 200, "{}", gen.body);
+    }
+    let metrics = get(addr, "/metrics").expect("metrics");
+    let trace = get(addr, "/debug/trace?n=8").expect("debug trace");
+    server.shutdown();
+    // One observation per stream, beside the head-chunk histogram.
+    for family in [
+        "olive_decode_time_to_first_token_us",
+        "olive_decode_time_to_first_chunk_us",
+    ] {
+        assert!(
+            metrics.body.contains(&format!("{family}_count 2")),
+            "{family} must be observed once per stream:\n{}",
+            metrics.body
+        );
+    }
+    // And one `first-token` event on each generate span. (It may precede
+    // `first-byte`: the scheduler can emit the first step before the
+    // connection thread has written the head chunk.)
+    let spans: Vec<&str> = trace
+        .body
+        .split(r#"{"trace_id""#)
+        .filter(|span| span.contains(r#""endpoint":"/v1/generate""#))
+        .collect();
+    assert_eq!(spans.len(), 2, "{}", trace.body);
+    for span in spans {
+        assert_eq!(
+            span.matches(r#""stage":"first-token""#).count(),
+            1,
+            "{span}"
         );
     }
 }

@@ -156,28 +156,34 @@ pub fn add_bias(x: &Tensor, bias: &[f32]) -> Tensor {
 
 /// Row-wise softmax of a `[m, n]` tensor.
 pub fn softmax_rows(x: &Tensor) -> Tensor {
-    let (m, n) = (x.rows(), x.cols());
     let mut out = x.clone();
-    for i in 0..m {
-        let row = out.row_mut(i);
-        let max = row.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
-        let mut sum = 0.0f32;
-        for v in row.iter_mut() {
-            *v = (*v - max).exp();
-            sum += *v;
-        }
-        if sum > 0.0 {
-            for v in row.iter_mut() {
-                *v /= sum;
-            }
-        } else {
-            let u = 1.0 / n as f32;
-            for v in row.iter_mut() {
-                *v = u;
-            }
-        }
+    for i in 0..x.rows() {
+        softmax_row(out.row_mut(i));
     }
     out
+}
+
+/// Softmax of one row in place: max, `exp(v - max)` summed in ascending
+/// order, then divide by the sum, or the uniform distribution when the sum
+/// is 0. [`softmax_rows`] applies it to every row, so a slice and a tensor
+/// row with equal values get equal bits.
+pub fn softmax_row(row: &mut [f32]) {
+    let max = row.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
+    let mut sum = 0.0f32;
+    for v in row.iter_mut() {
+        *v = (*v - max).exp();
+        sum += *v;
+    }
+    if sum > 0.0 {
+        for v in row.iter_mut() {
+            *v /= sum;
+        }
+    } else {
+        let u = 1.0 / row.len() as f32;
+        for v in row.iter_mut() {
+            *v = u;
+        }
+    }
 }
 
 /// Row-wise layer normalisation with learned scale (`gamma`) and shift (`beta`).
@@ -204,10 +210,18 @@ pub fn layer_norm(x: &Tensor, gamma: &[f32], beta: &[f32], eps: f32) -> Tensor {
 
 /// The GELU activation (tanh approximation), applied element-wise.
 pub fn gelu(x: &Tensor) -> Tensor {
-    x.map(|v| {
-        let v3 = v * v * v;
-        0.5 * v * (1.0 + ((0.797_884_6_f32) * (v + 0.044715 * v3)).tanh())
-    })
+    x.map(gelu_scalar)
+}
+
+/// [`gelu`] in place, for a caller that owns its input and has no further
+/// use for it.
+pub fn gelu_in_place(x: &mut Tensor) {
+    x.map_inplace(gelu_scalar);
+}
+
+fn gelu_scalar(v: f32) -> f32 {
+    let v3 = v * v * v;
+    0.5 * v * (1.0 + ((0.797_884_6_f32) * (v + 0.044715 * v3)).tanh())
 }
 
 #[cfg(test)]

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Bench-regression gate for the OliVe reproduction workspace.
 #
-# Runs the three micro-benchmarks (encoding, quantized_gemm, simulators) in
-# --quick mode plus the serve_loadgen serving-throughput benchmark and the
+# Runs the four micro-benchmarks (encoding, quantized_gemm, simulators, and
+# decode: the served prefill tick, its per-token twin and one decode step)
+# in --quick mode plus the serve_loadgen serving-throughput benchmark and the
 # gen_loadgen streamed-decode benchmark (tokens/sec p50 single-stream, and
 # the serve/gen_continuous_tiny 8-stream continuous-batching burst), merges
 # their per-kernel medians into BENCH_results.json, and fails if any kernel
@@ -46,7 +47,7 @@ export OLIVE_BENCH_WARMUP="${GATE_WARMUP:-3}"
 
 measure() {
     rm -f "$RESULTS"
-    for bench in encoding quantized_gemm simulators; do
+    for bench in encoding quantized_gemm simulators decode; do
         echo "== cargo bench -p olive-bench --bench $bench -- --quick --json $RESULTS =="
         cargo bench -q -p olive-bench --bench "$bench" -- --quick --json "$RESULTS"
     done
