@@ -3,11 +3,16 @@
 //! olive-4bit student (per-row activation quantization) and its fp32
 //! teacher, over paged KV stores as the decode scheduler holds them.
 //!
-//! * `decode_prefill/small_p64x2` — the prefill tick: one `feed_batch` of
-//!   2 slots × 64 prompt tokens per model;
-//! * `decode_prefill/small_p64x2_per_token` — its reference twin, the same
-//!   prompts fed as 64 one-token `advance_batch` steps;
-//! * `decode_step/small` — one 2-slot decode step at position 64.
+//! * `decode_prefill/small_p64x2` — the prefill: one `feed_batch` of
+//!   2 slots × 64 prompt tokens per model, the two models one after the
+//!   other;
+//! * `decode_prefill/small_p64x2_tick` — the same two feeds as the decode
+//!   scheduler runs them, side by side through `feed_groups`;
+//! * `decode_prefill/small_p64x2_per_token` — the reference twin of the
+//!   prefill, the same prompts fed as 64 one-token `advance_batch` steps;
+//! * `decode_step/small` — one 2-slot decode step at position 64, the two
+//!   models one after the other;
+//! * `decode_step/small_tick` — the same step through `feed_groups`.
 //!
 //! Supports `--quick` and `--json <path>` like the other benches.
 
@@ -16,7 +21,8 @@ use olive_bench::cli::BenchCli;
 use olive_core::TensorQuantizer;
 use olive_harness::bench::{black_box, BenchSuite};
 use olive_models::{
-    pages_needed, FeedSlot, KvPool, KvStore, PagedKv, StepSlot, TinyTransformer, VecKv,
+    feed_groups, pages_needed, FeedGroup, FeedSlot, KvPool, KvStore, PagedKv, StepSlot,
+    TinyTransformer, VecKv,
 };
 
 /// The `gen_merged` request shape: two streams, 64 prompt tokens.
@@ -92,6 +98,31 @@ fn release(pool: &mut KvPool, stores: Vec<PagedKv>) {
     }
 }
 
+/// One slot per store, each feeding `tokens` from position `pos`.
+fn slots<'s, S: KvStore>(
+    stores: &'s mut [S],
+    tokens: &'s [usize],
+    pos: usize,
+) -> Vec<FeedSlot<'s>> {
+    stores
+        .iter_mut()
+        .map(|kv| FeedSlot { kv, tokens, pos })
+        .collect()
+}
+
+/// A decode step's stores: the prefilled prompts of every stream of one
+/// lane, frozen.
+fn frozen<'p>(model: &TinyTransformer, prompts: &'p [PagedKv]) -> Vec<Frozen<'p>> {
+    let cfg = model.config;
+    prompts
+        .iter()
+        .map(|prompt| Frozen {
+            prompt,
+            tail: VecKv::new(cfg.n_layers, cfg.d_model),
+        })
+        .collect()
+}
+
 fn bench_decode(suite: &mut BenchSuite) {
     let pipeline = Pipeline::new(ModelFamily::Gpt2.small()).seed(7);
     let prepared = pipeline.prepare_generation(PROMPT);
@@ -110,16 +141,29 @@ fn bench_decode(suite: &mut BenchSuite) {
     suite.bench_with_elements("decode_prefill/small_p64x2", rows, || {
         for (model, act) in lanes.models() {
             let mut stores = reserve(&mut pool, model, PROMPT + 1);
-            let mut slots: Vec<FeedSlot<'_>> = stores
-                .iter_mut()
-                .map(|kv| FeedSlot {
-                    kv,
-                    tokens: &lanes.prompt,
-                    pos: 0,
-                })
-                .collect();
-            black_box(model.feed_batch(act, &mut slots));
-            drop(slots);
+            black_box(model.feed_batch(act, &mut slots(&mut stores, &lanes.prompt, 0)));
+            release(&mut pool, stores);
+        }
+    });
+
+    suite.bench_with_elements("decode_prefill/small_p64x2_tick", rows, || {
+        let mut lane_stores: Vec<Vec<PagedKv>> = lanes
+            .models()
+            .iter()
+            .map(|(model, _)| reserve(&mut pool, model, PROMPT + 1))
+            .collect();
+        let groups = lanes
+            .models()
+            .into_iter()
+            .zip(&mut lane_stores)
+            .map(|((model, act_quant), stores)| FeedGroup {
+                model,
+                act_quant,
+                slots: slots(stores, &lanes.prompt, 0),
+            })
+            .collect();
+        black_box(feed_groups(groups));
+        for stores in lane_stores {
             release(&mut pool, stores);
         }
     });
@@ -150,41 +194,37 @@ fn bench_decode(suite: &mut BenchSuite) {
         .into_iter()
         .map(|(model, act)| {
             let mut stores = reserve(&mut pool, model, PROMPT + 1);
-            let mut slots: Vec<FeedSlot<'_>> = stores
-                .iter_mut()
-                .map(|kv| FeedSlot {
-                    kv,
-                    tokens: &lanes.prompt,
-                    pos: 0,
-                })
-                .collect();
-            model.feed_batch(act, &mut slots);
-            drop(slots);
+            model.feed_batch(act, &mut slots(&mut stores, &lanes.prompt, 0));
             stores
         })
         .collect();
     // Any in-vocabulary token costs the same.
-    let token = lanes.prompt[0];
+    let token = [lanes.prompt[0]];
     suite.bench_with_elements("decode_step/small", STREAMS as u64, || {
-        for ((model, act), stores) in lanes.models().into_iter().zip(&prefilled) {
-            let cfg = model.config;
-            let mut frozen: Vec<Frozen<'_>> = stores
-                .iter()
-                .map(|prompt| Frozen {
-                    prompt,
-                    tail: VecKv::new(cfg.n_layers, cfg.d_model),
-                })
-                .collect();
-            let mut slots: Vec<StepSlot<'_>> = frozen
-                .iter_mut()
-                .map(|kv| StepSlot {
-                    kv,
-                    token,
-                    pos: PROMPT,
-                })
-                .collect();
-            black_box(model.advance_batch(act, &mut slots));
+        for ((model, act), prompts) in lanes.models().into_iter().zip(&prefilled) {
+            let mut stores = frozen(model, prompts);
+            black_box(model.feed_batch(act, &mut slots(&mut stores, &token, PROMPT)));
         }
+    });
+
+    suite.bench_with_elements("decode_step/small_tick", STREAMS as u64, || {
+        let mut lane_stores: Vec<Vec<Frozen<'_>>> = lanes
+            .models()
+            .into_iter()
+            .zip(&prefilled)
+            .map(|((model, _), prompts)| frozen(model, prompts))
+            .collect();
+        let groups = lanes
+            .models()
+            .into_iter()
+            .zip(&mut lane_stores)
+            .map(|((model, act_quant), stores)| FeedGroup {
+                model,
+                act_quant,
+                slots: slots(stores, &token, PROMPT),
+            })
+            .collect();
+        black_box(feed_groups(groups));
     });
 }
 

@@ -32,7 +32,11 @@
 //!   case, [`TinyTransformer::advance_one`] the K = 1 case of that, and
 //!   [`DecodeSession::push`] is a thin wrapper over it holding a
 //!   [`VecKv`](crate::kv::VecKv) — single-stream, batched and prefill
-//!   decoding share one code path, so they cannot drift apart.
+//!   decoding share one code path, so they cannot drift apart;
+//! * [`feed_groups`] runs one `feed_batch` per model group ([`FeedGroup`]:
+//!   a tick's quantized students and fp32 teachers) side by side on the
+//!   runtime pool, when their work passes the GEMMs' dispatch rule
+//!   ([`feeds_in_parallel`]).
 //!
 //! Because every non-GEMM op in the step is per-row (layer norm, per-row
 //! activation quantization, GELU, residual add) and every GEMM row is
@@ -77,6 +81,7 @@ use olive_tensor::matmul::{
 };
 use olive_tensor::Tensor;
 use std::borrow::Cow;
+use std::ops::Range;
 
 /// Fake-quantizes each row of `t` in place, on its own (per-token dynamic
 /// calibration — see the module docs for why decode requires this).
@@ -100,20 +105,6 @@ fn quantize_rows<'t>(t: &'t Tensor, q: Option<&dyn TensorQuantizer>) -> Cow<'t, 
     }
 }
 
-/// The token-embedding row for `token` at position `pos`, including the
-/// deterministic sinusoidal position signal (same formula as the batch
-/// embedding in `TinyTransformer::forward`).
-fn embed_row(model: &TinyTransformer, token: usize, pos: usize) -> Tensor {
-    let d = model.config.d_model;
-    assert!(token < model.config.vocab, "token {} out of range", token);
-    let mut x = Tensor::zeros(vec![1, d]);
-    for j in 0..d {
-        let pe = ((pos as f32) / 64f32.powf(j as f32 / d as f32)).sin() * 0.1;
-        x[[0, j]] = model.embedding[[token, j]] + pe;
-    }
-    x
-}
-
 impl TinyTransformer {
     /// Causally-masked forward pass: position *i* attends only to positions
     /// `0..=i`. Returns the logits of every position, `[seq_len, vocab]`.
@@ -131,14 +122,7 @@ impl TinyTransformer {
         tokens: &[usize],
         act_quant: Option<&dyn TensorQuantizer>,
     ) -> Tensor {
-        let d = self.config.d_model;
-        let seq = tokens.len();
-        let mut x = Tensor::zeros(vec![seq, d]);
-        for (pos, &tok) in tokens.iter().enumerate() {
-            let row = embed_row(self, tok, pos);
-            x.row_mut(pos).copy_from_slice(row.row(0));
-        }
-
+        let mut x = self.embed(tokens.len(), tokens.iter().copied().zip(0..));
         for layer in &self.layers {
             let normed = layer_norm(&x, &layer.ln1_gamma, &layer.ln1_beta, 1e-5);
             let qkv_in = quantize_rows(&normed, act_quant);
@@ -229,17 +213,17 @@ impl TinyTransformer {
             return Vec::new();
         }
         let d = self.config.d_model;
+        assert!(
+            slots.iter().all(|slot| !slot.tokens.is_empty()),
+            "a feed slot needs a token"
+        );
         let rows: usize = slots.iter().map(|slot| slot.tokens.len()).sum();
-        let mut x = Tensor::zeros(vec![rows, d]);
-        let mut r = 0;
-        for slot in slots.iter() {
-            assert!(!slot.tokens.is_empty(), "a feed slot needs a token");
-            for (o, &token) in slot.tokens.iter().enumerate() {
-                x.row_mut(r)
-                    .copy_from_slice(embed_row(self, token, slot.pos + o).row(0));
-                r += 1;
-            }
-        }
+        let mut x = self.embed(
+            rows,
+            slots
+                .iter()
+                .flat_map(|slot| slot.tokens.iter().copied().zip(slot.pos..)),
+        );
 
         // Every intermediate is quantized and activated in place and freed
         // as soon as its consumer has run, so a long prefill holds only a
@@ -388,6 +372,83 @@ pub struct FeedSlot<'s> {
     /// The first token's position — the number of positions already in
     /// `kv`.
     pub pos: usize,
+}
+
+/// One model group of a decode tick, as fed to [`feed_groups`]: a model,
+/// its activation quantizer and the streams it advances in one
+/// [`feed_batch`](TinyTransformer::feed_batch).
+pub struct FeedGroup<'g> {
+    /// The group's model, shared read-only.
+    pub model: &'g TinyTransformer,
+    /// The per-row activation quantizer, if the group quantizes activations.
+    pub act_quant: Option<&'g dyn TensorQuantizer>,
+    /// The streams the group advances, each with its own store.
+    pub slots: Vec<FeedSlot<'g>>,
+}
+
+/// Weight elements one fed row multiplies through: every layer's four
+/// projections plus the tied embedding, used as the LM head.
+fn weight_elements(model: &TinyTransformer) -> u64 {
+    let layers: usize = model
+        .layers
+        .iter()
+        .map(|l| l.wqkv.len() + l.wo.len() + l.w1.len() + l.w2.len())
+        .sum();
+    (layers + model.embedding.len()) as u64
+}
+
+/// Whether [`feed_groups`] runs `groups` side by side on the pool. It is
+/// the GEMMs' own rule, [`olive_runtime::should_parallelize`], with one
+/// lane per group and one multiply-add per weight element per fed row as
+/// the work. So a two-stream gpt2-small tick dispatches, and a one-stream
+/// decode step of the tiny model stays inline.
+pub fn feeds_in_parallel(groups: &[FeedGroup<'_>]) -> bool {
+    let work = groups
+        .iter()
+        .map(|group| {
+            let rows: usize = group.slots.iter().map(|slot| slot.tokens.len()).sum();
+            rows as u64 * weight_elements(group.model)
+        })
+        .sum();
+    olive_runtime::should_parallelize(groups.len(), work)
+}
+
+/// Runs each group's [`feed_batch`](TinyTransformer::feed_batch) and
+/// returns its logits, in group order.
+///
+/// The groups share nothing mutable: each slot owns its store, and models
+/// and quantizers are read-only. When [`feeds_in_parallel`] says so, the
+/// groups run as the chunks of one pool job, one group per chunk while
+/// there are at most four per thread; otherwise they run inline, one after
+/// the other. Inside a chunk the group's GEMMs run inline, and the
+/// runtime's determinism contract makes that bit-identical to any other
+/// thread count, so the logits do not depend on which way the groups ran.
+///
+/// # Panics
+///
+/// Panics as [`feed_batch`](TinyTransformer::feed_batch) does. On the pool,
+/// the first panic a group raises is re-thrown once every group has
+/// finished.
+pub fn feed_groups(groups: Vec<FeedGroup<'_>>) -> Vec<Vec<Vec<f32>>> {
+    let parallel = feeds_in_parallel(&groups);
+    let mut jobs: Vec<(FeedGroup<'_>, Vec<Vec<f32>>)> = groups
+        .into_iter()
+        .map(|group| (group, Vec::new()))
+        .collect();
+    if parallel {
+        olive_runtime::par_rows_mut(jobs.len(), 1, &mut jobs, feed_each);
+    } else {
+        feed_each(0..jobs.len(), &mut jobs);
+    }
+    jobs.into_iter().map(|(_, logits)| logits).collect()
+}
+
+/// Feeds every group of `jobs` in turn, storing each group's logits beside
+/// it (one [`feed_groups`] chunk).
+fn feed_each(_: Range<usize>, jobs: &mut [(FeedGroup<'_>, Vec<Vec<f32>>)]) {
+    for (group, logits) in jobs {
+        *logits = group.model.feed_batch(group.act_quant, &mut group.slots);
+    }
 }
 
 /// One stream's current step, as fed to
@@ -884,6 +945,89 @@ mod tests {
                 });
             }
         }
+    }
+
+    /// `feed_groups` returns exactly what feeding each group alone
+    /// returns, whether its groups run inline (one thread) or as pool
+    /// chunks (two threads): a gpt2-small-sized olive-4bit student, with
+    /// per-row act-quant, and its fp32 teacher, each advancing a prefill
+    /// run and a decode step. A one-row tick of the tiny model stays inline.
+    #[test]
+    fn feed_groups_equals_feeding_each_group_alone() {
+        let mut rng = Rng::seed_from(47);
+        let fp32 =
+            TinyTransformer::generate(EngineConfig::small(), OutlierSeverity::llm(), &mut rng);
+        let olive = OliveQuantizer::int4();
+        let student = fp32.quantize_weights(&olive);
+        let lanes: [(&TinyTransformer, Option<&dyn TensorQuantizer>); 2] =
+            [(&student, Some(&olive)), (&fp32, None)];
+        let cfg = fp32.config;
+        let tokens = random_tokens(&mut rng, cfg.vocab, 6);
+        // Stream 0 prefills five tokens; stream 1 decodes its sixth.
+        let runs = [(&tokens[..5], 0), (&tokens[5..], 5)];
+        let stores = || -> Vec<VecKv> {
+            runs.iter()
+                .map(|&(_, pos)| {
+                    let mut kv = VecKv::new(cfg.n_layers, cfg.d_model);
+                    // Both sides start from this prefix; which model wrote
+                    // it does not matter.
+                    for (prefix_pos, &token) in tokens[..pos].iter().enumerate() {
+                        fp32.advance_one(None, &mut kv, token, prefix_pos);
+                    }
+                    kv
+                })
+                .collect()
+        };
+        let alone: Vec<Vec<Vec<f32>>> = lanes
+            .iter()
+            .map(|&(model, act)| {
+                let mut kvs = stores();
+                let mut slots: Vec<FeedSlot<'_>> = kvs
+                    .iter_mut()
+                    .zip(runs)
+                    .map(|(kv, (tokens, pos))| FeedSlot { kv, tokens, pos })
+                    .collect();
+                model.feed_batch(act, &mut slots)
+            })
+            .collect();
+        for threads in [1usize, 2] {
+            olive_runtime::with_threads(threads, || {
+                let mut lane_kvs: Vec<Vec<VecKv>> = lanes.iter().map(|_| stores()).collect();
+                let groups: Vec<FeedGroup<'_>> = lanes
+                    .iter()
+                    .zip(&mut lane_kvs)
+                    .map(|(&(model, act_quant), kvs)| FeedGroup {
+                        model,
+                        act_quant,
+                        slots: kvs
+                            .iter_mut()
+                            .zip(runs)
+                            .map(|(kv, (tokens, pos))| FeedSlot { kv, tokens, pos })
+                            .collect(),
+                    })
+                    .collect();
+                assert_eq!(feeds_in_parallel(&groups), threads > 1);
+                assert_eq!(feed_groups(groups), alone, "threads={threads}");
+            });
+        }
+
+        let tiny = teacher(9);
+        let mut kvs: Vec<VecKv> = (0..2)
+            .map(|_| VecKv::new(tiny.config.n_layers, tiny.config.d_model))
+            .collect();
+        let tick: Vec<FeedGroup<'_>> = kvs
+            .iter_mut()
+            .map(|kv| FeedGroup {
+                model: &tiny,
+                act_quant: None,
+                slots: vec![FeedSlot {
+                    kv,
+                    tokens: &[0],
+                    pos: 0,
+                }],
+            })
+            .collect();
+        olive_runtime::with_threads(2, || assert!(!feeds_in_parallel(&tick)));
     }
 
     #[test]

@@ -246,17 +246,7 @@ impl TinyTransformer {
     ///
     /// Panics if any token id is out of vocabulary range.
     pub fn forward(&self, tokens: &[usize], act_quant: Option<&dyn TensorQuantizer>) -> Tensor {
-        let d = self.config.d_model;
-        let seq = tokens.len();
-        // Token embedding (plus a deterministic sinusoidal position signal).
-        let mut x = Tensor::zeros(vec![seq, d]);
-        for (pos, &tok) in tokens.iter().enumerate() {
-            assert!(tok < self.config.vocab, "token {} out of range", tok);
-            for j in 0..d {
-                let pe = ((pos as f32) / 64f32.powf(j as f32 / d as f32)).sin() * 0.1;
-                x[[pos, j]] = self.embedding[[tok, j]] + pe;
-            }
-        }
+        let mut x = self.embed(tokens.len(), tokens.iter().copied().zip(0..));
 
         let maybe_q = |t: &Tensor| -> Tensor {
             match act_quant {
@@ -288,6 +278,33 @@ impl TinyTransformer {
         let head_in = maybe_q(&normed);
         // Weight tying: logits = x · Eᵀ.
         matmul_transpose_b(&head_in, &self.embedding)
+    }
+
+    /// Embeds `rows` `(token, position)` pairs as the rows of a
+    /// `[rows, d_model]` tensor: each token's embedding row plus a
+    /// deterministic sinusoidal position signal, `sin(pos / 64^(j/d)) · 0.1`.
+    /// The divisors `64^(j/d)` do not depend on the position, so they are
+    /// computed once per call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any token id is out of vocabulary range.
+    pub(crate) fn embed(
+        &self,
+        rows: usize,
+        tokens: impl IntoIterator<Item = (usize, usize)>,
+    ) -> Tensor {
+        let d = self.config.d_model;
+        let divisors: Vec<f32> = (0..d).map(|j| 64f32.powf(j as f32 / d as f32)).collect();
+        let mut x = Tensor::zeros(vec![rows, d]);
+        for (r, (token, pos)) in tokens.into_iter().enumerate() {
+            assert!(token < self.config.vocab, "token {} out of range", token);
+            let embedded = self.embedding.row(token).iter().zip(&divisors);
+            for (out, (&e, &div)) in x.row_mut(r).iter_mut().zip(embedded) {
+                *out = e + ((pos as f32) / div).sin() * 0.1;
+            }
+        }
+        x
     }
 
     /// Multi-head self-attention over a fused `[seq, 3·d_model]` QKV tensor.

@@ -32,7 +32,10 @@
 /// Positions are append-only (causal attention never rewrites a past
 /// position) and every row has the same width `d_model`. `append` is called
 /// once per layer per decoded position, in position order.
-pub trait KvStore {
+///
+/// `Send` is a supertrait so a decode tick can feed its model groups on
+/// different pool lanes ([`feed_groups`](crate::decode::feed_groups)).
+pub trait KvStore: Send {
     /// Appends one position's key and value rows for `layer`.
     fn append(&mut self, layer: usize, k_row: &[f32], v_row: &[f32]);
     /// The key row of `layer` at `pos` (`pos` must be appended already).

@@ -38,7 +38,10 @@ pub mod workload;
 
 pub use artifact::{ArtifactError, ArtifactReader, ArtifactWriter};
 pub use config::{ModelConfig, ModelFamily};
-pub use decode::{generate_greedy, generate_greedy_recompute, DecodeSession, FeedSlot, StepSlot};
+pub use decode::{
+    feed_groups, feeds_in_parallel, generate_greedy, generate_greedy_recompute, DecodeSession,
+    FeedGroup, FeedSlot, StepSlot,
+};
 pub use engine::{
     agreement, argmax, eval_scores, logit_fidelity, position_agreement, pseudo_perplexity,
     EngineConfig, EvalScores, EvalTask, OutlierSeverity, TinyTransformer,

@@ -15,7 +15,9 @@
 //!    and benches to compare sequential vs parallel execution in-process);
 //! 2. the `OLIVE_THREADS` environment variable (re-read on every call, so a
 //!    harness can change it between phases);
-//! 3. [`std::thread::available_parallelism`].
+//! 3. [`std::thread::available_parallelism`], resolved once per process and
+//!    cached: it reads cgroup files and costs tens of microseconds, and the
+//!    [global pool](Pool::global) is sized once from it anyway.
 //!
 //! `OLIVE_THREADS=1` forces fully sequential, inline execution everywhere.
 //!
@@ -75,7 +77,7 @@ pub use sync::{lock_or_recover, wait_or_recover, wait_timeout_or_recover};
 
 use std::cell::Cell;
 use std::ops::Range;
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 thread_local! {
     /// Scoped thread-count override installed by [`with_threads`].
@@ -136,13 +138,20 @@ fn warn_invalid_thread_env_once(message: &str) {
     });
 }
 
+/// The host's parallelism, [`std::thread::available_parallelism`] resolved
+/// on first use and cached for the life of the process.
+fn default_threads() -> usize {
+    static DEFAULT: OnceLock<usize> = OnceLock::new();
+    *DEFAULT.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 /// The parallelism the current thread's primitives will use.
 ///
 /// Resolution order: [`with_threads`] override, then `OLIVE_THREADS`
 /// (re-read on every call; an invalid value clamps to 1 with a one-time
 /// warning — see the [module docs](self)), then
-/// [`std::thread::available_parallelism`]. Always at least 1, clamped to
-/// [`MAX_THREADS`].
+/// [`std::thread::available_parallelism`], resolved once per process. Always
+/// at least 1, clamped to [`MAX_THREADS`].
 pub fn effective_threads() -> usize {
     let raw = THREAD_OVERRIDE
         .with(Cell::get)
@@ -156,7 +165,7 @@ pub fn effective_threads() -> usize {
                 }
             })
         })
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+        .unwrap_or_else(default_threads);
     raw.clamp(1, MAX_THREADS)
 }
 
@@ -331,6 +340,17 @@ mod tests {
     #[test]
     fn effective_threads_is_at_least_one() {
         assert!(effective_threads() >= 1);
+    }
+
+    #[test]
+    fn unset_fallback_is_resolved_once_and_stable() {
+        let first = default_threads();
+        assert!(first >= 1);
+        // Every later call, on this thread or a pool worker, reads the
+        // cached value.
+        let again = with_threads(4, || par_map(&[0u8; 16], |_| default_threads()));
+        assert!(again.iter().all(|&threads| threads == first), "{again:?}");
+        assert_eq!(default_threads(), first);
     }
 
     #[test]

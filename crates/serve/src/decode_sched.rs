@@ -16,7 +16,10 @@
 //!   **one** batched causal forward ([`TinyTransformer::feed_batch`]) — K
 //!   streams over the same model cost one GEMM pipeline per tick, not K,
 //!   and a late arrival's prefill rides in the same forward as the other
-//!   flights' decode rows;
+//!   flights' decode rows. The groups of a tick are independent, so they
+//!   run side by side on the runtime pool ([`feed_groups`]) when their
+//!   work passes the GEMMs' dispatch rule: the tick lasts as long as its
+//!   slowest group;
 //! * the logits of each run's last token come back per stream, each flight
 //!   emits its own JSON fragment as an HTTP chunk, and the next tick feeds
 //!   the next token — new requests are admitted *between* steps, so a long
@@ -45,6 +48,11 @@
 //!   `DecodeSession::prefill`;
 //! * a flight's attention reads only its own [`PagedKv`] pages, and the
 //!   paged layout is byte-equivalent to the session-owned store;
+//! * running the groups in parallel moves no byte: each group's forward
+//!   is one pool chunk whose GEMMs run inline, as nested primitives do,
+//!   which the `olive-runtime` determinism contract makes bit-identical to
+//!   any other thread count, and the logits are scattered back in
+//!   group-key order;
 //! * a short pool only ever *defers admission* (a parked request waits for
 //!   pages) — it can never truncate or alter a decode, because a flight
 //!   reserves its worst-case pages up front, all-or-nothing;
@@ -70,7 +78,10 @@ use olive_api::gen::{
 };
 use olive_api::{GenSchemeResult, GenStep, PreparedGen, Scheme};
 use olive_core::TensorQuantizer;
-use olive_models::{argmax, pages_needed, FeedSlot, KvPool, PagedKv, TinyTransformer};
+use olive_models::{
+    argmax, feed_groups, feeds_in_parallel, pages_needed, FeedGroup, FeedSlot, KvPool, PagedKv,
+    TinyTransformer,
+};
 use olive_runtime::{lock_or_recover, BoundedQueue, PushError};
 use olive_telemetry::{
     latency_buckets_us, Counter, Gauge, Histogram, Registry, Span, Stopwatch, Telemetry,
@@ -315,6 +326,22 @@ impl Flight {
         }
     }
 
+    /// The model a lane feeds through.
+    fn model(&self, lane: Lane) -> &TinyTransformer {
+        match lane {
+            Lane::Student => &self.student,
+            Lane::Teacher => &self.prepared.teacher,
+        }
+    }
+
+    /// A lane's KV store.
+    fn kv_mut(&mut self, lane: Lane) -> &mut PagedKv {
+        match lane {
+            Lane::Student => &mut self.student_kv,
+            Lane::Teacher => &mut self.teacher_kv,
+        }
+    }
+
     fn send(&mut self, event: StreamEvent) {
         // A client that hung up mid-stream is not an error; mark the flight
         // for sweeping so its pages free up instead of decoding to the end.
@@ -332,6 +359,9 @@ pub struct TickReport {
     /// Slot count (flights merged) of every batched forward executed, in
     /// model-group order. A prefilling slot carries many rows.
     pub forwards: Vec<usize>,
+    /// Whether the model groups ran side by side on the runtime pool
+    /// ([`feeds_in_parallel`]) rather than one after the other.
+    pub parallel: bool,
     /// Flights fed this tick.
     pub fed: usize,
     /// Requests admitted this tick.
@@ -538,9 +568,10 @@ impl SchedCore {
     }
 
     /// Merges the run of every live flight into one batched causal forward
-    /// per model group and scatters each run's last logits back. Returns
-    /// the group sizes, in group-key order.
-    fn feed(&mut self) -> Vec<usize> {
+    /// per model group, runs the groups side by side ([`feed_groups`]) and
+    /// scatters each run's last logits back. Returns the group sizes, in
+    /// group-key order, and whether the groups ran on the pool.
+    fn feed(&mut self) -> (Vec<usize>, bool) {
         let mut groups: BTreeMap<String, Vec<(usize, Lane)>> = BTreeMap::new();
         for (i, flight) in self.flights.iter().enumerate() {
             if flight.done {
@@ -555,68 +586,62 @@ impl SchedCore {
                 .or_default()
                 .push((i, Lane::Teacher));
         }
-        let mut forwards = Vec::with_capacity(groups.len());
-        for members in groups.values() {
-            forwards.push(members.len());
-            // The group key pins (preparation, scheme, acts), so every
-            // member shares one model and one activation quantizer; both
-            // are taken from the first member. The quantizer is rebuilt per
-            // tick from the spec — deterministic and cheap (a stateless
-            // config struct), and it avoids holding a borrow across the
-            // flight table.
-            let (i0, lane0) = members[0];
-            let group_model = match lane0 {
-                Lane::Student => GroupModel::Student(Arc::clone(&self.flights[i0].student)),
-                Lane::Teacher => GroupModel::Teacher(Arc::clone(&self.flights[i0].prepared)),
-            };
-            let act_quant: Option<Box<dyn TensorQuantizer>> = match lane0 {
-                Lane::Student if self.flights[i0].quantize_acts => {
-                    Some(self.flights[i0].scheme.build())
-                }
-                _ => None,
-            };
-            // Move each member's KV store out of the flight table so the
-            // slots can borrow them mutably side by side.
-            let mut taken: Vec<(usize, Lane, PagedKv, Vec<usize>, usize)> = members
-                .iter()
-                .map(|&(i, lane)| {
-                    let flight = &mut self.flights[i];
-                    let tokens = flight.run().to_vec();
-                    let pos = flight.fed;
-                    let kv = std::mem::take(match lane {
-                        Lane::Student => &mut flight.student_kv,
-                        Lane::Teacher => &mut flight.teacher_kv,
-                    });
-                    (i, lane, kv, tokens, pos)
-                })
-                .collect();
-            let mut slots: Vec<FeedSlot<'_>> = taken
-                .iter_mut()
-                .map(|(_, _, kv, tokens, pos)| FeedSlot {
-                    kv,
-                    tokens,
-                    pos: *pos,
-                })
-                .collect();
-            let logits = group_model
-                .model()
-                .feed_batch(act_quant.as_deref(), &mut slots);
-            drop(slots);
-            for ((i, lane, kv, _, _), row) in taken.into_iter().zip(logits) {
+        // Move each member's KV store out of the flight table, so the slots
+        // can borrow the stores mutably while the flights lend their models
+        // and runs.
+        let mut stores: Vec<Vec<PagedKv>> = groups
+            .values()
+            .map(|members| {
+                members
+                    .iter()
+                    .map(|&(i, lane)| std::mem::take(self.flights[i].kv_mut(lane)))
+                    .collect()
+            })
+            .collect();
+        // The group key pins (preparation, scheme, acts), so every member
+        // shares one model and one activation quantizer; both are taken from
+        // the first member. The quantizer is rebuilt per tick from the spec —
+        // deterministic and cheap (a stateless config struct).
+        let flights = &self.flights;
+        let acts: Vec<Option<Box<dyn TensorQuantizer>>> = groups
+            .values()
+            .map(|members| {
+                let flight = &flights[members[0].0];
+                (members[0].1 == Lane::Student && flight.quantize_acts)
+                    .then(|| flight.scheme.build())
+            })
+            .collect();
+        let feeds: Vec<FeedGroup<'_>> = groups
+            .values()
+            .zip(&mut stores)
+            .zip(&acts)
+            .map(|((members, kvs), act)| FeedGroup {
+                model: flights[members[0].0].model(members[0].1),
+                act_quant: act.as_deref(),
+                slots: members
+                    .iter()
+                    .zip(kvs)
+                    .map(|(&(i, _), kv)| FeedSlot {
+                        kv,
+                        tokens: flights[i].run(),
+                        pos: flights[i].fed,
+                    })
+                    .collect(),
+            })
+            .collect();
+        let parallel = feeds_in_parallel(&feeds);
+        let logits = feed_groups(feeds);
+        for ((members, kvs), rows) in groups.values().zip(stores).zip(logits) {
+            for ((&(i, lane), kv), row) in members.iter().zip(kvs).zip(rows) {
                 let flight = &mut self.flights[i];
+                *flight.kv_mut(lane) = kv;
                 match lane {
-                    Lane::Student => {
-                        flight.student_kv = kv;
-                        flight.student_logits = Some(row);
-                    }
-                    Lane::Teacher => {
-                        flight.teacher_kv = kv;
-                        flight.teacher_logits = Some(row);
-                    }
+                    Lane::Student => flight.student_logits = Some(row),
+                    Lane::Teacher => flight.teacher_logits = Some(row),
                 }
             }
         }
-        forwards
+        (groups.values().map(Vec::len).collect(), parallel)
     }
 
     /// Releases finished (or disconnected) flights: their KV pages return
@@ -644,7 +669,7 @@ impl SchedCore {
         let finished = self.emit();
         self.sweep();
         let admitted = self.admit();
-        let forwards = self.feed();
+        let (forwards, parallel) = self.feed();
         let mut fed = 0;
         for flight in &mut self.flights {
             if !flight.done {
@@ -660,6 +685,7 @@ impl SchedCore {
         }
         TickReport {
             forwards,
+            parallel,
             fed,
             admitted,
         }
@@ -687,22 +713,6 @@ impl SchedCore {
         // rather than trust the old one's accounting.
         self.pool = KvPool::new(self.config.kv_page_floats, self.config.kv_pool_pages);
         self.stats.mirror_pool(&self.pool, 0);
-    }
-}
-
-/// Keeps the group's model alive across the batched forward (flights are
-/// mutably borrowed for their KV stores at the same time).
-enum GroupModel {
-    Student(Arc<TinyTransformer>),
-    Teacher(Arc<PreparedGen>),
-}
-
-impl GroupModel {
-    fn model(&self) -> &TinyTransformer {
-        match self {
-            GroupModel::Student(model) => model,
-            GroupModel::Teacher(prepared) => &prepared.teacher,
-        }
     }
 }
 
@@ -1185,6 +1195,128 @@ mod tests {
         assert_eq!(closed.status, 503);
         assert!(closed.body.contains("shutting down"), "{}", closed.body);
         assert!(closed.extra_headers.is_empty());
+    }
+
+    /// Two identical gpt2-small olive-4bit streams: enough weight work per
+    /// tick that, at two threads, every tick runs its groups on the pool.
+    /// The student and teacher disagree on three of the four steps, so a
+    /// stream's bytes show which lane's logits went where.
+    const SMALL_PAIR: &str = r#"{"family": "gpt2", "size": "small", "scheme": "olive-4bit",
+        "prompt_tokens": 8, "max_new_tokens": 4}"#;
+
+    /// Queues `n` copies of `text` and returns their receivers.
+    fn enqueue_copies(
+        core: &mut SchedCore,
+        text: &str,
+        n: usize,
+    ) -> Vec<mpsc::Receiver<StreamEvent>> {
+        (0..n)
+            .map(|_| {
+                let (tx, rx) = mpsc::channel();
+                core.enqueue(job(gen_request(text), tx));
+                rx
+            })
+            .collect()
+    }
+
+    /// Ticks `core` until it is idle at `threads` threads, returning the
+    /// report of every tick that fed a flight.
+    fn run_to_idle(core: &mut SchedCore, threads: usize) -> Vec<TickReport> {
+        olive_runtime::with_threads(threads, || {
+            let mut reports = Vec::new();
+            while core.has_work() {
+                let report = core.tick();
+                if report.fed > 0 {
+                    reports.push(report);
+                }
+            }
+            reports
+        })
+    }
+
+    /// Running a tick's groups side by side changes timing, never bytes:
+    /// the gpt2-small pair streams the direct pipeline's bytes through the
+    /// same forwards whether its groups run one after the other (one
+    /// thread) or on the pool (two threads, every tick).
+    #[test]
+    fn parallel_groups_stream_the_bytes_of_sequential_ones() {
+        let direct = direct_body(&gen_request(SMALL_PAIR));
+        let mut forwards = Vec::new();
+        for threads in [1usize, 2] {
+            let mut core = core_with_config(SchedConfig::default());
+            let receivers = enqueue_copies(&mut core, SMALL_PAIR, 2);
+            let reports = run_to_idle(&mut core, threads);
+            assert!(
+                reports.iter().all(|r| r.parallel == (threads > 1)),
+                "threads={threads}: {reports:?}"
+            );
+            forwards.push(reports.into_iter().map(|r| r.forwards).collect::<Vec<_>>());
+            for rx in &receivers {
+                assert_eq!(drain(rx).0, direct, "threads={threads}");
+            }
+        }
+        assert_eq!(forwards[0], forwards[1]);
+    }
+
+    /// A group that panics on the pool fails its tick, not the scheduler.
+    /// One flight's student store is left without pages, so the student
+    /// group panics while the teacher group runs on the other lane. The
+    /// tick re-throws, `fail_all` answers both streams 500 and returns
+    /// every page, and the next request streams its direct bytes.
+    #[test]
+    fn a_group_panicking_on_the_pool_fails_the_tick_and_recovers() {
+        olive_runtime::with_threads(2, || {
+            let mut core = core_with_config(SchedConfig::default());
+            let receivers = enqueue_copies(&mut core, SMALL_PAIR, 2);
+            assert_eq!(core.admit(), 2);
+            let cfg = core.flights[0].student.config;
+            let page_floats = core.config.kv_page_floats;
+            core.flights[0].student_kv =
+                PagedKv::new(cfg.n_layers, cfg.d_model, page_floats, Vec::new());
+            let tick = catch_unwind(AssertUnwindSafe(|| core.tick()));
+            assert!(
+                tick.is_err(),
+                "the student group's panic must reach the tick"
+            );
+            core.fail_all("internal error executing the request");
+            assert_eq!(core.pool.pages_used(), 0);
+            for rx in &receivers {
+                let failed = rx.try_iter().find_map(|event| match event {
+                    StreamEvent::Failed(response) => Some(response),
+                    _ => None,
+                });
+                assert_eq!(failed.expect("every stream is answered").status, 500);
+            }
+            let receivers = enqueue_copies(&mut core, SMALL_PAIR, 1);
+            while core.has_work() {
+                core.tick();
+            }
+            assert_eq!(
+                drain(&receivers[0]).0,
+                direct_body(&gen_request(SMALL_PAIR))
+            );
+        });
+    }
+
+    /// A tick dispatches its groups by the GEMMs' own work rule: every
+    /// tick of the gpt2-small pair dispatches, and so does the tiny
+    /// model's four-row prefill, but the tiny model's one-stream decode
+    /// steps stay inline.
+    #[test]
+    fn tick_dispatch_follows_the_gemm_work_rule() {
+        let mut core = core_with_config(SchedConfig::default());
+        let _streams = enqueue_copies(&mut core, SMALL_PAIR, 2);
+        let reports = run_to_idle(&mut core, 2);
+        assert_eq!(reports.len(), 4);
+        assert!(reports.iter().all(|r| r.parallel), "{reports:?}");
+
+        let tiny = r#"{"scheme": "olive-4bit", "prompt_tokens": 4, "max_new_tokens": 3}"#;
+        let mut core = core_with_config(SchedConfig::default());
+        let _stream = enqueue_copies(&mut core, tiny, 1);
+        let reports = run_to_idle(&mut core, 2);
+        assert_eq!(reports.len(), 3);
+        assert!(reports[0].parallel, "the prefill dispatches");
+        assert!(reports[1..].iter().all(|r| !r.parallel), "{reports:?}");
     }
 
     /// Shutdown completes accepted streams instead of dropping them.

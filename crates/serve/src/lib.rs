@@ -81,6 +81,11 @@
 //!   activations and fixed ascending-`k` GEMM accumulation — and the paged
 //!   KV layout is byte-equivalent to a contiguous cache, so merging steps
 //!   across sessions can never change a streamed token;
+//! * a tick's model groups (each student, each teacher) run side by side
+//!   as the chunks of one pool job, and the GEMMs inside a chunk run
+//!   inline, as nested primitives always do: by the `olive-runtime`
+//!   contract that is the arithmetic of any other thread count, so
+//!   running the groups in parallel moves no byte;
 //! * the streamed JSON is assembled from the same fragments
 //!   `GenReport::to_json` concatenates (`olive_api::gen`), so chunking can
 //!   never change the bytes, only their framing;
