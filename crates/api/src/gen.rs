@@ -12,9 +12,7 @@
 //! The run is described by a [`GenOptions`] builder — prompt length, step
 //! budget, an optional scheme override, an optional pre-prepared
 //! teacher/prompt, an optional streaming sink — and
-//! [`Pipeline::generation`] is the one entry point; the older positional
-//! `generate`/`generate_prepared`/`generate_streamed` trio survives as thin
-//! deprecated wrappers over it.
+//! [`Pipeline::generation`] is the one entry point.
 //!
 //! ## Streaming, byte-identically
 //!
@@ -210,8 +208,7 @@ pub struct PreparedGen {
 }
 
 /// The description of one generation run — the single argument of
-/// [`Pipeline::generation`], replacing the old positional
-/// `generate`/`generate_prepared`/`generate_streamed` trio.
+/// [`Pipeline::generation`].
 ///
 /// Defaults: [`DEFAULT_PROMPT_TOKENS`]-token prompt,
 /// [`DEFAULT_MAX_NEW_TOKENS`] decode steps, the pipeline's configured
@@ -336,8 +333,7 @@ impl Pipeline {
     }
 
     /// Runs one generation described by `options` — the single public entry
-    /// point for generation (see [`GenOptions`] for the knobs; the old
-    /// positional `generate*` family is deprecated sugar over this).
+    /// point for generation (see [`GenOptions`] for the knobs).
     pub fn generation(&self, options: GenOptions<'_>) -> GenReport {
         let max_new_tokens = options.max_new_tokens.unwrap_or(DEFAULT_MAX_NEW_TOKENS);
         let schemes = options.schemes.as_deref().unwrap_or(&self.schemes);
@@ -349,47 +345,6 @@ impl Pipeline {
                 self.generate_inner(&prepared, max_new_tokens, schemes, options.sink)
             }
         }
-    }
-
-    /// Runs every configured scheme for `max_new_tokens` greedy decode steps
-    /// and collects the unified [`GenReport`] (wall times included).
-    #[deprecated(note = "use Pipeline::generation(GenOptions::new() \
-                         .prompt_tokens(..).max_new_tokens(..))")]
-    pub fn generate(&self, prompt_tokens: usize, max_new_tokens: usize) -> GenReport {
-        self.generation(
-            GenOptions::new()
-                .prompt_tokens(prompt_tokens)
-                .max_new_tokens(max_new_tokens),
-        )
-    }
-
-    /// Like `generate` against an already-prepared teacher + prompt —
-    /// bit-identical to `generate` for the same preparation inputs.
-    #[deprecated(note = "use Pipeline::generation(GenOptions::new() \
-                         .prepared(..).max_new_tokens(..))")]
-    pub fn generate_prepared(&self, prepared: &PreparedGen, max_new_tokens: usize) -> GenReport {
-        self.generation(
-            GenOptions::new()
-                .prepared(prepared)
-                .max_new_tokens(max_new_tokens),
-        )
-    }
-
-    /// Streaming generation into `sink`; see [`GenOptions::stream`].
-    #[deprecated(note = "use Pipeline::generation(GenOptions::new() \
-                         .prepared(..).max_new_tokens(..).stream(..))")]
-    pub fn generate_streamed(
-        &self,
-        prepared: &PreparedGen,
-        max_new_tokens: usize,
-        sink: &mut dyn FnMut(&str),
-    ) -> GenReport {
-        self.generation(
-            GenOptions::new()
-                .prepared(prepared)
-                .max_new_tokens(max_new_tokens)
-                .stream(sink),
-        )
     }
 
     fn generate_inner(
@@ -651,29 +606,5 @@ mod tests {
             .generation(GenOptions::new());
         assert_eq!(report.prompt.len(), DEFAULT_PROMPT_TOKENS);
         assert_eq!(report.max_new_tokens, DEFAULT_MAX_NEW_TOKENS);
-    }
-
-    /// The deprecated positional wrappers must stay bit-identical to the
-    /// `GenOptions` path until they are removed.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_delegate_to_generation() {
-        let pipeline = tiny_pipeline().schemes(["olive-4bit"]);
-        let via_options = gen(&pipeline, 4, 5).without_wall_times().to_json();
-        assert_eq!(
-            pipeline.generate(4, 5).without_wall_times().to_json(),
-            via_options
-        );
-        let prepared = pipeline.prepare_generation(4);
-        assert_eq!(
-            pipeline
-                .generate_prepared(&prepared, 5)
-                .without_wall_times()
-                .to_json(),
-            via_options
-        );
-        let mut streamed = String::new();
-        pipeline.generate_streamed(&prepared, 5, &mut |f| streamed.push_str(f));
-        assert_eq!(streamed, via_options);
     }
 }

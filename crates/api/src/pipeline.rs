@@ -384,8 +384,8 @@ impl EvalReport {
 /// is built at most once per preparation and reused by every later
 /// `run_prepared` — the serving layers' repeated evals against one cached
 /// preparation skip re-quantization entirely. Shared across clones (the
-/// cache is derived data, like `OvpTensor`'s packed plan); it is a lookup
-/// table only, never iterated into output, so bytes are unaffected.
+/// cache is derived data); it is a lookup table only, never iterated into
+/// output, so bytes are unaffected.
 #[derive(Debug, Default, Clone)]
 struct StudentCache {
     inner: Arc<std::sync::Mutex<StudentEntries>>,

@@ -2,22 +2,22 @@
 //! reference GEMM, on the in-repo olive-harness runner — this workspace
 //! builds offline, so no criterion.
 //!
-//! Every kernel is measured twice: pinned to one thread (`*_seq`) and at the
-//! runtime's effective thread count (`*_par`, see `OLIVE_THREADS`), so the
-//! report shows the sequential-vs-parallel throughput side by side. `--quick`
+//! The FP32 GEMM is measured twice: pinned to one thread (`fp32_seq`) and at
+//! the runtime's effective thread count (`fp32_par`, see `OLIVE_THREADS`).
+//! `ovp_int4_legacy_seq` times `quantized_matmul` on one thread. `--quick`
 //! (CI smoke/gate mode) trims iteration counts and skips the 1024-sized
 //! kernels; `--json <path>` records medians for `scripts/bench_gate.sh`.
 //!
 //! `--scheme <spec>` (repeatable, see `--list-schemes`) switches the bench to
-//! the registry: each selected scheme's 256³ GEMM is measured instead of the
-//! default kernel set — OliVe schemes run the packed OVP integer GEMM, every
-//! other scheme runs fake-quantization + FP32 GEMM. The default set (no
-//! `--scheme`) is what `BENCH_baseline.json` gates, so its kernel names are
-//! stable.
+//! the registry: each selected scheme's 256³ GEMM is measured, sequential
+//! and parallel, instead of the default kernel set — OliVe schemes run the
+//! OVP integer GEMM, every other scheme runs fake-quantization + FP32 GEMM.
+//! The default set (no `--scheme`) is what `BENCH_baseline.json` gates, so
+//! its kernel names are stable.
 
 use olive_api::Scheme;
 use olive_bench::cli::BenchCli;
-use olive_core::{quantized_matmul, reference_quantized_matmul, OliveQuantizer};
+use olive_core::{quantized_matmul, OliveQuantizer};
 use olive_harness::bench::{black_box, BenchConfig, BenchSuite};
 use olive_models::SynthProfile;
 use olive_tensor::matmul::matmul;
@@ -29,7 +29,8 @@ fn square(n: usize, seed: u64) -> Tensor {
     SynthProfile::transformer().generate(vec![n, n], &mut rng)
 }
 
-/// Benchmarks one shape's float and quantized GEMMs, sequential and parallel.
+/// Benchmarks one shape's float GEMM, sequential and parallel, and its
+/// quantized GEMM on one thread.
 fn bench_shape(suite: &mut BenchSuite, n: usize, seed: u64) {
     let a = square(n, seed);
     let b = square(n, seed + 1);
@@ -44,26 +45,10 @@ fn bench_shape(suite: &mut BenchSuite, n: usize, seed: u64) {
     suite.bench_with_elements(&format!("gemm_{n}x{n}x{n}/fp32_par"), macs, || {
         olive_runtime::with_threads(threads, || black_box(matmul(black_box(&a), black_box(&b))))
     });
-    suite.bench_with_elements(&format!("gemm_{n}x{n}x{n}/ovp_int4_seq"), macs, || {
-        olive_runtime::with_threads(1, || {
-            black_box(quantized_matmul(black_box(&qa), black_box(&qb)))
-        })
-    });
-    suite.bench_with_elements(&format!("gemm_{n}x{n}x{n}/ovp_int4_par"), macs, || {
-        olive_runtime::with_threads(threads, || {
-            black_box(quantized_matmul(black_box(&qa), black_box(&qb)))
-        })
-    });
-
-    // Decode-once vs decode-per-call, side by side: the packed row measures
-    // steady state with the integer plans explicitly pre-built (what a
-    // prepared model serves), the legacy row runs the pre-refactor kernel
-    // that re-decodes both operands on every call (kept in-tree as the
-    // bit-identity oracle).
-    qa.prepare_packed();
-    qb.prepare_packed();
+    // The name predates the removal of a decode-once kernel that was timed
+    // beside this one; it is kept so the row's baseline stays comparable.
     suite.bench_with_elements(
-        &format!("gemm_{n}x{n}x{n}/ovp_int4_packed_seq"),
+        &format!("gemm_{n}x{n}x{n}/ovp_int4_legacy_seq"),
         macs,
         || {
             olive_runtime::with_threads(1, || {
@@ -71,19 +56,10 @@ fn bench_shape(suite: &mut BenchSuite, n: usize, seed: u64) {
             })
         },
     );
-    suite.bench_with_elements(
-        &format!("gemm_{n}x{n}x{n}/ovp_int4_legacy_seq"),
-        macs,
-        || {
-            olive_runtime::with_threads(1, || {
-                black_box(reference_quantized_matmul(black_box(&qa), black_box(&qb)))
-            })
-        },
-    );
 }
 
 /// Benchmarks one registry scheme's 256³ GEMM (seq + par): OliVe schemes
-/// execute the packed integer-domain GEMM, everything else fake-quantizes
+/// execute the integer-domain GEMM, everything else fake-quantizes
 /// both operands and runs the FP32 GEMM (how the accuracy harness executes
 /// those schemes).
 fn bench_scheme(suite: &mut BenchSuite, scheme: &Scheme, n: usize, seed: u64) {
@@ -121,23 +97,6 @@ fn bench_scheme(suite: &mut BenchSuite, scheme: &Scheme, n: usize, seed: u64) {
     }
 }
 
-/// Records which SIMD path the quantized kernels dispatched to in the
-/// `--json` results, so a gate run's numbers carry their provenance. The
-/// codes order slower paths higher (avx2 = 1, sse2 = 2, scalar = 4), so a
-/// machine silently downgrading to a slower path fails the gate like any
-/// other regression.
-fn record_dispatch(cli: &BenchCli) {
-    if let Some(path) = &cli.json {
-        let mut medians = olive_bench::gate::Medians::new();
-        medians.insert(
-            "quantized_gemm/simd_dispatch".to_string(),
-            olive_core::simd::resolve_path().provenance_code(),
-        );
-        olive_bench::gate::merge_into_file(path, &medians)
-            .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
-    }
-}
-
 fn main() {
     let cli = BenchCli::parse();
     let mut suite = cli.suite("quantized_gemm");
@@ -156,7 +115,6 @@ fn main() {
 
     if cli.quick {
         cli.finish(&[&suite]);
-        record_dispatch(&cli);
         return;
     }
     // The paper-scale 1024-cubed kernels: heavyweight, so they run with a
@@ -164,5 +122,4 @@ fn main() {
     let mut heavy = BenchSuite::with_config("quantized_gemm", BenchConfig::from_env_or(1, 5));
     bench_shape(&mut heavy, 1024, 0x6F);
     cli.finish(&[&suite, &heavy]);
-    record_dispatch(&cli);
 }

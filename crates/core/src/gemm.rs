@@ -8,26 +8,14 @@
 //! value once and multiplying in `i64` is arithmetically identical to the
 //! shift-and-add MAC of Sec. 4.4 while being much faster to simulate.
 //!
-//! # Decode-once, branch-free execution
-//!
-//! [`quantized_matmul`] runs on each operand's cached [`PackedPlan`] (built
-//! lazily on first use, reused across calls) instead of re-decoding the byte
-//! stream per invocation. The hot loop is branch-free: per output row it
-//! first proves via the magnitude pre-bound `Σ|a_row| · max|b| ≤ i32::MAX`
-//! that no partial sum can leave the `i32` range — in which case products are
-//! accumulated in `i32` (any association, including SIMD lanes, is exact),
-//! `zero_operand_macs` is reconstructed exactly from the plans' nonzero
-//! bitmasks via `popcount(maskA_row & maskB_col)`, and `i32_overflows` is
-//! zero by construction. Rows that fail the bound fall back to the original
-//! per-MAC prefix-checked path. Inner axpy steps dispatch to scalar, SSE2 or
-//! AVX2 code via [`crate::simd`] (`OLIVE_SIMD` overrides auto-detection).
-//!
-//! Every path — packed scalar, SSE2, AVX2, any thread count — is
-//! bit-identical to [`reference_quantized_matmul`], the pre-refactor kernel
-//! kept in-tree as the oracle, statistics included.
+//! [`quantized_matmul`] decodes both operands once per call and accumulates
+//! each output cell in `i64` in ascending `k` order, flagging the cells whose
+//! partial sums left the `i32` range. Large products shard their output rows
+//! over the [`olive_runtime`] pool; the statistics are integer sums merged in
+//! row order, so outputs and statistics are bit-identical at every thread
+//! count.
 
-use crate::quantizer::{OvpTensor, PackedGrid, PackedPlan};
-use crate::simd::{self, SimdPath};
+use crate::quantizer::OvpTensor;
 use olive_tensor::Tensor;
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -59,13 +47,10 @@ impl QuantGemmStats {
     }
 }
 
-/// The pre-refactor block kernel, kept in-tree as the bit-identity oracle
-/// for the packed/SIMD paths (and as the "legacy decode" bench baseline).
-///
 /// Computes output rows `rows` of the integer-domain GEMM into `out` (which
 /// holds exactly those rows), returning the shard's statistics. The per-cell
 /// `k` accumulation order is ascending regardless of how rows are sharded.
-pub fn reference_gemm_block(
+fn reference_gemm_block(
     av: &[i64],
     bv: &[i64],
     k: usize,
@@ -102,163 +87,16 @@ pub fn reference_gemm_block(
     stats
 }
 
-/// The pre-refactor `quantized_matmul`: decodes both operands on every call
-/// and runs [`reference_gemm_block`] sequentially. This is the oracle the
-/// property suite compares the packed/SIMD kernel against bit-for-bit, and
-/// the "legacy decode" row in the quantized_gemm bench table.
-///
-/// # Panics
-///
-/// Panics if the operands are not rank-2 or the inner dimensions differ.
-pub fn reference_quantized_matmul(a: &OvpTensor, b: &OvpTensor) -> (Tensor, QuantGemmStats) {
-    let (m, k) = shape2(a);
-    let (kb, n) = shape2(b);
-    assert_eq!(k, kb, "quantized_matmul inner dimensions mismatch");
-    let av: Vec<i64> = a.decode_expints().iter().map(|p| p.value()).collect();
-    let bv: Vec<i64> = b.decode_expints().iter().map(|p| p.value()).collect();
-    let mut out = vec![0.0f32; m * n];
-    let rescale = a.spec().scale as f64 * b.spec().scale as f64;
-    let stats = reference_gemm_block(&av, &bv, k, n, 0..m, rescale, &mut out);
-    (Tensor::from_vec(vec![m, n], out), stats)
-}
-
-/// Runs one fast-path output row: `acc[j] += a_row[kk] * b[kk][j]` over the
-/// packed grids, `a` broadcast per `kk`, rows of `B` contiguous. Zero `a`
-/// entries contribute nothing to the integer sum and are skipped (the same
-/// zero-gating the paper's PEs perform); `k` still ascends, though under the
-/// pre-bound the result is order-independent anyway.
-fn fast_row<A: Copy + Into<i32>>(
-    arow: &[A],
-    bg: &PackedGrid,
-    n: usize,
-    acc: &mut [i32],
-    path: SimdPath,
-) {
-    for (kk, &a) in arow.iter().enumerate() {
-        let a: i32 = a.into();
-        if a == 0 {
-            continue;
-        }
-        match bg {
-            PackedGrid::I16(g) => simd::axpy_i16(acc, a, &g[kk * n..(kk + 1) * n], path),
-            PackedGrid::I32(g) => simd::axpy_i32(acc, a, &g[kk * n..(kk + 1) * n], path),
-        }
-    }
-}
-
-/// The per-GEMM invariants shared by every row kernel: both packed plans,
-/// the `[m, k] × [k, n]` geometry, the final rescale factor and the SIMD
-/// path resolved once on the calling thread (pool workers inherit it by
-/// value, so dispatch never depends on worker-thread environment reads).
-struct PackedGemm<'a> {
-    pa: &'a PackedPlan,
-    pb: &'a PackedPlan,
-    k: usize,
-    n: usize,
-    rescale: f64,
-    path: SimdPath,
-}
-
-impl PackedGemm<'_> {
-    /// Exact-fallback output row for operands whose magnitude pre-bound does
-    /// not fit `i32`: byte-for-byte the [`reference_gemm_block`] inner loop
-    /// (i64 accumulator, per-MAC zero branch, prefix overflow check), reading
-    /// the packed grids widened to `i64`. `stats.macs` is accounted by the
-    /// caller.
-    fn exact_row(&self, i: usize, orow: &mut [f32], stats: &mut QuantGemmStats) {
-        let (k, n) = (self.k, self.n);
-        let (ag, bg) = (self.pa.grid(), self.pb.grid());
-        for (j, o) in orow.iter_mut().enumerate() {
-            let mut acc: i64 = 0;
-            let mut overflowed = false;
-            for kk in 0..k {
-                let x = ag.get_i64(i * k + kk);
-                let y = bg.get_i64(kk * n + j);
-                if x == 0 || y == 0 {
-                    stats.zero_operand_macs += 1;
-                }
-                acc += x * y;
-                if acc > i32::MAX as i64 || acc < i32::MIN as i64 {
-                    overflowed = true;
-                }
-            }
-            if overflowed {
-                stats.i32_overflows += 1;
-            }
-            *o = (acc as f64 * self.rescale) as f32;
-        }
-    }
-
-    /// Computes output rows `rows` into `out` from the packed plans.
-    ///
-    /// Per row: if `Σ|a_row| · max|b|` fits `i32`, no partial sum of any
-    /// output cell in the row can wrap (every ascending-`k` prefix is bounded
-    /// by the same sum of magnitudes), so the row runs branch-free in `i32`
-    /// with exact mask-derived statistics; otherwise it runs the reference
-    /// fallback. The choice depends only on the operands, never on sharding —
-    /// bit-identity holds at every thread count.
-    fn block(&self, rows: Range<usize>, out: &mut [f32]) -> QuantGemmStats {
-        let (k, n) = (self.k, self.n);
-        let mut stats = QuantGemmStats::default();
-        let words = k.div_ceil(64);
-        let mut acc = vec![0i32; n];
-        for (ri, i) in rows.enumerate() {
-            let orow = &mut out[ri * n..(ri + 1) * n];
-            stats.macs += (n * k) as u64;
-            let fits_i32 = u128::from(self.pa.row_abs_sum(i)) * u128::from(self.pb.max_abs())
-                <= u128::from(i32::MAX as u32);
-            if fits_i32 {
-                acc.fill(0);
-                match self.pa.grid() {
-                    PackedGrid::I16(ag) => fast_row(
-                        &ag[i * k..(i + 1) * k],
-                        self.pb.grid(),
-                        n,
-                        &mut acc,
-                        self.path,
-                    ),
-                    PackedGrid::I32(ag) => fast_row(
-                        &ag[i * k..(i + 1) * k],
-                        self.pb.grid(),
-                        n,
-                        &mut acc,
-                        self.path,
-                    ),
-                }
-                for (o, &v) in orow.iter_mut().zip(acc.iter()) {
-                    *o = (f64::from(v) * self.rescale) as f32;
-                }
-                let amask = self.pa.row_mask(i);
-                let mut nonzero_macs = 0u64;
-                for j in 0..n {
-                    let bmask = self.pb.col_mask(j);
-                    for w in 0..words {
-                        nonzero_macs += u64::from((amask[w] & bmask[w]).count_ones());
-                    }
-                }
-                stats.zero_operand_macs += (n * k) as u64 - nonzero_macs;
-            } else {
-                self.exact_row(i, orow, &mut stats);
-            }
-        }
-        stats
-    }
-}
-
 /// Computes `C = A × B` where both operands are OVP-quantized tensors.
 ///
 /// `a` must be `[m, k]` and `b` must be `[k, n]`. The result is a dense `f32`
 /// tensor `A·B` evaluated in the quantized domain (integer MACs, final
 /// rescale). Zero-sized shapes (`m`, `k` or `n` equal to 0) are valid.
 ///
-/// Operands are decoded at most once per tensor (the cached
-/// [`PackedPlan`]s); the kernel itself is the branch-free packed loop
-/// described in the module docs, SIMD-dispatched per process. Large products
-/// run row blocks in parallel on the [`olive_runtime`] pool with lock-free
-/// per-block statistics slots merged in ascending row order, so both the
-/// result tensor and the statistics are bit-identical to the sequential
-/// path — and to [`reference_quantized_matmul`] — at every thread count and
-/// on every SIMD path.
+/// Both operands are decoded once per call. Large products run row blocks in
+/// parallel on the [`olive_runtime`] pool with lock-free per-block statistics
+/// slots merged in ascending row order, so both the result tensor and the
+/// statistics are bit-identical to the sequential path at every thread count.
 ///
 /// # Panics
 ///
@@ -267,53 +105,33 @@ pub fn quantized_matmul(a: &OvpTensor, b: &OvpTensor) -> (Tensor, QuantGemmStats
     let (m, k) = shape2(a);
     let (kb, n) = shape2(b);
     assert_eq!(k, kb, "quantized_matmul inner dimensions mismatch");
+    let av: Vec<i64> = a.decode_expints().iter().map(|p| p.value()).collect();
+    let bv: Vec<i64> = b.decode_expints().iter().map(|p| p.value()).collect();
+    let rescale = a.spec().scale as f64 * b.spec().scale as f64;
+    let block = |rows, out: &mut [f32]| reference_gemm_block(&av, &bv, k, n, rows, rescale, out);
 
-    let gemm = PackedGemm {
-        pa: a.packed_plan(),
-        pb: b.packed_plan(),
-        k,
-        n,
-        rescale: a.spec().scale as f64 * b.spec().scale as f64,
-        path: simd::resolve_path(),
-    };
-
-    let mut stats = QuantGemmStats::default();
     let mut out = vec![0.0f32; m * n];
-
     let work = m as u64 * k as u64 * n as u64;
-    if olive_runtime::should_parallelize(m, work) {
+    let stats = if olive_runtime::should_parallelize(m, work) {
         // One pre-sized slot per possible block start: lock-free (each block
         // writes its own slot exactly once) and merged in ascending row
         // order, so the merge order never depends on scheduling.
         let slots: Vec<OnceLock<QuantGemmStats>> = (0..m).map(|_| OnceLock::new()).collect();
-        olive_runtime::par_rows_mut(m, n, &mut out, |rows, block| {
+        olive_runtime::par_rows_mut(m, n, &mut out, |rows, out| {
             let start = rows.start;
-            let local = gemm.block(rows, block);
             slots[start]
-                .set(local)
+                .set(block(rows, out))
                 .expect("quantized_matmul: row block computed twice");
         });
-        for slot in &slots {
-            if let Some(local) = slot.get() {
-                stats.merge(*local);
-            }
+        let mut stats = QuantGemmStats::default();
+        for local in slots.iter().filter_map(OnceLock::get) {
+            stats.merge(*local);
         }
+        stats
     } else {
-        stats = gemm.block(0..m, &mut out);
-    }
+        block(0..m, &mut out)
+    };
     (Tensor::from_vec(vec![m, n], out), stats)
-}
-
-/// Computes `C = A × B` where only `B` (typically the weights) is quantized and
-/// `A` stays in floating point — the weight-only setting used by the GOBO
-/// comparison (paper Tbl. 7). The dequantized `B` is cached on the operand,
-/// so repeated calls against the same prepared weights decode once.
-///
-/// # Panics
-///
-/// Panics if the operands are not rank-2 or the inner dimensions differ.
-pub fn weight_only_matmul(a: &Tensor, b: &OvpTensor) -> Tensor {
-    olive_tensor::matmul::matmul(a, b.dequantize_cached())
 }
 
 fn shape2(t: &OvpTensor) -> (usize, usize) {
@@ -340,25 +158,6 @@ mod tests {
                 rng.uniform_range(15.0, 40.0) as f32 * if rng.chance(0.5) { 1.0 } else { -1.0 };
         }
         Tensor::from_vec(shape, data)
-    }
-
-    /// Asserts packed == reference bit-for-bit: outputs and statistics.
-    fn assert_matches_reference(
-        qa: &crate::quantizer::OvpTensor,
-        qb: &crate::quantizer::OvpTensor,
-    ) {
-        let (want, want_stats) = reference_quantized_matmul(qa, qb);
-        for path in [SimdPath::Scalar, SimdPath::Sse2, SimdPath::Avx2] {
-            if !path.supported() {
-                continue;
-            }
-            let (got, got_stats) = simd::with_simd(Some(path), || quantized_matmul(qa, qb));
-            assert_eq!(got_stats, want_stats, "stats diverged on {path}");
-            assert_eq!(got.shape(), want.shape());
-            for i in 0..want.len() {
-                assert_eq!(got[i].to_bits(), want[i].to_bits(), "cell {i} on {path}");
-            }
-        }
     }
 
     #[test]
@@ -424,16 +223,6 @@ mod tests {
     }
 
     #[test]
-    fn weight_only_matmul_uses_float_activations() {
-        let a = random_tensor(vec![4, 16], 7, 0);
-        let b = random_tensor(vec![16, 4], 8, 1);
-        let qb = OliveQuantizer::int4().quantize(&b);
-        let c = weight_only_matmul(&a, &qb);
-        let ref_c = matmul(&a, &qb.dequantize());
-        assert_eq!(c, ref_c);
-    }
-
-    #[test]
     #[should_panic(expected = "mismatch")]
     fn mismatched_inner_dims_panic() {
         let a = random_tensor(vec![4, 8], 9, 0);
@@ -451,80 +240,5 @@ mod tests {
         let qb = OliveQuantizer::int4().quantize(&b);
         let (_, stats) = quantized_matmul(&qa, &qb);
         assert_eq!(stats.zero_operand_macs, stats.macs);
-    }
-
-    #[test]
-    fn packed_kernel_matches_reference_across_schemes() {
-        let a = random_tensor(vec![16, 48], 12, 6);
-        let b = random_tensor(vec![48, 24], 13, 6);
-        for quant in [
-            OliveQuantizer::int4(),
-            OliveQuantizer::flint4(),
-            OliveQuantizer::int8(),
-        ] {
-            assert_matches_reference(&quant.quantize(&a), &quant.quantize(&b));
-        }
-    }
-
-    #[test]
-    fn mixed_scheme_operands_match_reference() {
-        // int8 activations × int4 weights: i32 grid against i16 grid, with
-        // broadcast values too wide for the SSE2 16-bit multiply (exercises
-        // its scalar degradation).
-        let a = random_tensor(vec![8, 40], 14, 8);
-        let b = random_tensor(vec![40, 12], 15, 4);
-        let qa = OliveQuantizer::int8().quantize(&a);
-        let qb = OliveQuantizer::int4().quantize(&b);
-        assert_matches_reference(&qa, &qb);
-    }
-
-    #[test]
-    fn int4_activations_against_int8_weights_match_reference() {
-        // The transposed mix: i16 grid for A, i32 grid for B.
-        let a = random_tensor(vec![12, 40], 20, 4);
-        let b = random_tensor(vec![40, 8], 21, 8);
-        let qa = OliveQuantizer::int4().quantize(&a);
-        let qb = OliveQuantizer::int8().quantize(&b);
-        assert_matches_reference(&qa, &qb);
-    }
-
-    #[test]
-    fn overflow_fallback_matches_reference_and_counts() {
-        // Quantizing huge constants at a tiny explicit scale drives the int8
-        // grid to its E4M3 ceiling (~7.86e6), so a single MAC already leaves
-        // the i32 range: the magnitude pre-bound must reject the fast path
-        // and the exact fallback must reproduce the reference prefix checks.
-        let quant = OliveQuantizer::int8();
-        let qa = quant.quantize_with_scale(&Tensor::full(vec![4, 8], 1000.0), 1e-4);
-        let qb = quant.quantize_with_scale(&Tensor::full(vec![8, 5], 1000.0), 1e-4);
-        let (_, stats) = reference_quantized_matmul(&qa, &qb);
-        assert!(stats.i32_overflows > 0, "setup failed to overflow");
-        assert_matches_reference(&qa, &qb);
-    }
-
-    #[test]
-    fn zero_sized_dims_match_reference() {
-        let quant = OliveQuantizer::int4();
-        for (sa, sb) in [
-            (vec![0, 8], vec![8, 4]),
-            (vec![4, 0], vec![0, 8]),
-            (vec![4, 8], vec![8, 0]),
-            (vec![0, 0], vec![0, 0]),
-        ] {
-            let qa = quant.quantize(&random_tensor(sa, 16, 0));
-            let qb = quant.quantize(&random_tensor(sb, 17, 0));
-            assert_matches_reference(&qa, &qb);
-        }
-    }
-
-    #[test]
-    fn weight_only_matmul_caches_the_dequantized_weights() {
-        let a = random_tensor(vec![4, 16], 18, 0);
-        let b = random_tensor(vec![16, 4], 19, 1);
-        let qb = OliveQuantizer::int4().quantize(&b);
-        let first = weight_only_matmul(&a, &qb);
-        let second = weight_only_matmul(&a, &qb);
-        assert_eq!(first, second);
-        assert!(std::ptr::eq(qb.dequantize_cached(), qb.dequantize_cached()));
     }
 }

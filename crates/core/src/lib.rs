@@ -18,15 +18,14 @@
 //!   int32 accumulator (Sec. 4.4–4.5), including the four-PE decomposition of
 //!   8-bit values.
 //! * [`gemm`] — bit-accurate quantized GEMM built on the MAC model; this is
-//!   what the accuracy experiments execute. Operands carry a decode-once
-//!   [`PackedPlan`] (width-minimal integer grid + nonzero bitmasks), and the
-//!   kernel is branch-free with an i32-overflow magnitude pre-bound; the
-//!   pre-refactor kernel stays in-tree as the bit-identity oracle
-//!   ([`gemm::reference_quantized_matmul`]).
-//! * [`simd`] — runtime SSE2/AVX2 dispatch for the packed kernel and the
-//!   scale search (the only module in the workspace allowed to contain
-//!   `unsafe`), with the `OLIVE_SIMD` override mirroring `OLIVE_THREADS`.
-//!   Every path is bit-identical to the scalar kernel.
+//!   what the accuracy experiments execute. [`quantized_matmul`] decodes both
+//!   operands once per call, accumulates in `i64` with the int32 overflow
+//!   check, and shards rows over the runtime pool with statistics merged in
+//!   row order.
+//! * [`simd`] — runtime AVX2 dispatch for the scale search (the only module
+//!   in the workspace allowed to contain `unsafe`), with the `OLIVE_SIMD`
+//!   override mirroring `OLIVE_THREADS`. Every path is bit-identical to the
+//!   scalar kernel.
 //! * [`framework`] — the model-level PTQ framework: per-tensor type selection,
 //!   optional 8-bit escalation, and a [`TensorQuantizer`] trait shared with the
 //!   baselines crate.
@@ -45,9 +44,9 @@ pub use encode::{encode_pair, EncodedPair, PairClass};
 pub use framework::{
     Fp32Baseline, Granularity, OlivePtq, PerRowQuantizer, PtqConfig, PtqReport, TensorQuantizer,
 };
-pub use gemm::{quantized_matmul, reference_quantized_matmul, weight_only_matmul, QuantGemmStats};
+pub use gemm::{quantized_matmul, QuantGemmStats};
 pub use mac::{MacUnit, OVERFLOW_CLIP};
 pub use olive_dtypes::NormalDataType as NormalType;
 pub use pair::{PairKind, PairStats};
-pub use quantizer::{OliveQuantizer, OvpTensor, PackedGrid, PackedPlan, QuantSpec};
+pub use quantizer::{OliveQuantizer, OvpTensor, QuantSpec};
 pub use simd::{validate_simd_env, with_simd, SimdPath, SIMD_ENV};

@@ -66,188 +66,14 @@ impl QuantSpec {
     }
 }
 
-/// The decoded integer grid of a [`PackedPlan`], width-minimal for the
-/// scheme: `i16` covers every int4-family grid value (E2M1 outliers reach
-/// ±96 at bias 2, flint4's ±192 at bias 3), `i32` covers int8's E4M3
-/// outliers (±7,864,320 at bias 4).
-#[derive(Debug, Clone, PartialEq)]
-pub enum PackedGrid {
-    /// Grid for 4-bit schemes (`int4`, `flint4`).
-    I16(Vec<i16>),
-    /// Grid for schemes whose values exceed `i16` (`int8`).
-    I32(Vec<i32>),
-}
-
-impl PackedGrid {
-    /// Element `idx` widened to `i64` (the exact-fallback kernel's domain).
-    pub fn get_i64(&self, idx: usize) -> i64 {
-        match self {
-            PackedGrid::I16(g) => i64::from(g[idx]),
-            PackedGrid::I32(g) => i64::from(g[idx]),
-        }
-    }
-
-    /// Number of grid elements.
-    pub fn len(&self) -> usize {
-        match self {
-            PackedGrid::I16(g) => g.len(),
-            PackedGrid::I32(g) => g.len(),
-        }
-    }
-
-    /// `true` if the grid holds no elements.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// A rank-2 [`OvpTensor`]'s decoded GEMM operand, built once and reused
-/// across every `quantized_matmul` call (paper Sec. 4: the decoder sits in
-/// front of the MAC array, not inside the inner loop).
-///
-/// Holds the expint values as a width-minimal integer [`PackedGrid`] in
-/// row-major order, per-row and per-column nonzero bitmasks (one bit per
-/// element, 64 per word) from which `zero_operand_macs` is reconstructed
-/// exactly via `popcount(maskA_row & maskB_col)`, and magnitude summaries
-/// (`row_abs_sum`, `max_abs`) powering the branch-free kernel's i32 overflow
-/// pre-bound.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PackedPlan {
-    rows: usize,
-    cols: usize,
-    grid: PackedGrid,
-    /// `rows * cols.div_ceil(64)` words; bit `j` of row `i`'s words set iff
-    /// element `(i, j)` is nonzero.
-    row_masks: Vec<u64>,
-    /// `cols * rows.div_ceil(64)` words; bit `i` of column `j`'s words set
-    /// iff element `(i, j)` is nonzero.
-    col_masks: Vec<u64>,
-    /// Per-row `Σ|value|` (exact, in `u64`).
-    row_abs_sums: Vec<u64>,
-    /// Largest `|value|` anywhere in the grid.
-    max_abs: u64,
-}
-
-impl PackedPlan {
-    fn build(t: &OvpTensor) -> PackedPlan {
-        assert_eq!(
-            t.shape.len(),
-            2,
-            "PackedPlan requires a rank-2 tensor, got shape {:?}",
-            t.shape
-        );
-        let (rows, cols) = (t.shape[0], t.shape[1]);
-        let values: Vec<i64> = t.decode_expints().iter().map(|e| e.value()).collect();
-        debug_assert_eq!(values.len(), rows * cols);
-        let grid = match t.spec.normal_type {
-            NormalDataType::Int8 => PackedGrid::I32(
-                values
-                    .iter()
-                    .map(|&v| i32::try_from(v).expect("int8 grid value exceeds i32"))
-                    .collect(),
-            ),
-            _ => PackedGrid::I16(
-                values
-                    .iter()
-                    .map(|&v| i16::try_from(v).expect("int4-family grid value exceeds i16"))
-                    .collect(),
-            ),
-        };
-        let row_words = cols.div_ceil(64);
-        let col_words = rows.div_ceil(64);
-        let mut row_masks = vec![0u64; rows * row_words];
-        let mut col_masks = vec![0u64; cols * col_words];
-        let mut row_abs_sums = vec![0u64; rows];
-        let mut max_abs = 0u64;
-        for i in 0..rows {
-            for j in 0..cols {
-                let v = values[i * cols + j];
-                let mag = v.unsigned_abs();
-                if v != 0 {
-                    row_masks[i * row_words + j / 64] |= 1u64 << (j % 64);
-                    col_masks[j * col_words + i / 64] |= 1u64 << (i % 64);
-                }
-                row_abs_sums[i] += mag;
-                max_abs = max_abs.max(mag);
-            }
-        }
-        PackedPlan {
-            rows,
-            cols,
-            grid,
-            row_masks,
-            col_masks,
-            row_abs_sums,
-            max_abs,
-        }
-    }
-
-    /// Grid rows (`shape[0]`).
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Grid columns (`shape[1]`).
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// The decoded integer grid, row-major.
-    pub fn grid(&self) -> &PackedGrid {
-        &self.grid
-    }
-
-    /// Nonzero bitmask of row `i` (`cols.div_ceil(64)` words).
-    pub fn row_mask(&self, i: usize) -> &[u64] {
-        let w = self.cols.div_ceil(64);
-        &self.row_masks[i * w..(i + 1) * w]
-    }
-
-    /// Nonzero bitmask of column `j` (`rows.div_ceil(64)` words).
-    pub fn col_mask(&self, j: usize) -> &[u64] {
-        let w = self.rows.div_ceil(64);
-        &self.col_masks[j * w..(j + 1) * w]
-    }
-
-    /// Exact `Σ|value|` of row `i`.
-    pub fn row_abs_sum(&self, i: usize) -> u64 {
-        self.row_abs_sums[i]
-    }
-
-    /// Largest `|value|` in the grid.
-    pub fn max_abs(&self) -> u64 {
-        self.max_abs
-    }
-}
-
 /// A tensor quantized with the OVP encoding: packed codes plus the spec.
-///
-/// Carries two lazily built caches derived purely from the packed bytes —
-/// the GEMM [`PackedPlan`] and the dequantized tensor — so repeated kernels
-/// decode once. Equality deliberately ignores both caches.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OvpTensor {
     spec: QuantSpec,
     shape: Vec<usize>,
     n_elems: usize,
     /// Packed code stream. 4-bit: one byte per pair. 8-bit: two bytes per pair.
     bytes: Vec<u8>,
-    /// Decode-once GEMM operand, built on first `quantized_matmul` (or
-    /// eagerly via [`OvpTensor::prepare_packed`]).
-    plan: OnceLock<PackedPlan>,
-    /// Decode-once real-valued tensor for `weight_only_matmul`.
-    dequant: OnceLock<Tensor>,
-}
-
-impl PartialEq for OvpTensor {
-    fn eq(&self, other: &Self) -> bool {
-        // The caches are derived data; two tensors with identical packed
-        // bytes are the same tensor whether or not a plan has been built.
-        self.spec == other.spec
-            && self.shape == other.shape
-            && self.n_elems == other.n_elems
-            && self.bytes == other.bytes
-    }
 }
 
 impl OvpTensor {
@@ -331,34 +157,6 @@ impl OvpTensor {
             }
         }
         out
-    }
-
-    /// The decode-once GEMM operand for this tensor, built on first use and
-    /// cached for every later call (concurrent first calls race benignly —
-    /// the build is deterministic, one result wins).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor is not rank-2 (GEMM operands are matrices).
-    pub fn packed_plan(&self) -> &PackedPlan {
-        self.plan.get_or_init(|| PackedPlan::build(self))
-    }
-
-    /// Eagerly builds the packed GEMM plan (rank-2 tensors only; anything
-    /// else is a no-op) and the dequantized-tensor cache, so prepared models
-    /// pay decode cost at quantize/artifact-load time instead of on the
-    /// first forward.
-    pub fn prepare_packed(&self) {
-        if self.shape.len() == 2 {
-            let _ = self.packed_plan();
-        }
-        let _ = self.dequantize_cached();
-    }
-
-    /// Decode-once variant of [`OvpTensor::dequantize`]: the real-valued
-    /// tensor is built on first call and cached.
-    pub fn dequantize_cached(&self) -> &Tensor {
-        self.dequant.get_or_init(|| self.dequantize())
     }
 
     /// Fraction of pairs holding an outlier (either side).
@@ -474,8 +272,6 @@ impl OliveQuantizer {
             shape: t.shape().to_vec(),
             n_elems: n,
             bytes,
-            plan: OnceLock::new(),
-            dequant: OnceLock::new(),
         }
     }
 
@@ -1013,106 +809,6 @@ mod tests {
         let naive_scale = t.max_abs() / 7.0;
         let naive = quant.quantize_with_scale(&t, naive_scale);
         assert!(t.mse(&searched.dequantize()) < t.mse(&naive.dequantize()));
-    }
-
-    #[test]
-    fn packed_plan_matches_decode_expints() {
-        for quant in [
-            OliveQuantizer::int4(),
-            OliveQuantizer::flint4(),
-            OliveQuantizer::int8(),
-        ] {
-            let t = outlier_tensor(4096, 21);
-            let q = quant.quantize(&t);
-            let plan = q.packed_plan();
-            let values: Vec<i64> = q.decode_expints().iter().map(|e| e.value()).collect();
-            assert_eq!(plan.rows(), t.shape()[0]);
-            assert_eq!(plan.cols(), t.shape()[1]);
-            assert_eq!(plan.grid().len(), values.len());
-            let mut max_abs = 0u64;
-            for (i, &v) in values.iter().enumerate() {
-                assert_eq!(
-                    plan.grid().get_i64(i),
-                    v,
-                    "scheme {:?}",
-                    quant.normal_type()
-                );
-                max_abs = max_abs.max(v.unsigned_abs());
-            }
-            assert_eq!(plan.max_abs(), max_abs);
-            for i in 0..plan.rows() {
-                let mask = plan.row_mask(i);
-                let mut abs_sum = 0u64;
-                for j in 0..plan.cols() {
-                    let v = values[i * plan.cols() + j];
-                    abs_sum += v.unsigned_abs();
-                    assert_eq!(mask[j / 64] >> (j % 64) & 1 == 1, v != 0);
-                    assert_eq!(plan.col_mask(j)[i / 64] >> (i % 64) & 1 == 1, v != 0);
-                }
-                assert_eq!(plan.row_abs_sum(i), abs_sum);
-            }
-        }
-    }
-
-    #[test]
-    fn packed_grid_width_is_minimal_per_scheme() {
-        let t = outlier_tensor(1024, 22);
-        assert!(matches!(
-            OliveQuantizer::int4().quantize(&t).packed_plan().grid(),
-            PackedGrid::I16(_)
-        ));
-        assert!(matches!(
-            OliveQuantizer::flint4().quantize(&t).packed_plan().grid(),
-            PackedGrid::I16(_)
-        ));
-        assert!(matches!(
-            OliveQuantizer::int8().quantize(&t).packed_plan().grid(),
-            PackedGrid::I32(_)
-        ));
-    }
-
-    #[test]
-    fn packed_plan_is_built_once_and_cached() {
-        let q = OliveQuantizer::int4().quantize(&outlier_tensor(512, 23));
-        assert!(std::ptr::eq(q.packed_plan(), q.packed_plan()));
-        assert!(std::ptr::eq(q.dequantize_cached(), q.dequantize_cached()));
-    }
-
-    #[test]
-    fn dequantize_cached_matches_dequantize() {
-        let q = OliveQuantizer::int8().quantize(&outlier_tensor(512, 24));
-        assert_eq!(q.dequantize_cached(), &q.dequantize());
-    }
-
-    #[test]
-    fn prepare_packed_ignores_non_matrix_shapes() {
-        let t = Tensor::from_vec(vec![16], vec![1.0; 16]);
-        let q = OliveQuantizer::int4().quantize(&t);
-        q.prepare_packed(); // rank-1: plan skipped, dequant cache still warmed
-        assert_eq!(q.dequantize_cached(), &q.dequantize());
-    }
-
-    #[test]
-    fn equality_ignores_the_caches() {
-        let t = outlier_tensor(256, 25);
-        let a = OliveQuantizer::int4().quantize(&t);
-        let b = a.clone();
-        a.prepare_packed();
-        assert_eq!(a, b);
-        assert_eq!(b, a);
-    }
-
-    #[test]
-    fn zero_sized_matrix_has_an_empty_plan() {
-        for shape in [vec![0, 5], vec![5, 0], vec![0, 0]] {
-            let t = Tensor::zeros(shape.clone());
-            let q = OliveQuantizer::int4().quantize(&t);
-            let plan = q.packed_plan();
-            assert_eq!(plan.rows(), shape[0]);
-            assert_eq!(plan.cols(), shape[1]);
-            assert!(plan.grid().is_empty());
-            assert_eq!(plan.max_abs(), 0);
-        }
     }
 
     /// `f` stepped `steps` ulps up (or down, for negative `steps`); `f`

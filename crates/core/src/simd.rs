@@ -1,27 +1,19 @@
-//! SIMD dispatch for the packed quantized GEMM kernel and the OVP scale
-//! search.
+//! SIMD dispatch for the OVP scale search.
 //!
 //! This module is the **only** place in the workspace where `unsafe` code is
 //! permitted (enforced by the `no-unsafe-outside-simd` olive-lint rule; the
 //! runtime pool's lifetime-erasure internals carry the one grandfathered
-//! exemption in `lint.toml`). It holds two kernel families:
+//! exemption in `lint.toml`). It holds one kernel: the scale search's
+//! candidate scoring (`score_candidates`). It is floating point and stays
+//! bit-identical across paths because lanes hold candidates, never pairs,
+//! so every candidate's f64 error sum is formed by the same IEEE operations
+//! in the same order on every path.
 //!
-//! * the GEMM's *axpy* step `acc[j] += a * x[j]` over `i32` accumulators.
-//!   The caller (`gemm.rs`) only enters these kernels for rows whose
-//!   magnitude pre-bound proves the `i32` accumulation cannot overflow, so
-//!   every path — scalar, SSE2, AVX2 — produces bit-identical accumulators
-//!   regardless of lane count or add order (integer addition is associative
-//!   when it cannot wrap);
-//! * the scale search's candidate scoring (`score_candidates`), which is
-//!   floating point and stays bit-identical the other way: lanes hold
-//!   candidates, never pairs, so every candidate's f64 error sum is formed
-//!   by the same IEEE operations in the same order on every path.
-//!
-//! Dispatch order is `AVX2 > SSE2 > scalar`, resolved at runtime with
+//! Dispatch order is `AVX2 > scalar`, resolved at runtime with
 //! [`std::arch::is_x86_feature_detected!`] and overridable per process with
-//! the `OLIVE_SIMD` environment variable (`0`/`scalar`, `sse2`, `avx2`, or
-//! `auto`). Invalid or unsupported values are reported loudly once and fall
-//! back to the scalar kernel, mirroring the `OLIVE_THREADS` contract in
+//! the `OLIVE_SIMD` environment variable (`0`/`scalar`, `avx2`, or `auto`).
+//! Invalid or unsupported values are reported loudly once and fall back to
+//! the scalar kernel, mirroring the `OLIVE_THREADS` contract in
 //! olive-runtime: a typo must never silently change behaviour — and since
 //! every path is bit-identical, falling back can only cost speed, never
 //! correctness.
@@ -31,43 +23,24 @@ use std::cell::Cell;
 use std::sync::Once;
 
 /// Environment variable selecting the SIMD kernel: `auto` (default),
-/// `0`/`scalar`, `sse2`, or `avx2`.
+/// `0`/`scalar`, or `avx2`.
 pub const SIMD_ENV: &str = "OLIVE_SIMD";
 
-/// The instruction-set path the packed GEMM kernel and the scale search
-/// dispatch to.
+/// The instruction-set path the scale search dispatches to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimdPath {
     /// Plain Rust loops; always available, the oracle all others must match.
     Scalar,
-    /// 128-bit SSE2 (baseline on `x86_64`); `i16` grids only — `i32` grids
-    /// and broadcasts wider than `i16` drop to scalar element-wise code, and
-    /// the scale search runs its scalar loop.
-    Sse2,
     /// 256-bit AVX2, the widest path this workspace targets.
     Avx2,
 }
 
 impl SimdPath {
-    /// Stable lowercase name (`scalar` / `sse2` / `avx2`) for logs and docs.
+    /// Stable lowercase name (`scalar` / `avx2`) for logs and docs.
     pub fn name(self) -> &'static str {
         match self {
             SimdPath::Scalar => "scalar",
-            SimdPath::Sse2 => "sse2",
             SimdPath::Avx2 => "avx2",
-        }
-    }
-
-    /// Numeric dispatch-provenance code recorded in bench `--json` output
-    /// (`quantized_gemm/simd_dispatch`). Codes grow as capability *shrinks*
-    /// (avx2=1, sse2=2, scalar=4) so a regression gate comparing
-    /// `result > baseline * tolerance` flags a downgrade to a slower path
-    /// while allowing upgrades.
-    pub fn provenance_code(self) -> u64 {
-        match self {
-            SimdPath::Avx2 => 1,
-            SimdPath::Sse2 => 2,
-            SimdPath::Scalar => 4,
         }
     }
 
@@ -75,8 +48,6 @@ impl SimdPath {
     pub fn supported(self) -> bool {
         match self {
             SimdPath::Scalar => true,
-            #[cfg(target_arch = "x86_64")]
-            SimdPath::Sse2 => is_x86_feature_detected!("sse2"),
             #[cfg(target_arch = "x86_64")]
             SimdPath::Avx2 => is_x86_feature_detected!("avx2"),
             #[cfg(not(target_arch = "x86_64"))]
@@ -91,12 +62,10 @@ impl std::fmt::Display for SimdPath {
     }
 }
 
-/// Widest path the current CPU supports (`AVX2 > SSE2 > scalar`).
+/// Widest path the current CPU supports (`AVX2 > scalar`).
 fn detect() -> SimdPath {
     if SimdPath::Avx2.supported() {
         SimdPath::Avx2
-    } else if SimdPath::Sse2.supported() {
-        SimdPath::Sse2
     } else {
         SimdPath::Scalar
     }
@@ -107,10 +76,9 @@ pub fn parse_simd_env(raw: &str) -> Result<Option<SimdPath>, String> {
     match raw.trim().to_ascii_lowercase().as_str() {
         "" | "auto" => Ok(None),
         "0" | "scalar" => Ok(Some(SimdPath::Scalar)),
-        "sse2" => Ok(Some(SimdPath::Sse2)),
         "avx2" => Ok(Some(SimdPath::Avx2)),
         _ => Err(format!(
-            "invalid {SIMD_ENV}={raw:?} (expected auto, 0, scalar, sse2, or avx2)"
+            "invalid {SIMD_ENV}={raw:?} (expected auto, 0, scalar, or avx2)"
         )),
     }
 }
@@ -193,59 +161,6 @@ pub fn resolve_path() -> SimdPath {
     }
 }
 
-/// `acc[j] += a * x[j]` over an `i16` grid row, on the given path.
-///
-/// The caller guarantees (via the GEMM magnitude pre-bound) that no
-/// intermediate or final accumulator can leave the `i32` range, which is
-/// what makes every path exact and bit-identical.
-///
-/// # Panics
-///
-/// Panics if `acc.len() != x.len()`.
-pub fn axpy_i16(acc: &mut [i32], a: i32, x: &[i16], path: SimdPath) {
-    assert_eq!(acc.len(), x.len(), "axpy_i16: length mismatch");
-    match path {
-        SimdPath::Scalar => axpy_i16_scalar(acc, a, x),
-        #[cfg(target_arch = "x86_64")]
-        // SSE2 has no 32-bit multiply; the 16×16→32 widening trick needs the
-        // broadcast itself to fit i16 (mixed int8×int4 operands may not).
-        SimdPath::Sse2 => {
-            if let Ok(a16) = i16::try_from(a) {
-                // SAFETY: `supported()`/`resolve_path` guaranteed SSE2 is
-                // available before this path was selected.
-                unsafe { x86::axpy_i16_sse2(acc, a16, x) }
-            } else {
-                axpy_i16_scalar(acc, a, x)
-            }
-        }
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: AVX2 availability was established at dispatch time.
-        SimdPath::Avx2 => unsafe { x86::axpy_i16_avx2(acc, a, x) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => axpy_i16_scalar(acc, a, x),
-    }
-}
-
-/// `acc[j] += a * x[j]` over an `i32` grid row, on the given path.
-///
-/// SSE2 lacks a packed 32-bit multiply (`_mm_mullo_epi32` is SSE4.1), so the
-/// `Sse2` path runs the scalar loop — still exact, still bit-identical.
-///
-/// # Panics
-///
-/// Panics if `acc.len() != x.len()`.
-pub fn axpy_i32(acc: &mut [i32], a: i32, x: &[i32], path: SimdPath) {
-    assert_eq!(acc.len(), x.len(), "axpy_i32: length mismatch");
-    match path {
-        SimdPath::Scalar | SimdPath::Sse2 => axpy_i32_scalar(acc, a, x),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: AVX2 availability was established at dispatch time.
-        SimdPath::Avx2 => unsafe { x86::axpy_i32_avx2(acc, a, x) },
-        #[cfg(not(target_arch = "x86_64"))]
-        SimdPath::Avx2 => axpy_i32_scalar(acc, a, x),
-    }
-}
-
 /// Candidate scales one pass of the OVP scale search scores: three 8-lane
 /// AVX2 f32 vectors, the default search width.
 pub(crate) const CANDIDATE_BLOCK: usize = 24;
@@ -258,8 +173,8 @@ pub(crate) const CANDIDATE_BLOCK: usize = 24;
 /// hold a finite placeholder scale; their errors are unspecified.
 ///
 /// Every path vectorises across candidates, never across pairs, so each
-/// candidate's sum is formed in the same order and the paths agree bit for
-/// bit. `Sse2` runs the scalar loop.
+/// candidate's sum is formed in the same order and the paths agree bit
+/// for bit.
 pub(crate) fn score_candidates(
     sample: &[f32],
     scales: &[f32; CANDIDATE_BLOCK],
@@ -315,18 +230,6 @@ fn score_candidates_scalar(
             let d0 = (g0 * scale - x0) as f64;
             *err += d0 * d0;
         }
-    }
-}
-
-fn axpy_i16_scalar(acc: &mut [i32], a: i32, x: &[i16]) {
-    for (o, &v) in acc.iter_mut().zip(x) {
-        *o += a * i32::from(v);
-    }
-}
-
-fn axpy_i32_scalar(acc: &mut [i32], a: i32, x: &[i32]) {
-    for (o, &v) in acc.iter_mut().zip(x) {
-        *o += a * v;
     }
 }
 
@@ -503,84 +406,6 @@ mod x86 {
             _mm256_storeu_pd(errs[8 * j + 4..].as_mut_ptr(), halves[1]);
         }
     }
-
-    /// # Safety
-    /// Caller must have verified AVX2 via `is_x86_feature_detected!`.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn axpy_i16_avx2(acc: &mut [i32], a: i32, x: &[i16]) {
-        let n = acc.len();
-        let va = _mm256_set1_epi32(a);
-        let mut j = 0;
-        while j + 8 <= n {
-            let xv = _mm_loadu_si128(x.as_ptr().add(j) as *const __m128i);
-            let prod = _mm256_mullo_epi32(_mm256_cvtepi16_epi32(xv), va);
-            let cur = _mm256_loadu_si256(acc.as_ptr().add(j) as *const __m256i);
-            _mm256_storeu_si256(
-                acc.as_mut_ptr().add(j) as *mut __m256i,
-                _mm256_add_epi32(cur, prod),
-            );
-            j += 8;
-        }
-        for jj in j..n {
-            acc[jj] += a * i32::from(x[jj]);
-        }
-    }
-
-    /// # Safety
-    /// Caller must have verified AVX2 via `is_x86_feature_detected!`.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn axpy_i32_avx2(acc: &mut [i32], a: i32, x: &[i32]) {
-        let n = acc.len();
-        let va = _mm256_set1_epi32(a);
-        let mut j = 0;
-        while j + 8 <= n {
-            let xv = _mm256_loadu_si256(x.as_ptr().add(j) as *const __m256i);
-            let prod = _mm256_mullo_epi32(xv, va);
-            let cur = _mm256_loadu_si256(acc.as_ptr().add(j) as *const __m256i);
-            _mm256_storeu_si256(
-                acc.as_mut_ptr().add(j) as *mut __m256i,
-                _mm256_add_epi32(cur, prod),
-            );
-            j += 8;
-        }
-        for jj in j..n {
-            acc[jj] += a * x[jj];
-        }
-    }
-
-    /// 16×16→32 widening multiply-accumulate: `mullo`/`mulhi` give the low
-    /// and high halves of each 32-bit product, and the unpack interleave
-    /// reassembles them in lane order.
-    ///
-    /// # Safety
-    /// Caller must have verified SSE2 via `is_x86_feature_detected!`.
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn axpy_i16_sse2(acc: &mut [i32], a: i16, x: &[i16]) {
-        let n = acc.len();
-        let va = _mm_set1_epi16(a);
-        let mut j = 0;
-        while j + 8 <= n {
-            let xv = _mm_loadu_si128(x.as_ptr().add(j) as *const __m128i);
-            let lo = _mm_mullo_epi16(xv, va);
-            let hi = _mm_mulhi_epi16(xv, va);
-            let p0 = _mm_unpacklo_epi16(lo, hi);
-            let p1 = _mm_unpackhi_epi16(lo, hi);
-            let c0 = _mm_loadu_si128(acc.as_ptr().add(j) as *const __m128i);
-            let c1 = _mm_loadu_si128(acc.as_ptr().add(j + 4) as *const __m128i);
-            _mm_storeu_si128(
-                acc.as_mut_ptr().add(j) as *mut __m128i,
-                _mm_add_epi32(c0, p0),
-            );
-            _mm_storeu_si128(
-                acc.as_mut_ptr().add(j + 4) as *mut __m128i,
-                _mm_add_epi32(c1, p1),
-            );
-            j += 8;
-        }
-        for jj in j..n {
-            acc[jj] += i32::from(a) * i32::from(x[jj]);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -588,7 +413,7 @@ mod tests {
     use super::*;
 
     fn all_paths() -> Vec<SimdPath> {
-        [SimdPath::Scalar, SimdPath::Sse2, SimdPath::Avx2]
+        [SimdPath::Scalar, SimdPath::Avx2]
             .into_iter()
             .filter(|p| p.supported())
             .collect()
@@ -610,50 +435,14 @@ mod tests {
     }
 
     #[test]
-    fn axpy_i16_matches_scalar_on_every_path() {
-        for len in [0, 1, 5, 7, 8, 9, 16, 31, 64, 100] {
-            let x: Vec<i16> = splitmix_vals(0xA11CE ^ len as u64, len, 7_864)
-                .into_iter()
-                .map(|v| v as i16)
-                .collect();
-            for a in [-32_768i32, -96, -1, 0, 1, 3, 192, 32_768] {
-                let mut want = splitmix_vals(7 * len as u64, len, 1_000_000);
-                let seed = want.clone();
-                axpy_i16_scalar(&mut want, a, &x);
-                for path in all_paths() {
-                    let mut acc = seed.clone();
-                    axpy_i16(&mut acc, a, &x, path);
-                    assert_eq!(acc, want, "path={path} a={a} len={len}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn axpy_i32_matches_scalar_on_every_path() {
-        for len in [0, 1, 7, 8, 9, 33, 64] {
-            let x = splitmix_vals(0xB0B ^ len as u64, len, 7_864_320);
-            for a in [-96i32, -1, 0, 2, 15] {
-                let mut want = splitmix_vals(11 * len as u64, len, 1_000_000);
-                let seed = want.clone();
-                axpy_i32_scalar(&mut want, a, &x);
-                for path in all_paths() {
-                    let mut acc = seed.clone();
-                    axpy_i32(&mut acc, a, &x, path);
-                    assert_eq!(acc, want, "path={path} a={a} len={len}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn parse_accepts_the_documented_values() {
         assert_eq!(parse_simd_env("auto"), Ok(None));
         assert_eq!(parse_simd_env(""), Ok(None));
         assert_eq!(parse_simd_env("0"), Ok(Some(SimdPath::Scalar)));
         assert_eq!(parse_simd_env("scalar"), Ok(Some(SimdPath::Scalar)));
-        assert_eq!(parse_simd_env(" SSE2 "), Ok(Some(SimdPath::Sse2)));
-        assert_eq!(parse_simd_env("Avx2"), Ok(Some(SimdPath::Avx2)));
+        assert_eq!(parse_simd_env(" Avx2 "), Ok(Some(SimdPath::Avx2)));
+        // No kernel has an SSE2 body, so `sse2` is rejected like any typo.
+        assert!(parse_simd_env("sse2").is_err());
         assert!(parse_simd_env("fast").is_err());
         assert!(parse_simd_env("avx512").is_err());
     }
@@ -667,14 +456,6 @@ mod tests {
             assert_eq!(resolve_path(), SimdPath::Scalar);
         });
         assert_eq!(resolve_path(), ambient);
-    }
-
-    #[test]
-    fn provenance_codes_order_by_capability() {
-        // Slower paths get *larger* codes so the bench gate's
-        // `result > baseline * tolerance` check fires on a downgrade.
-        assert!(SimdPath::Avx2.provenance_code() < SimdPath::Sse2.provenance_code());
-        assert!(SimdPath::Sse2.provenance_code() < SimdPath::Scalar.provenance_code());
     }
 
     #[test]

@@ -243,3 +243,34 @@ fn degenerate_rows_are_bit_identical() {
         }
     }
 }
+
+#[test]
+fn olive_simd_env_variable_controls_dispatch() {
+    // The env-var path (as opposed to the with_simd override used above):
+    // OLIVE_SIMD is re-read per kernel entry, so one process can compare
+    // settings, an invalid value included (it warns once and runs scalar).
+    // Set and restored inside this one test to avoid env races.
+    let mut rng = Rng::seed_from(0x51D);
+    let quant = OliveQuantizer::int4();
+    let mut data = vec![0.0f32; 257];
+    rng.fill_normal(&mut data, 0.0, 1.0);
+    for i in [3, 100, 256] {
+        data[i] = 40.0;
+    }
+    let t = Tensor::from_vec(vec![257], data);
+    let want_scale = quant.reference_select_scale(&t);
+    let want = quant.quantize_with_scale(&t, want_scale).dequantize();
+
+    let ambient = std::env::var_os("OLIVE_SIMD");
+    for value in ["scalar", "0", "auto", "sse2"] {
+        std::env::set_var("OLIVE_SIMD", value);
+        let scale = quant.select_scale(&t);
+        let fused = quant.quantize_dequantize(&t);
+        match &ambient {
+            Some(v) => std::env::set_var("OLIVE_SIMD", v),
+            None => std::env::remove_var("OLIVE_SIMD"),
+        }
+        assert_eq!(scale.to_bits(), want_scale.to_bits(), "OLIVE_SIMD={value}");
+        assert_eq!(bits(fused.data()), bits(want.data()), "OLIVE_SIMD={value}");
+    }
+}

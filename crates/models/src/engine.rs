@@ -216,9 +216,7 @@ impl TinyTransformer {
     /// This is the expensive, fully deterministic step of preparing a
     /// student. Callers that evaluate the same scheme repeatedly — the
     /// `olive-api` prepared pipeline and the serving daemons on top of it —
-    /// quantize once and reuse the student across requests, mirroring how
-    /// `olive_core::OvpTensor` builds its packed integer plan once on first
-    /// GEMM and caches it (`olive_core::PackedPlan`).
+    /// quantize once and reuse the student across requests.
     pub fn quantize_weights(&self, q: &dyn TensorQuantizer) -> Self {
         self.map_weights(|_, w| q.quantize_dequantize(w))
     }

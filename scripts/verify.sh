@@ -23,7 +23,7 @@ cargo build --release --examples
 echo "== cargo test --workspace -q =="
 cargo test --workspace -q
 
-# The quantized GEMM has SIMD and scalar kernels that must be bit-identical;
+# The scale search has SIMD and scalar kernels that must be bit-identical;
 # the workspace run above exercises the auto-detected path, this run pins the
 # scalar fallback so both dispatch targets are tested on every verify.
 echo "== OLIVE_SIMD=scalar cargo test -q -p olive-core =="
