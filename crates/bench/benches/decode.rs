@@ -12,18 +12,27 @@
 //!   prefill, the same prompts fed as 64 one-token `advance_batch` steps;
 //! * `decode_step/small` — one 2-slot decode step at position 64, the two
 //!   models one after the other;
-//! * `decode_step/small_tick` — the same step through `feed_groups`.
+//! * `decode_step/small_tick` — the same step through `feed_groups`;
+//! * `gelu/small_prefill_128x256` and `gelu/small_step_2x256` — the FFN
+//!   GELU of one student layer at the prefill and the step shape, on the
+//!   dispatched SIMD path, each with a `_scalar` twin pinned to the scalar
+//!   path. The input is a seeded `N(0, 1)` `[rows, d_model]` activation
+//!   times the student's first-layer `w1`, copied back before each GELU.
 //!
 //! Supports `--quick` and `--json <path>` like the other benches.
 
 use olive_api::{ModelFamily, Pipeline, Scheme};
 use olive_bench::cli::BenchCli;
+use olive_core::simd::{gelu_in_place, with_simd, SimdPath};
 use olive_core::TensorQuantizer;
 use olive_harness::bench::{black_box, BenchSuite};
 use olive_models::{
     feed_groups, pages_needed, FeedGroup, FeedSlot, KvPool, KvStore, PagedKv, StepSlot,
     TinyTransformer, VecKv,
 };
+use olive_tensor::matmul::matmul;
+use olive_tensor::rng::Rng;
+use olive_tensor::Tensor;
 
 /// The `gen_merged` request shape: two streams, 64 prompt tokens.
 const STREAMS: usize = 2;
@@ -226,6 +235,34 @@ fn bench_decode(suite: &mut BenchSuite) {
             .collect();
         black_box(feed_groups(groups));
     });
+
+    bench_gelu(suite, &lanes.student);
+}
+
+fn bench_gelu(suite: &mut BenchSuite, student: &TinyTransformer) {
+    let w1 = &student.layers[0].w1;
+    let mut rng = Rng::seed_from(19);
+    for (name, rows) in [
+        ("small_prefill_128x256", STREAMS * PROMPT),
+        ("small_step_2x256", STREAMS),
+    ] {
+        let mut x = Tensor::zeros(vec![rows, w1.rows()]);
+        rng.fill_normal(x.data_mut(), 0.0, 1.0);
+        let h = matmul(&x, w1);
+        let mut buf = h.data().to_vec();
+        for (suffix, path) in [("", None), ("_scalar", Some(SimdPath::Scalar))] {
+            with_simd(path, || {
+                suite.bench_with_elements(
+                    &format!("gelu/{name}{suffix}"),
+                    buf.len() as u64,
+                    || {
+                        buf.copy_from_slice(h.data());
+                        gelu_in_place(black_box(&mut buf));
+                    },
+                );
+            });
+        }
+    }
 }
 
 fn main() {

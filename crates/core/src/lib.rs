@@ -22,10 +22,10 @@
 //!   operands once per call, accumulates in `i64` with the int32 overflow
 //!   check, and shards rows over the runtime pool with statistics merged in
 //!   row order.
-//! * [`simd`] — runtime AVX2 dispatch for the scale search (the only module
-//!   in the workspace allowed to contain `unsafe`), with the `OLIVE_SIMD`
-//!   override mirroring `OLIVE_THREADS`. Every path is bit-identical to the
-//!   scalar kernel.
+//! * [`simd`] — runtime AVX2 dispatch for the scale search and for GELU
+//!   (the only module in the workspace allowed to contain `unsafe`), with
+//!   the `OLIVE_SIMD` override mirroring `OLIVE_THREADS`. Every path is
+//!   bit-identical to its scalar kernel.
 //! * [`framework`] — the model-level PTQ framework: per-tensor type selection,
 //!   optional 8-bit escalation, and a [`TensorQuantizer`] trait shared with the
 //!   baselines crate.

@@ -1,13 +1,17 @@
-//! SIMD dispatch for the OVP scale search.
+//! SIMD dispatch for the OVP scale search and for GELU.
 //!
 //! This module is the **only** place in the workspace where `unsafe` code is
 //! permitted (enforced by the `no-unsafe-outside-simd` olive-lint rule; the
 //! runtime pool's lifetime-erasure internals carry the one grandfathered
-//! exemption in `lint.toml`). It holds one kernel: the scale search's
-//! candidate scoring (`score_candidates`). It is floating point and stays
-//! bit-identical across paths because lanes hold candidates, never pairs,
-//! so every candidate's f64 error sum is formed by the same IEEE operations
-//! in the same order on every path.
+//! exemption in `lint.toml`). It holds two kernels, both floating point and
+//! bit-identical across paths:
+//!
+//! * the scale search's candidate scoring (`score_candidates`): lanes hold
+//!   candidates, never pairs, so every candidate's f64 error sum is formed
+//!   by the same IEEE operations in the same order on every path;
+//! * [`gelu_in_place`]: lanes hold elements, and each lane runs
+//!   [`gelu_scalar`]'s operations, computing every branch of its `tanhf`
+//!   and blending the lanes by masks.
 //!
 //! Dispatch order is `AVX2 > scalar`, resolved at runtime with
 //! [`std::arch::is_x86_feature_detected!`] and overridable per process with
@@ -19,6 +23,7 @@
 //! correctness.
 
 use crate::quantizer::FourBitGrid;
+use olive_tensor::matmul::gelu_scalar;
 use std::cell::Cell;
 use std::sync::Once;
 
@@ -233,6 +238,18 @@ fn score_candidates_scalar(
     }
 }
 
+/// GELU (tanh approximation) of every value of `xs`, in place, on the
+/// dispatched path: bit for bit [`gelu_scalar`] of each value, which is
+/// what [`olive_tensor::matmul::gelu`] computes.
+pub fn gelu_in_place(xs: &mut [f32]) {
+    match resolve_path() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `resolve_path` returns AVX2 only when the CPU supports it.
+        SimdPath::Avx2 => unsafe { x86::gelu_avx2(xs) },
+        _ => xs.iter_mut().for_each(|v| *v = gelu_scalar(*v)),
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     //! The intrinsic kernels. `#[target_feature]` makes each function compile
@@ -240,6 +257,11 @@ mod x86 {
     //! feature is present at runtime before invoking them.
     use super::CANDIDATE_BLOCK;
     use crate::quantizer::FourBitGrid;
+    use olive_tensor::libm::{
+        EXPM1_HALF_LN2, EXPM1_Q, EXPM1_THREE_HALVES_LN2, EXPM1_TINY, INV_LN2, LN2_HI, LN2_LO,
+        TANH_HUGE, TANH_ONE, TANH_TINY,
+    };
+    use olive_tensor::matmul::{gelu_scalar, GELU_CUBIC, GELU_SQRT_2_OVER_PI};
     use std::arch::x86_64::*;
 
     /// A [`FourBitGrid`] broadcast across eight lanes.
@@ -406,6 +428,172 @@ mod x86 {
             _mm256_storeu_pd(errs[8 * j + 4..].as_mut_ptr(), halves[1]);
         }
     }
+
+    /// `if mask { a } else { b }`, lane by lane.
+    ///
+    /// # Safety
+    /// Caller must have verified AVX2 via `is_x86_feature_detected!`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn pick(mask: __m256, a: __m256, b: __m256) -> __m256 {
+        _mm256_blendv_ps(b, a, mask)
+    }
+
+    /// `y·2ᵏ` lane by lane, by adding `k` to the exponent bits.
+    ///
+    /// # Safety
+    /// Caller must have verified AVX2 via `is_x86_feature_detected!`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn scale(y: __m256, k: __m256i) -> __m256 {
+        _mm256_castsi256_ps(_mm256_add_epi32(
+            _mm256_castps_si256(y),
+            _mm256_slli_epi32::<23>(k),
+        ))
+    }
+
+    /// `olive_tensor::libm`'s `expm1f` lane by lane, over the arguments
+    /// `tanh8` passes it. Every branch is computed and the lanes pick
+    /// theirs; the reduction's `k = ±1` and `k = 0` cases are the general
+    /// `x − k·LN2_HI`, `k·LN2_LO` at that `k`, which is exact.
+    ///
+    /// # Safety
+    /// Caller must have verified AVX2 via `is_x86_feature_detected!`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn expm1_8(x: __m256) -> __m256 {
+        let set = |v: f32| _mm256_set1_ps(v);
+        let seti = |v: i32| _mm256_set1_epi32(v);
+        let one = set(1.0);
+        let half = set(0.5);
+        let sign = _mm256_and_ps(x, set(-0.0));
+        let ax = _mm256_andnot_ps(set(-0.0), x);
+
+        // k: 0 up to ½·ln2, ±1 below 1.5·ln2, else trunc(x/ln2 ± ½).
+        let reduce = _mm256_cmp_ps::<_CMP_GT_OQ>(ax, set(EXPM1_HALF_LN2));
+        let near = _mm256_cmp_ps::<_CMP_LT_OQ>(ax, set(EXPM1_THREE_HALVES_LN2));
+        let signed_half = _mm256_or_ps(half, sign);
+        let far_k = _mm256_cvttps_epi32(_mm256_add_ps(_mm256_mul_ps(set(INV_LN2), x), signed_half));
+        let near_k = _mm256_cvtps_epi32(_mm256_or_ps(one, sign));
+        let k = _mm256_castps_si256(pick(
+            near,
+            _mm256_castsi256_ps(near_k),
+            _mm256_castsi256_ps(far_k),
+        ));
+        let k = _mm256_and_si256(k, _mm256_castps_si256(reduce));
+        let kf = _mm256_cvtepi32_ps(k);
+        let hi = _mm256_sub_ps(x, _mm256_mul_ps(kf, set(LN2_HI)));
+        let lo = _mm256_mul_ps(kf, set(LN2_LO));
+        let r = _mm256_sub_ps(hi, lo);
+        let c = _mm256_sub_ps(_mm256_sub_ps(hi, r), lo);
+
+        let [q1, q2, q3, q4, q5] = EXPM1_Q;
+        let hfx = _mm256_mul_ps(half, r);
+        let hxs = _mm256_mul_ps(r, hfx);
+        let mut p = _mm256_add_ps(set(q4), _mm256_mul_ps(hxs, set(q5)));
+        for q in [q3, q2, q1] {
+            p = _mm256_add_ps(set(q), _mm256_mul_ps(hxs, p));
+        }
+        let r1 = _mm256_add_ps(one, _mm256_mul_ps(hxs, p));
+        let t = _mm256_sub_ps(set(3.0), _mm256_mul_ps(r1, hfx));
+        let e = _mm256_mul_ps(
+            hxs,
+            _mm256_div_ps(
+                _mm256_sub_ps(r1, t),
+                _mm256_sub_ps(set(6.0), _mm256_mul_ps(r, t)),
+            ),
+        );
+        let at_k0 = _mm256_sub_ps(r, _mm256_sub_ps(_mm256_mul_ps(r, e), hxs));
+
+        let e = _mm256_sub_ps(_mm256_sub_ps(_mm256_mul_ps(r, _mm256_sub_ps(e, c)), c), hxs);
+        let at_km1 = _mm256_sub_ps(_mm256_mul_ps(half, _mm256_sub_ps(r, e)), half);
+        // k ≤ −2 or k > 56: 2ᵏ·(1 − (e − r)) − 1.
+        let wide = _mm256_castsi256_ps(_mm256_or_si256(
+            _mm256_cmpgt_epi32(seti(-1), k),
+            _mm256_cmpgt_epi32(k, seti(56)),
+        ));
+        // k < 23: 2ᵏ·((1 − 2⁻ᵏ) − (e − r)).
+        let one_less = _mm256_castsi256_ps(_mm256_sub_epi32(
+            seti(0x3f80_0000),
+            _mm256_srlv_epi32(seti(0x0100_0000), k),
+        ));
+        let y = _mm256_sub_ps(pick(wide, one, one_less), _mm256_sub_ps(e, r));
+        // 23 ≤ k ≤ 56: 2ᵏ·((r − (e + 2⁻ᵏ)) + 1).
+        let two_to_minus_k =
+            _mm256_castsi256_ps(_mm256_slli_epi32::<23>(_mm256_sub_epi32(seti(0x7f), k)));
+        let y_mid = _mm256_add_ps(_mm256_sub_ps(r, _mm256_add_ps(e, two_to_minus_k)), one);
+        let mid = _mm256_andnot_ps(wide, _mm256_castsi256_ps(_mm256_cmpgt_epi32(k, seti(22))));
+        let y = scale(pick(mid, y_mid, y), k);
+        let y = pick(wide, _mm256_sub_ps(y, one), y);
+
+        let k_is = |v: i32| _mm256_castsi256_ps(_mm256_cmpeq_epi32(k, seti(v)));
+        let y = pick(k_is(-1), at_km1, y);
+        let y = pick(k_is(0), at_k0, y);
+        pick(_mm256_cmp_ps::<_CMP_LT_OQ>(ax, set(EXPM1_TINY)), x, y)
+    }
+
+    /// `olive_tensor::libm::tanhf` lane by lane, for finite `u`.
+    ///
+    /// # Safety
+    /// Caller must have verified AVX2 via `is_x86_feature_detected!`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn tanh8(u: __m256) -> __m256 {
+        let set = |v: f32| _mm256_set1_ps(v);
+        let one = set(1.0);
+        let two = set(2.0);
+        let sign = set(-0.0);
+        let au = _mm256_andnot_ps(sign, u);
+        // From 1: z = 1 − 2/(t + 2) with t = expm1(2|u|); below it,
+        // z = −t/(t + 2) with t = expm1(−2|u|).
+        let big = _mm256_cmp_ps::<_CMP_GE_OQ>(au, set(TANH_ONE));
+        let twice = _mm256_mul_ps(two, au);
+        let t = expm1_8(pick(big, twice, _mm256_xor_ps(twice, sign)));
+        let q = _mm256_div_ps(
+            pick(big, two, _mm256_xor_ps(t, sign)),
+            _mm256_add_ps(t, two),
+        );
+        let z = pick(big, _mm256_sub_ps(one, q), q);
+        let z = pick(_mm256_cmp_ps::<_CMP_GE_OQ>(au, set(TANH_HUGE)), one, z);
+        // `z` is positive, so or-ing in `u`'s sign is fdlibm's `u < 0 ? -z : z`.
+        let z = _mm256_or_ps(z, _mm256_and_ps(u, sign));
+        let tiny = _mm256_mul_ps(u, _mm256_add_ps(one, u));
+        pick(_mm256_cmp_ps::<_CMP_LT_OQ>(au, set(TANH_TINY)), tiny, z)
+    }
+
+    /// The AVX2 form of `gelu_scalar` over `xs`, eight values at a time. A
+    /// chunk in which any `u = √(2/π)·(v + 0.044715·v³)` is not finite, and
+    /// the last `xs.len() % 8` values, go through `gelu_scalar` itself.
+    ///
+    /// # Safety
+    /// Caller must have verified AVX2 via `is_x86_feature_detected!`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn gelu_avx2(xs: &mut [f32]) {
+        let set = |v: f32| _mm256_set1_ps(v);
+        let mut chunks = xs.chunks_exact_mut(8);
+        for chunk in &mut chunks {
+            let v = _mm256_loadu_ps(chunk.as_ptr());
+            let v3 = _mm256_mul_ps(_mm256_mul_ps(v, v), v);
+            let u = _mm256_mul_ps(
+                set(GELU_SQRT_2_OVER_PI),
+                _mm256_add_ps(v, _mm256_mul_ps(set(GELU_CUBIC), v3)),
+            );
+            // Not less than ∞ means ±∞ or NaN.
+            let au = _mm256_andnot_ps(set(-0.0), u);
+            if _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_NLT_UQ>(au, set(f32::INFINITY))) != 0 {
+                chunk.iter_mut().for_each(|v| *v = gelu_scalar(*v));
+                continue;
+            }
+            let g = _mm256_mul_ps(
+                _mm256_mul_ps(set(0.5), v),
+                _mm256_add_ps(set(1.0), tanh8(u)),
+            );
+            _mm256_storeu_ps(chunk.as_mut_ptr(), g);
+        }
+        for v in chunks.into_remainder() {
+            *v = gelu_scalar(*v);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -463,6 +651,126 @@ mod tests {
         assert!(SimdPath::Scalar.supported());
         // detect() must never resolve to something the CPU cannot run.
         assert!(detect().supported());
+    }
+
+    fn step(x: f32, ulps: i32) -> f32 {
+        f32::from_bits(x.to_bits().wrapping_add_signed(ulps))
+    }
+
+    /// The smallest `v ≥ 0` whose GELU argument `u(v) = √(2/π)·(v + 0.044715·v³)`
+    /// reaches `p(u)`, by bisection over the bits (`u` rises with `v`).
+    fn preimage(p: impl Fn(f32) -> bool) -> f32 {
+        use olive_tensor::matmul::{GELU_CUBIC, GELU_SQRT_2_OVER_PI};
+        let u = |v: f32| GELU_SQRT_2_OVER_PI * (v + GELU_CUBIC * (v * v * v));
+        let (mut lo, mut hi) = (0u32, 100f32.to_bits());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if p(u(f32::from_bits(mid))) {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        f32::from_bits(lo)
+    }
+
+    /// GELU inputs: for every branch cut of `tanhf` and of the
+    /// `expm1f(±2|u|)` it calls, the `v` whose `u` first reaches it, ±4
+    /// ulps and of both signs; every 251st f32 between the cuts at 2⁻⁵⁵
+    /// and 22, of both signs; then 2¹⁴ seeded bit patterns and 2¹⁴ seeded
+    /// values in [−24, 24].
+    fn gelu_inputs() -> Vec<f32> {
+        use olive_tensor::libm::*;
+        let k_of = |u: f32| (INV_LN2 * (2.0 * u) + 0.5) as i32;
+        let cuts = [
+            TANH_TINY,
+            TANH_ONE,
+            TANH_HUGE,
+            EXPM1_TINY / 2.0,
+            EXPM1_HALF_LN2 / 2.0,
+            EXPM1_THREE_HALVES_LN2 / 2.0,
+            f32::from_bits(0x4195_b844) / 2.0,
+        ];
+        let mut at: Vec<f32> = cuts.iter().map(|&cut| preimage(|u| u >= cut)).collect();
+        at.extend([23, 57].map(|k| preimage(|u| k_of(u) >= k)));
+        let mut xs = Vec::new();
+        for &v in &at {
+            for ulps in -4..=4 {
+                xs.extend([step(v, ulps), -step(v, ulps)]);
+            }
+        }
+        for bits in (at[0].to_bits()..at[2].to_bits()).step_by(251) {
+            xs.extend([f32::from_bits(bits), -f32::from_bits(bits)]);
+        }
+        let mut state = 0x6E1u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB) >> 32
+        };
+        xs.extend((0..1 << 14).map(|_| f32::from_bits(next() as u32)));
+        xs.extend((0..1 << 14).map(|_| next() as f32 / 2f32.powi(32) * 48.0 - 24.0));
+        xs
+    }
+
+    /// `gelu_in_place` on `path` against `gelu_scalar`, bit for bit.
+    fn assert_gelu_matches(xs: &[f32], path: SimdPath) {
+        let mut got = xs.to_vec();
+        with_simd(Some(path), || gelu_in_place(&mut got));
+        for (i, (&v, g)) in xs.iter().zip(got).enumerate() {
+            let want = gelu_scalar(v);
+            assert_eq!(
+                g.to_bits(),
+                want.to_bits(),
+                "path={path} index {i}: gelu({v:e}) = {g:e}, want {want:e}"
+            );
+        }
+    }
+
+    #[test]
+    fn gelu_in_place_matches_gelu_scalar_on_every_path() {
+        let xs = gelu_inputs();
+        // Chunks mixing finite values with ones whose `u` is ±∞ or NaN
+        // (from v = ±∞, NaN, or v³ overflowing), in every lane.
+        let mut mixed = Vec::new();
+        for bad in [f32::INFINITY, -f32::INFINITY, f32::NAN, 1e13, -1e13] {
+            for lane in 0..8 {
+                let mut chunk: [f32; 8] = std::array::from_fn(|i| xs[i * 37]);
+                chunk[lane] = bad;
+                mixed.extend(chunk);
+            }
+        }
+        for path in all_paths() {
+            assert_gelu_matches(&xs, path);
+            assert_gelu_matches(&mixed, path);
+            // Every tail length, at every offset from a chunk boundary.
+            for start in 0..8 {
+                for len in 0..=17 {
+                    assert_gelu_matches(&xs[start..start + len], path);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[ignore = "every f32: about two minutes in release (cargo test --release -p olive-core --lib -- --ignored)"]
+    fn avx2_gelu_matches_gelu_scalar_on_every_input() {
+        if !SimdPath::Avx2.supported() {
+            return;
+        }
+        let mut differ = 0u64;
+        let mut block = vec![0.0f32; 1 << 16];
+        for base in (0..=u32::MAX).step_by(block.len()) {
+            for (i, v) in block.iter_mut().enumerate() {
+                *v = f32::from_bits(base + i as u32);
+            }
+            with_simd(Some(SimdPath::Avx2), || gelu_in_place(&mut block));
+            for (i, g) in block.iter().enumerate() {
+                let want = gelu_scalar(f32::from_bits(base + i as u32));
+                differ += u64::from(g.to_bits() != want.to_bits());
+            }
+        }
+        assert_eq!(differ, 0, "inputs where the AVX2 and scalar GELU differ");
     }
 
     #[test]

@@ -75,9 +75,10 @@
 
 use crate::engine::{argmax, TinyTransformer};
 use crate::kv::{KvStore, VecKv};
+use olive_core::simd::gelu_in_place;
 use olive_core::TensorQuantizer;
 use olive_tensor::matmul::{
-    gelu, gelu_in_place, layer_norm, matmul, matmul_transpose_b, softmax_row, softmax_rows,
+    gelu, layer_norm, matmul, matmul_transpose_b, softmax_row, softmax_rows,
 };
 use olive_tensor::Tensor;
 use std::borrow::Cow;
@@ -255,7 +256,7 @@ impl TinyTransformer {
 
             let normed = layer_norm(&x, &layer.ln2_gamma, &layer.ln2_beta, 1e-5);
             let mut h = matmul(&quantize_rows_owned(normed, act_quant), &layer.w1);
-            gelu_in_place(&mut h);
+            gelu_in_place(h.data_mut());
             x = x.add(&matmul(&quantize_rows_owned(h, act_quant), &layer.w2));
         }
 

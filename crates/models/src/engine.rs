@@ -18,8 +18,9 @@
 //! the function computed by an outlier-heavy Transformer*.
 
 use crate::config::ModelFamily;
+use olive_core::simd::gelu_in_place;
 use olive_core::TensorQuantizer;
-use olive_tensor::matmul::{gelu, layer_norm, matmul, matmul_transpose_b, softmax_rows};
+use olive_tensor::matmul::{layer_norm, matmul, matmul_transpose_b, softmax_rows};
 use olive_tensor::rng::Rng;
 use olive_tensor::Tensor;
 
@@ -266,7 +267,8 @@ impl TinyTransformer {
             // Pre-norm FFN block.
             let normed = layer_norm(&x, &layer.ln2_gamma, &layer.ln2_beta, 1e-5);
             let ffn_in = maybe_q(&normed);
-            let h = gelu(&matmul(&ffn_in, &layer.w1));
+            let mut h = matmul(&ffn_in, &layer.w1);
+            gelu_in_place(h.data_mut());
             let h_in = maybe_q(&h);
             let ffn = matmul(&h_in, &layer.w2);
             x = x.add(&ffn);

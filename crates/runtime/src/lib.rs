@@ -3,8 +3,9 @@
 //! Zero-dependency data-parallel runtime for the OliVe reproduction: a
 //! persistent [`Pool`] of `std::thread` workers plus the row-range primitives
 //! ([`par_rows`], [`par_rows_mut`], [`par_map`]) the tensor, core and model
-//! layers build their hot loops on, and a bounded micro-batching
-//! [`queue::BoundedQueue`] that feeds `olive-serve`'s decode scheduler.
+//! layers build their hot loops on, and a bounded
+//! [`queue::BoundedQueue`] that feeds `olive-serve`'s decode scheduler: it
+//! hands the consumer whatever is queued, never lingering for more.
 //!
 //! ## Thread-count selection
 //!

@@ -6,10 +6,9 @@
 //! lets a server turn overload into back-pressure (HTTP 503) rather than
 //! unbounded memory growth. A consumer drains items with
 //! [`pop_batch`](BoundedQueue::pop_batch): it blocks until at least one item
-//! is available, then keeps collecting until either `max_batch` items are in
-//! hand or `max_wait` has elapsed since the first item arrived — the classic
-//! micro-batching policy (batch as much as shows up quickly, never stall a
-//! lone request for long).
+//! is available, then takes up to `max_batch` of the items queued by then.
+//! It never waits for more to arrive: a lone request starts at once, and
+//! whatever queued behind it is taken with it.
 //!
 //! Items come out in exactly the order they went in (FIFO), so a consumer
 //! that processes batches with order-preserving primitives such as
@@ -17,10 +16,9 @@
 //! tests in `crates/runtime/tests/queue_pool.rs` pin this down together with
 //! panic propagation through [`Pool`](crate::Pool)-backed batch execution.
 
-use crate::sync::{lock_or_recover, wait_or_recover, wait_timeout_or_recover};
+use crate::sync::{lock_or_recover, wait_or_recover};
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
 
 /// Why a push was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,7 +44,7 @@ struct Inner<T> {
     closed: bool,
 }
 
-/// A bounded FIFO queue with non-blocking producers and a micro-batching
+/// A bounded FIFO queue with non-blocking producers and a batch-draining
 /// consumer. See the [module docs](self) for the protocol.
 pub struct BoundedQueue<T> {
     inner: Mutex<Inner<T>>,
@@ -105,73 +103,36 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Blocks until at least one item is available (or the queue closes),
-    /// then collects up to `max_batch` items, waiting at most `max_wait`
-    /// after the first item for stragglers.
+    /// then takes up to `max_batch` of the items queued by then, without
+    /// waiting for more.
     ///
     /// Returns the batch in FIFO order; an empty vector means the queue is
     /// closed *and* drained — the consumer should exit.
-    pub fn pop_batch(&self, max_batch: usize, max_wait: Duration) -> Vec<T> {
-        let max_batch = max_batch.max(1);
+    pub fn pop_batch(&self, max_batch: usize) -> Vec<T> {
         let mut inner = lock_or_recover(&self.inner);
-        // Phase 1: wait (indefinitely) for the first item or close+drain.
         while inner.items.is_empty() {
             if inner.closed {
                 return Vec::new();
             }
             inner = wait_or_recover(&self.available, inner);
         }
-        let mut batch = Vec::with_capacity(max_batch.min(inner.items.len()));
-        // Phase 2: batch whatever is already queued, then linger up to
-        // `max_wait` (measured from the first item) for more. The loop is
-        // purely deadline-driven: the remaining wait is recomputed from the
-        // wall clock on *every* iteration and the `WaitTimeoutResult` is
-        // deliberately ignored, so a spurious condvar wakeup (or a wakeup
-        // for an item another effect consumed) can neither extend the
-        // linger past `max_wait` nor cut it short.
-        let deadline = Instant::now() + max_wait;
-        loop {
-            while batch.len() < max_batch {
-                match inner.items.pop_front() {
-                    Some(item) => batch.push(item),
-                    None => break,
-                }
-            }
-            if batch.len() >= max_batch || inner.closed {
-                return batch;
-            }
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return batch;
-            }
-            (inner, _) = wait_timeout_or_recover(&self.available, inner, remaining);
-        }
+        let take = max_batch.max(1).min(inner.items.len());
+        inner.items.drain(..take).collect()
     }
 
     /// Collects up to `max_batch` items that are already queued, without
-    /// blocking or lingering. Returns an empty vector when nothing is
-    /// queued *or* the queue is closed-and-drained — a non-blocking
-    /// consumer distinguishes the two via [`is_closed`](Self::is_closed).
+    /// blocking. Returns an empty vector when nothing is queued *or* the
+    /// queue is closed-and-drained — a non-blocking consumer distinguishes
+    /// the two via [`is_closed`](Self::is_closed).
     ///
-    /// This is the polling counterpart of [`pop_batch`] for consumers that
-    /// have other work to do between drains (e.g. a decode scheduler
-    /// admitting new streams between ticks).
+    /// This is the polling counterpart of [`pop_batch`](Self::pop_batch)
+    /// for consumers that have other work to do between drains (e.g. a
+    /// decode scheduler admitting new streams between ticks).
     pub fn try_pop_batch(&self, max_batch: usize) -> Vec<T> {
         let max_batch = max_batch.max(1);
         let mut inner = lock_or_recover(&self.inner);
         let take = max_batch.min(inner.items.len());
         inner.items.drain(..take).collect()
-    }
-
-    /// Wakes every blocked consumer without delivering an item or closing —
-    /// indistinguishable, on the consumer side, from a spurious condvar
-    /// wakeup. Exists so tests can exercise the [`pop_batch`] deadline
-    /// logic deterministically; it is never useful in production code.
-    #[doc(hidden)]
-    pub fn spurious_wake_for_test(&self) {
-        // Take the lock so the wake cannot race past a consumer that is
-        // between checking state and parking.
-        drop(lock_or_recover(&self.inner));
-        self.available.notify_all();
     }
 
     /// Closes the queue: pending items remain poppable, new pushes fail with
@@ -190,7 +151,8 @@ impl<T> BoundedQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use std::sync::{mpsc, Arc};
+    use std::time::Duration;
 
     #[test]
     fn push_pop_preserves_fifo_order() {
@@ -198,7 +160,7 @@ mod tests {
         for i in 0..10 {
             q.try_push(i).unwrap();
         }
-        let batch = q.pop_batch(10, Duration::ZERO);
+        let batch = q.pop_batch(10);
         assert_eq!(batch, (0..10).collect::<Vec<_>>());
     }
 
@@ -211,7 +173,7 @@ mod tests {
         assert_eq!(err, PushError::Full);
         assert_eq!(item, "c");
         // Draining frees capacity again.
-        assert_eq!(q.pop_batch(1, Duration::ZERO), vec!["a"]);
+        assert_eq!(q.pop_batch(1), vec!["a"]);
         q.try_push("c").unwrap();
         assert_eq!(q.len(), 2);
     }
@@ -224,9 +186,9 @@ mod tests {
         assert!(q.is_closed());
         let (err, _) = q.try_push(2).unwrap_err();
         assert_eq!(err, PushError::Closed);
-        assert_eq!(q.pop_batch(8, Duration::ZERO), vec![1]);
+        assert_eq!(q.pop_batch(8), vec![1]);
         // Closed and drained: the consumer-exit signal.
-        assert!(q.pop_batch(8, Duration::ZERO).is_empty());
+        assert!(q.pop_batch(8).is_empty());
     }
 
     #[test]
@@ -235,9 +197,9 @@ mod tests {
         for i in 0..9 {
             q.try_push(i).unwrap();
         }
-        assert_eq!(q.pop_batch(4, Duration::ZERO), vec![0, 1, 2, 3]);
-        assert_eq!(q.pop_batch(4, Duration::ZERO), vec![4, 5, 6, 7]);
-        assert_eq!(q.pop_batch(4, Duration::ZERO), vec![8]);
+        assert_eq!(q.pop_batch(4), vec![0, 1, 2, 3]);
+        assert_eq!(q.pop_batch(4), vec![4, 5, 6, 7]);
+        assert_eq!(q.pop_batch(4), vec![8]);
     }
 
     #[test]
@@ -258,68 +220,24 @@ mod tests {
     }
 
     #[test]
-    fn pop_batch_wakes_on_late_push() {
-        let q = Arc::new(BoundedQueue::new(4));
-        let producer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(20));
-                q.try_push(7u32).unwrap();
-            })
-        };
-        // Blocks in phase 1 until the producer delivers.
-        let batch = q.pop_batch(4, Duration::ZERO);
-        assert_eq!(batch, vec![7]);
-        producer.join().unwrap();
-    }
-
-    #[test]
-    fn pop_batch_lingers_for_stragglers_within_max_wait() {
+    fn blocked_pop_batch_returns_a_lone_item_without_waiting_for_more() {
         let q = Arc::new(BoundedQueue::new(8));
-        q.try_push(1u32).unwrap();
-        let producer = {
+        let (tx, rx) = mpsc::channel();
+        let consumer = {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(15));
-                q.try_push(2).unwrap();
-            })
+            std::thread::spawn(move || tx.send(q.pop_batch(8)).unwrap())
         };
-        let batch = q.pop_batch(2, Duration::from_secs(5));
-        assert_eq!(batch, vec![1, 2], "straggler must join the batch");
-        producer.join().unwrap();
-    }
-
-    #[test]
-    fn spurious_wakeups_do_not_extend_the_pop_deadline() {
-        // A consumer holding one item and lingering for stragglers is
-        // bombarded with wakeups that never deliver an item. The linger
-        // must still end at (about) `max_wait` — a wakeup-driven
-        // implementation that restarts its timeout on every wake would hang
-        // here for the full 10 seconds of bombardment.
-        let q = Arc::new(BoundedQueue::<u32>::new(8));
-        q.try_push(1).unwrap();
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let waker = {
-            let q = Arc::clone(&q);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let end = Instant::now() + Duration::from_secs(10);
-                while !stop.load(std::sync::atomic::Ordering::Relaxed) && Instant::now() < end {
-                    q.spurious_wake_for_test();
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            })
-        };
-        let start = Instant::now();
-        let batch = q.pop_batch(4, Duration::from_millis(100));
-        let elapsed = start.elapsed();
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        waker.join().unwrap();
-        assert_eq!(batch, vec![1]);
-        assert!(
-            elapsed < Duration::from_secs(5),
-            "woken-but-empty linger overshot the 100ms deadline: {elapsed:?}"
-        );
+        // Give the consumer time to park on the empty queue; the assertion
+        // holds whichever side gets there first.
+        std::thread::sleep(Duration::from_millis(20));
+        q.try_push(7u32).unwrap();
+        // Nothing more arrives: the batch must come back with the one item
+        // instead of waiting for `max_batch`, and a wait fails, not hangs.
+        let batch = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("pop_batch kept waiting after an item was queued");
+        assert_eq!(batch, vec![7]);
+        consumer.join().unwrap();
     }
 
     #[test]
@@ -327,7 +245,7 @@ mod tests {
         let q = Arc::new(BoundedQueue::<u32>::new(4));
         let consumer = {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || q.pop_batch(4, Duration::from_secs(30)))
+            std::thread::spawn(move || q.pop_batch(4))
         };
         std::thread::sleep(Duration::from_millis(10));
         q.close();

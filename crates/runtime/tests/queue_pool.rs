@@ -1,5 +1,5 @@
 //! The queue/pool composition contract: a bounded producer/consumer queue
-//! ([`BoundedQueue`]) drained in micro-batches that execute on the
+//! ([`BoundedQueue`]) drained in batches that execute on the
 //! [`Pool`]-backed [`par_map`] primitive. Pins down FIFO-order preservation
 //! end to end and panic propagation out of batch execution, at 1 and 8
 //! threads.
@@ -8,7 +8,6 @@ use olive_runtime::{par_map, with_threads, BoundedQueue};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Pushes `n` sequenced jobs from several producer threads (in a globally
 /// agreed order via a handoff token), drains them in batches executed with
@@ -25,7 +24,7 @@ fn fifo_roundtrip(threads: usize, n: usize, max_batch: usize) {
 
     let mut results: Vec<u64> = Vec::with_capacity(n);
     loop {
-        let batch = queue.pop_batch(max_batch, Duration::ZERO);
+        let batch = queue.pop_batch(max_batch);
         if batch.is_empty() {
             break;
         }
@@ -67,7 +66,7 @@ fn concurrent_producers_all_get_answers() {
             std::thread::spawn(move || {
                 let mut served = 0usize;
                 loop {
-                    let batch = queue.pop_batch(8, Duration::from_millis(1));
+                    let batch = queue.pop_batch(8);
                     if batch.is_empty() {
                         return served;
                     }
@@ -158,7 +157,7 @@ fn batch_panic_propagates_to_the_draining_thread() {
         for i in 0..8u64 {
             queue.try_push(i).unwrap();
         }
-        let batch = queue.pop_batch(8, Duration::ZERO);
+        let batch = queue.pop_batch(8);
         let result = catch_unwind(AssertUnwindSafe(|| {
             with_threads(threads, || {
                 par_map(&batch, |&job| {
@@ -173,7 +172,7 @@ fn batch_panic_propagates_to_the_draining_thread() {
         );
         // The queue and the global pool both survive: the next batch works.
         queue.try_push(42).unwrap();
-        let next = queue.pop_batch(8, Duration::ZERO);
+        let next = queue.pop_batch(8);
         let answers = with_threads(threads, || par_map(&next, |&x| x + 1));
         assert_eq!(answers, vec![43]);
     }

@@ -90,7 +90,6 @@ use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// Decode-scheduling policy.
 #[derive(Debug, Clone)]
@@ -104,9 +103,6 @@ pub struct SchedConfig {
     pub kv_page_floats: usize,
     /// Total pages in the shared KV pool.
     pub kv_pool_pages: usize,
-    /// How long the scheduler thread waits for a first request when no
-    /// flight is active (the idle wake-up granularity).
-    pub idle_wait: Duration,
     /// Queue bound; pushes beyond it are answered 503.
     pub queue_capacity: usize,
 }
@@ -118,7 +114,6 @@ impl Default for SchedConfig {
             admit_batch: 8,
             kv_page_floats: 2048,
             kv_pool_pages: 8192,
-            idle_wait: Duration::from_millis(2),
             queue_capacity: 64,
         }
     }
@@ -844,7 +839,7 @@ fn decode_loop(
         let jobs = if core.has_work() {
             queue.try_pop_batch(config.admit_batch)
         } else {
-            let batch = queue.pop_batch(config.admit_batch, config.idle_wait);
+            let batch = queue.pop_batch(config.admit_batch);
             if batch.is_empty() {
                 return; // closed and drained, nothing in flight
             }

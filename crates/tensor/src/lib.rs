@@ -8,6 +8,11 @@
 //! * a row-major [`Tensor`] of `f32` values with 1-D/2-D convenience accessors,
 //! * dense [`matmul`](crate::matmul::matmul) plus a handful of neural-network
 //!   helpers (softmax, layer norm, GELU),
+//! * [`libm::tanhf`], a port of the host libm's `tanhf`, so GELU's bytes
+//!   do not depend on the libm a process links. The other transcendentals
+//!   still come from the host: softmax's `expf`, the sinusoidal position
+//!   embedding's `sin` and `powf` (in `olive-models`), and the f64 `ln`,
+//!   `sin`, `cos`, `exp` and `powf` of [`rng::Rng`]'s samplers,
 //! * tensor [`stats`] (mean, standard deviation, max-σ, outlier fractions) which
 //!   drive the paper's outlier analysis (Fig. 2, Tbl. 2),
 //! * a small deterministic [`rng`] (SplitMix64-based) with Gaussian and
@@ -27,6 +32,7 @@
 //! assert_eq!(c[[0, 0]], 58.0);
 //! ```
 
+pub mod libm;
 pub mod matmul;
 pub mod rng;
 pub mod stats;

@@ -7,6 +7,7 @@
 //! accumulation order no matter how many threads run (`OLIVE_THREADS=1` and
 //! `OLIVE_THREADS=8` produce bit-identical tensors).
 
+use crate::libm::tanhf;
 use crate::Tensor;
 use std::ops::Range;
 
@@ -213,15 +214,17 @@ pub fn gelu(x: &Tensor) -> Tensor {
     x.map(gelu_scalar)
 }
 
-/// [`gelu`] in place, for a caller that owns its input and has no further
-/// use for it.
-pub fn gelu_in_place(x: &mut Tensor) {
-    x.map_inplace(gelu_scalar);
-}
+/// GELU's `√(2/π)`.
+pub const GELU_SQRT_2_OVER_PI: f32 = 0.797_884_6;
+/// The cubic coefficient of GELU's tanh approximation.
+pub const GELU_CUBIC: f32 = 0.044715;
 
-fn gelu_scalar(v: f32) -> f32 {
+/// GELU of one value: `0.5·v·(1 + tanh(√(2/π)·(v + 0.044715·v³)))`, each
+/// product and sum one f32 operation, and `tanh` the in-repo
+/// [`tanhf`], so the bits do not depend on the host's libm.
+pub fn gelu_scalar(v: f32) -> f32 {
     let v3 = v * v * v;
-    0.5 * v * (1.0 + ((0.797_884_6_f32) * (v + 0.044715 * v3)).tanh())
+    0.5 * v * (1.0 + tanhf(GELU_SQRT_2_OVER_PI * (v + GELU_CUBIC * v3)))
 }
 
 #[cfg(test)]

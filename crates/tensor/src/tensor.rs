@@ -200,13 +200,6 @@ impl Tensor {
         }
     }
 
-    /// Applies `f` element-wise in place.
-    pub fn map_inplace<F: FnMut(f32) -> f32>(&mut self, mut f: F) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
-    }
-
     /// Element-wise addition.
     ///
     /// # Panics

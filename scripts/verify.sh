@@ -23,11 +23,13 @@ cargo build --release --examples
 echo "== cargo test --workspace -q =="
 cargo test --workspace -q
 
-# The scale search has SIMD and scalar kernels that must be bit-identical;
-# the workspace run above exercises the auto-detected path, this run pins the
-# scalar fallback so both dispatch targets are tested on every verify.
-echo "== OLIVE_SIMD=scalar cargo test -q -p olive-core =="
-OLIVE_SIMD=scalar cargo test -q -p olive-core
+# The SIMD kernels (the scale search and GELU) have scalar twins that must
+# be bit-identical. The workspace run above exercises the auto-detected path;
+# this run pins the scalar fallback for olive-core and for olive-models,
+# whose eval and decode forwards dispatch GELU, so both dispatch targets are
+# tested on every verify.
+echo "== OLIVE_SIMD=scalar cargo test -q -p olive-core -p olive-models =="
+OLIVE_SIMD=scalar cargo test -q -p olive-core -p olive-models
 
 # The served-path benchmark (servebench/, a package of its own, built into
 # servebench/target) imports the library surface — TensorQuantizer,
