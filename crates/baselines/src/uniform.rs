@@ -10,17 +10,35 @@
 //! The scale is chosen by an MSE grid search between "clip at 3σ" and "cover
 //! the max", the standard PTQ calibration recipe; `Q8BERT` is represented by
 //! the 8-bit instance of this quantizer.
+//!
+//! ## The fast scale search
+//!
+//! [`UniformQuantizer::select_scale`] scores all 24 candidate scales in one
+//! pass over the whole tensor (no sample cap), vectorised across candidates
+//! by `olive_core::simd::score_uniform_candidates`: three 8-lane AVX2
+//! vectors, or a scalar loop. Each candidate's error is summed in f64 in
+//! element order, exactly as `Tensor::mse` sums it, so the chosen scale is
+//! bit-identical to [`UniformQuantizer::reference_select_scale`], the
+//! per-candidate loop kept as its oracle. σ and `max |x|` come from one f64
+//! pass ([`Moments`]). [`TensorQuantizer::quantize_dequantize_into`] fuses
+//! the search with the fake quantization into the caller's buffer without
+//! allocating, bit-identical (−0.0 included) to
+//! [`UniformQuantizer::fake_quant_with_scale`] at the reference scale. A
+//! tensor holding a non-finite value takes the reference search.
 
+use olive_core::simd::{self, CANDIDATE_BLOCK};
 use olive_core::TensorQuantizer;
-use olive_tensor::stats::TensorStats;
+use olive_tensor::stats::{Moments, TensorStats};
 use olive_tensor::Tensor;
+
+/// Candidate scales of the MSE search, all scored in one pass.
+const SEARCH_STEPS: usize = CANDIDATE_BLOCK;
 
 /// Symmetric per-tensor uniform quantizer.
 #[derive(Debug, Clone)]
 pub struct UniformQuantizer {
     bits: u32,
     name: String,
-    search_steps: usize,
 }
 
 impl UniformQuantizer {
@@ -44,7 +62,6 @@ impl UniformQuantizer {
         UniformQuantizer {
             bits,
             name: format!("int{}", bits),
-            search_steps: 24,
         }
     }
 
@@ -63,8 +80,18 @@ impl UniformQuantizer {
     }
 
     /// MSE-minimizing per-tensor scale between the 3σ clip and max-value
-    /// coverage.
+    /// coverage. Returns the same bits as
+    /// [`UniformQuantizer::reference_select_scale`], by the one-pass search
+    /// described in the module docs.
     pub fn select_scale(&self, t: &Tensor) -> f32 {
+        self.fast_select_scale(t.data())
+            .unwrap_or_else(|| self.reference_select_scale(t))
+    }
+
+    /// The scale search as one fake quantization and one `Tensor::mse` per
+    /// candidate: the oracle [`UniformQuantizer::select_scale`] must match
+    /// bit for bit.
+    pub fn reference_select_scale(&self, t: &Tensor) -> f32 {
         let stats = TensorStats::compute(t);
         let qmax = self.qmax() as f32;
         if stats.max_abs == 0.0 {
@@ -75,8 +102,8 @@ impl UniformQuantizer {
         let (lo, hi) = if lo < hi { (lo, hi) } else { (hi * 0.25, hi) };
         let mut best = hi;
         let mut best_mse = f64::INFINITY;
-        for i in 0..self.search_steps {
-            let f = i as f32 / (self.search_steps - 1).max(1) as f32;
+        for i in 0..SEARCH_STEPS {
+            let f = i as f32 / (SEARCH_STEPS - 1).max(1) as f32;
             let scale = lo + (hi - lo) * f;
             if scale <= 0.0 {
                 continue;
@@ -90,6 +117,44 @@ impl UniformQuantizer {
         }
         best
     }
+
+    /// The one-pass search; `None` if `data` holds a non-finite value.
+    fn fast_select_scale(&self, data: &[f32]) -> Option<f32> {
+        if !data.iter().all(|x| x.is_finite()) {
+            return None;
+        }
+        let Moments { std, max_abs, .. } = Moments::of(data);
+        let qmax = self.qmax() as f32;
+        if max_abs == 0.0 {
+            return Some(1.0);
+        }
+        let lo = ((3.0 * std) as f32 / qmax).max(max_abs as f32 / qmax * 1e-3);
+        let hi = max_abs as f32 / qmax;
+        let (lo, hi) = if lo < hi { (lo, hi) } else { (hi * 0.25, hi) };
+        let candidates: [f32; SEARCH_STEPS] = std::array::from_fn(|i| {
+            let f = i as f32 / (SEARCH_STEPS - 1) as f32;
+            lo + (hi - lo) * f
+        });
+        // A non-positive candidate is skipped; its lane scores a unit scale
+        // that is never read back.
+        let scales = candidates.map(|scale| if scale > 0.0 { scale } else { 1.0 });
+        let mut errs = [0.0f64; SEARCH_STEPS];
+        simd::score_uniform_candidates(data, &scales, qmax, &mut errs);
+        let count = data.len() as f64;
+        let mut best = hi;
+        let mut best_mse = f64::INFINITY;
+        for (&scale, &err) in candidates.iter().zip(&errs) {
+            if scale <= 0.0 {
+                continue;
+            }
+            let mse = err / count;
+            if mse < best_mse {
+                best_mse = mse;
+                best = scale;
+            }
+        }
+        Some(best)
+    }
 }
 
 impl TensorQuantizer for UniformQuantizer {
@@ -97,9 +162,30 @@ impl TensorQuantizer for UniformQuantizer {
         &self.name
     }
 
+    /// Runs the fused [`TensorQuantizer::quantize_dequantize_into`].
     fn quantize_dequantize(&self, t: &Tensor) -> Tensor {
-        let scale = self.select_scale(t);
-        self.fake_quant_with_scale(t, scale)
+        let mut out = Tensor::zeros(t.shape().to_vec());
+        self.quantize_dequantize_into(t.data(), out.data_mut());
+        out
+    }
+
+    /// The one-pass search, then the fake quantization straight into `out`:
+    /// the bits of `fake_quant_with_scale` at `reference_select_scale`'s
+    /// scale, allocating nothing. A non-finite input runs those two.
+    fn quantize_dequantize_into(&self, input: &[f32], out: &mut [f32]) {
+        assert_eq!(
+            input.len(),
+            out.len(),
+            "quantize_dequantize_into: input and output lengths differ"
+        );
+        match self.fast_select_scale(input) {
+            Some(scale) => simd::uniform_fake_quant_into(input, scale, self.qmax() as f32, out),
+            None => {
+                let t = Tensor::from_slice(input);
+                let scale = self.reference_select_scale(&t);
+                out.copy_from_slice(self.fake_quant_with_scale(&t, scale).data());
+            }
+        }
     }
 
     fn bits_per_element(&self) -> f64 {

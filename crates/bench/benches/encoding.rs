@@ -4,8 +4,9 @@
 //! `--quick` (CI smoke/gate iteration counts) and `--json <path>` (median
 //! recording for `scripts/bench_gate.sh`).
 
+use olive_baselines::UniformQuantizer;
 use olive_bench::cli::BenchCli;
-use olive_core::OliveQuantizer;
+use olive_core::{OliveQuantizer, TensorQuantizer};
 use olive_dtypes::abfloat::{AbfloatCode, AbfloatFormat};
 use olive_harness::bench::{black_box, BenchSuite};
 use olive_models::SynthProfile;
@@ -60,6 +61,31 @@ fn bench_act_quant(suite: &mut BenchSuite) {
     }
 }
 
+/// The `uniform:4` baseline at its served shapes: the eval's per-tensor
+/// activations (`[16, 32]`) and the `wqkv` weight (`[32, 96]`). Each
+/// `_reference` twin runs the per-candidate reference search and
+/// `fake_quant_with_scale`, which the fused path must match bit for bit.
+fn bench_uniform_act_quant(suite: &mut BenchSuite) {
+    let mut rng = Rng::seed_from(0x04);
+    let q = UniformQuantizer::int4();
+    for (name, shape) in [
+        ("uniform4_tensor16x32", vec![16, 32]),
+        ("uniform4_weight32x96", vec![32, 96]),
+    ] {
+        let t = SynthProfile::transformer().generate(shape, &mut rng);
+        let elements = t.len() as u64;
+        let mut out = vec![0.0f32; t.len()];
+        suite.bench_with_elements(&format!("act_quant/{name}"), elements, || {
+            q.quantize_dequantize_into(black_box(t.data()), &mut out);
+            black_box(out[0])
+        });
+        suite.bench_with_elements(&format!("act_quant/{name}_reference"), elements, || {
+            let t = black_box(&t);
+            black_box(q.fake_quant_with_scale(t, q.reference_select_scale(t)))
+        });
+    }
+}
+
 fn bench_dequantize(suite: &mut BenchSuite) {
     let mut rng = Rng::seed_from(0xDE);
     let t = SynthProfile::transformer().generate(vec![256, 1024], &mut rng);
@@ -94,6 +120,7 @@ fn main() {
     let mut suite = cli.suite("encoding");
     bench_tensor_quantize(&mut suite);
     bench_act_quant(&mut suite);
+    bench_uniform_act_quant(&mut suite);
     bench_dequantize(&mut suite);
     bench_abfloat(&mut suite);
     cli.finish(&[&suite]);

@@ -8,18 +8,23 @@
 //! Starts an in-process server (shipped defaults, ephemeral port), warms
 //! the model cache with one request, then drives it with N client threads ×
 //! M keep-alive `/v1/eval` requests each and reports the latency
-//! distribution (p50/p95/p99) and sustained req/s. With `--json`, the p50 is
-//! merged into the shared flat results file under the kernel name
-//! `serve/eval_tiny_cached`, which `scripts/bench_gate.sh` diffs against
-//! `BENCH_baseline.json` — serving throughput is regression-gated exactly
-//! like the GEMM kernels.
+//! distribution (p50/p95/p99) and sustained req/s. A second phase sends
+//! cache misses from one client. With `--json`, the two p50s are merged
+//! into the shared flat results file under the kernel names
+//! `serve/eval_tiny_cached` and `serve/eval_tiny_miss`, which
+//! `scripts/bench_gate.sh` diffs against `BENCH_baseline.json` — serving
+//! latency is regression-gated exactly like the GEMM kernels.
 //!
-//! The measured path is the serving hot path of the quantize-once,
+//! The cached phase measures the serving hot path of the quantize-once,
 //! serve-many deployment model: HTTP parse → response-cache hit, answered
-//! on the connection thread before admission → response write.
+//! on the connection thread before admission → response write. The miss
+//! phase measures what a new model costs: each request carries a model
+//! seed no other request uses, so it builds the teacher, calibrates,
+//! quantizes the weights under both schemes and runs 48 act-quant forwards
+//! (servebench's `eval_miss` shape).
 
 use olive_bench::gate;
-use olive_bench::loadgen::{drive, warmup, LatencySummary};
+use olive_bench::loadgen::{drive, sequence, warmup, LatencySummary};
 use olive_bench::report::Table;
 use olive_harness::bench::fmt_ns;
 use olive_serve::{ServeConfig, Server};
@@ -29,6 +34,20 @@ use std::path::PathBuf;
 /// count, all cached after warmup.
 const EVAL_BODY: &str =
     r#"{"schemes": ["olive-4bit", "uniform:4"], "batches": 2, "oversample": 2, "seed": 13}"#;
+
+/// A miss-phase request: `EVAL_BODY`'s schemes at 8 batches for model
+/// seed `seed`.
+fn miss_body(seed: u64) -> String {
+    format!(
+        r#"{{"schemes": ["olive-4bit", "uniform:4"], "batches": 8, "oversample": 2, "seed": {seed}}}"#
+    )
+}
+
+/// Model seeds of the miss phase start here, clear of `EVAL_BODY`'s.
+const MISS_SEED_BASE: u64 = 1000;
+
+/// Untimed miss requests that settle the server's lazy set-up first.
+const MISS_WARMUP: u64 = 2;
 
 struct Args {
     quick: bool,
@@ -83,6 +102,7 @@ fn main() {
     let args = parse_args();
     let clients = args.clients.unwrap_or(if args.quick { 4 } else { 8 });
     let requests = args.requests.unwrap_or(if args.quick { 25 } else { 100 });
+    let misses: u64 = if args.quick { 40 } else { 200 };
 
     let server = Server::start(ServeConfig::default()).unwrap_or_else(|e| {
         eprintln!("serve_loadgen: failed to start the server: {e}");
@@ -96,6 +116,13 @@ fn main() {
 
     // Timed phase: closed-loop clients over kept-alive connections.
     let (latencies, wall_s) = drive(addr, "/v1/eval", EVAL_BODY, clients, requests);
+
+    // Miss phase: one client, a fresh model seed per request.
+    let seeds = MISS_SEED_BASE..MISS_SEED_BASE + MISS_WARMUP + misses;
+    let bodies: Vec<String> = seeds.map(miss_body).collect();
+    let (untimed, timed) = bodies.split_at(MISS_WARMUP as usize);
+    sequence(addr, "/v1/eval", untimed);
+    let miss = LatencySummary::from_sorted_ns(&sequence(addr, "/v1/eval", timed));
     server.shutdown();
 
     let total = latencies.len();
@@ -113,7 +140,9 @@ fn main() {
     table.row(vec!["latency p99".into(), fmt_ns(summary.p99_ns)]);
     table.row(vec!["latency max".into(), fmt_ns(summary.max_ns)]);
     table.row(vec!["throughput".into(), format!("{req_per_s:.0} req/s")]);
-    println!("== serve_loadgen: {total} cached /v1/eval requests ==");
+    table.row(vec!["miss requests".into(), timed.len().to_string()]);
+    table.row(vec!["miss latency p50".into(), fmt_ns(miss.p50_ns)]);
+    println!("== serve_loadgen: {total} cached /v1/eval requests, then misses ==");
     println!("{}", table.render());
 
     // The bucketed distribution, in the same microsecond buckets the
@@ -130,6 +159,7 @@ fn main() {
         // loop. (Printed above for humans either way.)
         let mut medians = gate::Medians::new();
         medians.insert("serve/eval_tiny_cached".to_string(), p50);
+        medians.insert("serve/eval_tiny_miss".to_string(), miss.p50_ns);
         gate::merge_into_file(path, &medians)
             .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
         println!("wrote medians to {}", path.display());

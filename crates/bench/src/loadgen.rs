@@ -81,6 +81,30 @@ pub fn drive(
     (latencies, wall_s)
 }
 
+/// Sends `bodies` as `POST path` requests one after another over one
+/// keep-alive connection (a closed loop of one client) and returns their
+/// latencies in nanoseconds **sorted ascending**.
+///
+/// # Panics
+///
+/// Panics on connection failures or non-200 responses.
+pub fn sequence(addr: SocketAddr, path: &str, bodies: &[String]) -> Vec<u64> {
+    let mut connection = Connection::open(addr).expect("client connect");
+    let mut latencies: Vec<u64> = bodies
+        .iter()
+        .map(|body| {
+            let start = Instant::now();
+            let response = connection
+                .request("POST", path, Some(body))
+                .expect("loadgen request");
+            assert_eq!(response.status, 200, "{}", response.body);
+            start.elapsed().as_nanos() as u64
+        })
+        .collect();
+    latencies.sort_unstable();
+    latencies
+}
+
 /// Drives `streams` persistent client threads through `rounds` barrier-
 /// synchronized bursts: every round, all streams issue one keep-alive
 /// `POST path` request **simultaneously**, and the round's wall time is the

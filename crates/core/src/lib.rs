@@ -22,7 +22,8 @@
 //!   operands once per call, accumulates in `i64` with the int32 overflow
 //!   check, and shards rows over the runtime pool with statistics merged in
 //!   row order.
-//! * [`simd`] — runtime AVX2 dispatch for the scale search and for GELU
+//! * [`simd`] — runtime AVX2 dispatch for the OVP scale search, the
+//!   uniform baseline's scale search and fake quantization, and GELU
 //!   (the only module in the workspace allowed to contain `unsafe`), with
 //!   the `OLIVE_SIMD` override mirroring `OLIVE_THREADS`. Every path is
 //!   bit-identical to its scalar kernel.

@@ -30,7 +30,7 @@ use crate::encode::{decode_pair_expint, decode_pair_values, encode_pair};
 use crate::simd::{self, CANDIDATE_BLOCK};
 use olive_dtypes::flint4::FLINT4_MAGNITUDES;
 use olive_dtypes::{AbfloatCode, AbfloatFormat, ExpInt, Flint4, Int4, NormalDataType};
-use olive_tensor::stats::TensorStats;
+use olive_tensor::stats::{Moments, TensorStats};
 use olive_tensor::Tensor;
 use std::sync::OnceLock;
 
@@ -517,27 +517,14 @@ fn cap_scale(scale: f32, cap: f32) -> f32 {
     }
 }
 
-/// σ and `max |x|` exactly as `TensorStats::from_slice` computes them (the
-/// f64 sum and sum of squares in element order), or `None` if any value is
-/// non-finite.
+/// σ and `max |x|` exactly as `TensorStats::from_slice` computes them, or
+/// `None` if any value is non-finite.
 fn finite_std_and_max_abs(data: &[f32]) -> Option<(f64, f64)> {
     if !data.iter().all(|x| x.is_finite()) {
         return None;
     }
-    if data.is_empty() {
-        return Some((0.0, 0.0));
-    }
-    let (mut sum, mut sum_sq, mut max_abs) = (0.0f64, 0.0f64, 0.0f64);
-    for &x in data {
-        let x = x as f64;
-        sum += x;
-        sum_sq += x * x;
-        max_abs = max_abs.max(x.abs());
-    }
-    let n = data.len() as f64;
-    let mean = sum / n;
-    let var = (sum_sq / n - mean * mean).max(0.0);
-    Some((var.sqrt(), max_abs))
+    let Moments { std, max_abs, .. } = Moments::of(data);
+    Some((std, max_abs))
 }
 
 /// The round trip of a 4-bit OVP type (`int4` or `flint4`) as magnitude

@@ -1,14 +1,19 @@
-//! SIMD dispatch for the OVP scale search and for GELU.
+//! SIMD dispatch for the OVP and uniform scale searches and for GELU.
 //!
 //! This module is the **only** place in the workspace where `unsafe` code is
 //! permitted (enforced by the `no-unsafe-outside-simd` olive-lint rule; the
 //! runtime pool's lifetime-erasure internals carry the one grandfathered
-//! exemption in `lint.toml`). It holds two kernels, both floating point and
+//! exemption in `lint.toml`). It holds three kernels, all floating point and
 //! bit-identical across paths:
 //!
-//! * the scale search's candidate scoring (`score_candidates`): lanes hold
-//!   candidates, never pairs, so every candidate's f64 error sum is formed
-//!   by the same IEEE operations in the same order on every path;
+//! * the OVP scale search's candidate scoring (`score_candidates`): lanes
+//!   hold candidates, never pairs, so every candidate's f64 error sum is
+//!   formed by the same IEEE operations in the same order on every path;
+//! * the uniform quantizer's ([`score_uniform_candidates`], the same
+//!   layout over single elements) and its fake quantization
+//!   ([`uniform_fake_quant_into`], lanes hold elements). Both divide by the
+//!   scale, which SIMD `div` does exactly as scalar `/`, and round half away
+//!   from zero by truncating and testing the dropped fraction;
 //! * [`gelu_in_place`]: lanes hold elements, and each lane runs
 //!   [`gelu_scalar`]'s operations, computing every branch of its `tanhf`
 //!   and blending the lanes by masks.
@@ -166,9 +171,9 @@ pub fn resolve_path() -> SimdPath {
     }
 }
 
-/// Candidate scales one pass of the OVP scale search scores: three 8-lane
-/// AVX2 f32 vectors, the default search width.
-pub(crate) const CANDIDATE_BLOCK: usize = 24;
+/// Candidate scales one pass of a scale search scores: three 8-lane AVX2
+/// f32 vectors, the default width of the OVP and uniform searches.
+pub const CANDIDATE_BLOCK: usize = 24;
 
 /// Scores the first `lanes` candidate scales of a 4-bit OVP scale search in
 /// one pass over `sample`: `errs[k]` becomes the sum of squared round-trip
@@ -238,6 +243,85 @@ fn score_candidates_scalar(
     }
 }
 
+/// `x / scale` rounded half away from zero onto the integer grid
+/// `[−qmax, qmax]`: the bits of `(x / scale).round().clamp(-qmax, qmax)` for
+/// a finite `x`, a positive finite `scale` and an integer `qmax` below 2³¹.
+///
+/// Clamping before rounding changes no result, since `qmax` is an integer,
+/// and keeps the truncation in `i32` range. The stepped value is selected
+/// rather than a zero step added, so a small negative value keeps the −0.0
+/// that `round` gives it.
+#[inline]
+fn uniform_level(x: f32, scale: f32, qmax: f32) -> f32 {
+    let v = (x / scale).clamp(-qmax, qmax);
+    let t = (v as i32 as f32).copysign(v);
+    if (v - t).abs() >= 0.5 {
+        t + 1f32.copysign(v)
+    } else {
+        t
+    }
+}
+
+/// Scores every candidate of a symmetric uniform scale search in one pass
+/// over `data` on the dispatched path: `errs[k]` becomes the sum of
+/// squared errors `x − level·scales[k]` over `data`, where `level` is `x`
+/// divided by `scales[k]`, rounded half away from zero and clamped to
+/// ±`qmax` (an integer below 2³¹). Each error is formed in f32, widened to
+/// f64 and squared, and added in element order with a separate multiply
+/// and add, so `errs[k] / data.len()` has the bits `Tensor::mse` gives the
+/// tensor fake-quantized at `scales[k]`. Exact for finite `data` and
+/// positive finite scales.
+///
+/// Every path vectorises across candidates, never across elements, so the
+/// paths agree bit for bit.
+pub fn score_uniform_candidates(
+    data: &[f32],
+    scales: &[f32; CANDIDATE_BLOCK],
+    qmax: f32,
+    errs: &mut [f64; CANDIDATE_BLOCK],
+) {
+    match resolve_path() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `resolve_path` returns AVX2 only when the CPU supports it.
+        SimdPath::Avx2 => unsafe { x86::score_uniform_candidates_avx2(data, scales, qmax, errs) },
+        _ => {
+            for &x in data {
+                for (err, &scale) in errs.iter_mut().zip(scales) {
+                    let d = (x - uniform_level(x, scale, qmax) * scale) as f64;
+                    *err += d * d;
+                }
+            }
+        }
+    }
+}
+
+/// Writes the uniform fake quantization of `input` at `scale` to `out` on
+/// the dispatched path: `level·scale` per value, with `level` as in
+/// [`score_uniform_candidates`]. Bit for bit
+/// `(x / scale).round().clamp(-qmax, qmax) * scale` for finite `input`
+/// and a positive finite `scale`, −0.0 included.
+///
+/// # Panics
+///
+/// Panics if `input` and `out` differ in length.
+pub fn uniform_fake_quant_into(input: &[f32], scale: f32, qmax: f32, out: &mut [f32]) {
+    assert_eq!(
+        input.len(),
+        out.len(),
+        "uniform_fake_quant_into: input and output lengths differ"
+    );
+    match resolve_path() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `resolve_path` returns AVX2 only when the CPU supports it.
+        SimdPath::Avx2 => unsafe { x86::uniform_fake_quant_avx2(input, scale, qmax, out) },
+        _ => {
+            for (o, &x) in out.iter_mut().zip(input) {
+                *o = uniform_level(x, scale, qmax) * scale;
+            }
+        }
+    }
+}
+
 /// GELU (tanh approximation) of every value of `xs`, in place, on the
 /// dispatched path: bit for bit [`gelu_scalar`] of each value, which is
 /// what [`olive_tensor::matmul::gelu`] computes.
@@ -255,7 +339,7 @@ mod x86 {
     //! The intrinsic kernels. `#[target_feature]` makes each function compile
     //! for its ISA regardless of build flags; callers must (and do) prove the
     //! feature is present at runtime before invoking them.
-    use super::CANDIDATE_BLOCK;
+    use super::{uniform_level, CANDIDATE_BLOCK};
     use crate::quantizer::FourBitGrid;
     use olive_tensor::libm::{
         EXPM1_HALF_LN2, EXPM1_Q, EXPM1_THREE_HALVES_LN2, EXPM1_TINY, INV_LN2, LN2_HI, LN2_LO,
@@ -426,6 +510,87 @@ mod x86 {
         for (j, halves) in acc.iter().enumerate() {
             _mm256_storeu_pd(errs[8 * j..].as_mut_ptr(), halves[0]);
             _mm256_storeu_pd(errs[8 * j + 4..].as_mut_ptr(), halves[1]);
+        }
+    }
+
+    /// `uniform_level` lane by lane: divide, clamp to `[lo, hi]`
+    /// (±`qmax`), truncate, and select the value stepped away from zero
+    /// where the dropped fraction is at least one half. Selecting, not
+    /// adding a masked step, keeps a truncated −0.0 negative.
+    ///
+    /// # Safety
+    /// Caller must have verified AVX2 via `is_x86_feature_detected!`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn uniform_level8(x: __m256, scale: __m256, lo: __m256, hi: __m256) -> __m256 {
+        let sign = _mm256_set1_ps(-0.0);
+        let v = _mm256_max_ps(_mm256_min_ps(_mm256_div_ps(x, scale), hi), lo);
+        let t = _mm256_round_ps::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(v);
+        let up = _mm256_cmp_ps::<_CMP_GE_OQ>(
+            _mm256_andnot_ps(sign, _mm256_sub_ps(v, t)),
+            _mm256_set1_ps(0.5),
+        );
+        let step = _mm256_or_ps(_mm256_set1_ps(1.0), _mm256_and_ps(v, sign));
+        _mm256_blendv_ps(t, _mm256_add_ps(t, step), up)
+    }
+
+    /// The AVX2 form of `score_uniform_candidates`: three f32 vectors of
+    /// candidates, six f64 vectors of error sums, one pass over `data`.
+    ///
+    /// Negating `x` negates its level and its error exactly, so the lanes
+    /// score `|x|`: the clamp needs only its upper bound, and the step away
+    /// from zero is a masked +1, which cannot meet a −0.0.
+    ///
+    /// # Safety
+    /// Caller must have verified AVX2 via `is_x86_feature_detected!`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn score_uniform_candidates_avx2(
+        data: &[f32],
+        scales: &[f32; CANDIDATE_BLOCK],
+        qmax: f32,
+        errs: &mut [f64; CANDIDATE_BLOCK],
+    ) {
+        let top = _mm256_set1_ps(qmax);
+        let half = _mm256_set1_ps(0.5);
+        let one = _mm256_set1_ps(1.0);
+        let mut scale = [_mm256_setzero_ps(); 3];
+        for (j, s) in scale.iter_mut().enumerate() {
+            *s = _mm256_loadu_ps(scales[8 * j..].as_ptr());
+        }
+        let mut acc = [[_mm256_setzero_pd(); 2]; 3];
+        for &x in data {
+            let a = _mm256_set1_ps(x.abs());
+            for (acc, &s) in acc.iter_mut().zip(&scale) {
+                let v = _mm256_min_ps(_mm256_div_ps(a, s), top);
+                let t = _mm256_round_ps::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(v);
+                let up = _mm256_cmp_ps::<_CMP_GE_OQ>(_mm256_sub_ps(v, t), half);
+                let level = _mm256_add_ps(t, _mm256_and_ps(up, one));
+                add_square(acc, _mm256_sub_ps(a, _mm256_mul_ps(level, s)));
+            }
+        }
+        for (j, halves) in acc.iter().enumerate() {
+            _mm256_storeu_pd(errs[8 * j..].as_mut_ptr(), halves[0]);
+            _mm256_storeu_pd(errs[8 * j + 4..].as_mut_ptr(), halves[1]);
+        }
+    }
+
+    /// The AVX2 form of `uniform_fake_quant_into`, eight values at a time;
+    /// the last `input.len() % 8` go through `uniform_level`.
+    ///
+    /// # Safety
+    /// Caller must have verified AVX2 via `is_x86_feature_detected!`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn uniform_fake_quant_avx2(input: &[f32], scale: f32, qmax: f32, out: &mut [f32]) {
+        let (lo, hi) = (_mm256_set1_ps(-qmax), _mm256_set1_ps(qmax));
+        let s = _mm256_set1_ps(scale);
+        let mut xs = input.chunks_exact(8);
+        let mut os = out.chunks_exact_mut(8);
+        for (x, o) in (&mut xs).zip(&mut os) {
+            let level = uniform_level8(_mm256_loadu_ps(x.as_ptr()), s, lo, hi);
+            _mm256_storeu_ps(o.as_mut_ptr(), _mm256_mul_ps(level, s));
+        }
+        for (o, &x) in os.into_remainder().iter_mut().zip(xs.remainder()) {
+            *o = uniform_level(x, scale, qmax) * scale;
         }
     }
 

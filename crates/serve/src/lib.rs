@@ -102,17 +102,18 @@
 //! ## Unary admission & back-pressure
 //!
 //! `/v1/eval` and `/v1/quantize` jobs never share compute, so they are not
-//! batched: each is answered on the connection thread that read it. An
-//! `/v1/eval` response-cache hit is answered before admission and is never
-//! shed. Every other unary request takes a slot from a bounded in-flight
-//! counter (`--queue-capacity`, default 64); when every slot is taken the
-//! server answers **503 + `Retry-After: 1`** immediately: overload is shed
-//! at the door, visible to clients, instead of growing an unbounded
-//! backlog. Admitted misses share the CPUs — up to `--queue-capacity` at
-//! once, their row-parallel kernels taking turns on the global pool —
-//! rather than waiting in FIFO order. Quantize-once-serve-many lives in
-//! [`cache`]: teachers are prepared once per configuration and shared
-//! across requests and schemes.
+//! batched: each runs alone on a long-lived unary lane thread, the lowest
+//! idle one, while the connection thread that read it waits. An
+//! `/v1/eval` response-cache hit is answered on the connection thread
+//! before admission and is never shed. Every other unary request takes a
+//! slot from a bounded in-flight counter (`--queue-capacity`, default 64);
+//! when every slot is taken the server answers **503 + `Retry-After: 1`**
+//! immediately: overload is shed at the door, visible to clients, instead
+//! of growing an unbounded backlog. Admitted misses share the CPUs — up
+//! to `--queue-capacity` at once, their row-parallel kernels taking turns
+//! on the global pool — rather than waiting in FIFO order.
+//! Quantize-once-serve-many lives in [`cache`]: teachers are prepared once
+//! per configuration and shared across requests and schemes.
 //!
 //! ## Observability
 //!

@@ -572,16 +572,23 @@ fn route(request: &Request, state: &ServerState, span: &Option<Arc<Span>>) -> Ro
             .and_then(|v| EvalRequest::decode(&v).map_err(|e| Response::error(400, &e.0)))
         {
             // A response-cache hit skips admission, so it is never shed.
-            Ok(req) => {
-                let hit = state.cache.cached_eval_body(&req);
-                state
+            Ok(req) => match state.cache.cached_eval_body(&req) {
+                Some(hit) => state
                     .unary
-                    .serve(span.as_deref(), hit.is_none(), || {
-                        let body = hit.unwrap_or_else(|| state.cache.eval_body(&req));
-                        Response::json(200, body.as_str())
+                    .serve(span.as_deref(), false, move || {
+                        Response::json(200, hit.as_str())
                     })
-                    .into()
-            }
+                    .into(),
+                None => {
+                    let cache = Arc::clone(&state.cache);
+                    state
+                        .unary
+                        .serve(span.as_deref(), true, move || {
+                            Response::json(200, cache.eval_body(&req).as_str())
+                        })
+                        .into()
+                }
+            },
             Err(response) => response.into(),
         },
         ("POST", "/v1/generate") => match decode_body(request)
@@ -598,7 +605,9 @@ fn route(request: &Request, state: &ServerState, span: &Option<Arc<Span>>) -> Ro
         {
             Ok(req) => state
                 .unary
-                .serve(span.as_deref(), true, || Response::json(200, req.execute()))
+                .serve(span.as_deref(), true, move || {
+                    Response::json(200, req.execute())
+                })
                 .into(),
             Err(response) => response.into(),
         },

@@ -59,18 +59,7 @@ impl TensorStats {
                 count: 0,
             };
         }
-        let mut sum = 0.0f64;
-        let mut sum_sq = 0.0f64;
-        let mut max_abs = 0.0f64;
-        for &x in data {
-            let x = x as f64;
-            sum += x;
-            sum_sq += x * x;
-            max_abs = max_abs.max(x.abs());
-        }
-        let mean = sum / n as f64;
-        let var = (sum_sq / n as f64 - mean * mean).max(0.0);
-        let std = var.sqrt();
+        let Moments { mean, std, max_abs } = Moments::of(data);
 
         let (mut c3, mut c6, mut max_dev) = (0usize, 0usize, 0.0f64);
         if std > 0.0 {
@@ -108,6 +97,49 @@ impl TensorStats {
         } else {
             // Callers that need a non-standard k should use `outlier_fraction`.
             f64::NAN
+        }
+    }
+}
+
+/// The mean, σ and maximum absolute value of a slice: the single f64 pass,
+/// in element order, that opens [`TensorStats::from_slice`]. Scale searches
+/// that read only these skip its σ-normalised second pass.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Moments {
+    /// Arithmetic mean of all elements.
+    pub mean: f64,
+    /// Standard deviation (population) of all elements.
+    pub std: f64,
+    /// Maximum absolute element value.
+    pub max_abs: f64,
+}
+
+impl Moments {
+    /// The moments of `data`; all zero for an empty slice.
+    pub fn of(data: &[f32]) -> Self {
+        if data.is_empty() {
+            return Moments {
+                mean: 0.0,
+                std: 0.0,
+                max_abs: 0.0,
+            };
+        }
+        let mut sum = 0.0f64;
+        let mut sum_sq = 0.0f64;
+        let mut max_abs = 0.0f64;
+        for &x in data {
+            let x = x as f64;
+            sum += x;
+            sum_sq += x * x;
+            max_abs = max_abs.max(x.abs());
+        }
+        let n = data.len() as f64;
+        let mean = sum / n;
+        let var = (sum_sq / n - mean * mean).max(0.0);
+        Moments {
+            mean,
+            std: var.sqrt(),
+            max_abs,
         }
     }
 }

@@ -3,9 +3,11 @@
 #
 # Runs the four micro-benchmarks (encoding, quantized_gemm, simulators, and
 # decode: the served prefill tick, its per-token twin and one decode step)
-# in --quick mode plus the serve_loadgen serving-throughput benchmark and the
-# gen_loadgen streamed-decode benchmark (tokens/sec p50 single-stream, and
-# the serve/gen_continuous_tiny 8-stream continuous-batching burst), merges
+# in --quick mode plus the serve_loadgen serving benchmark (the p50 of a
+# cached /v1/eval, serve/eval_tiny_cached, and of a one-client /v1/eval that
+# misses every cache, serve/eval_tiny_miss) and the gen_loadgen
+# streamed-decode benchmark (tokens/sec p50 single-stream, and the
+# serve/gen_continuous_tiny 8-stream continuous-batching burst), merges
 # their per-kernel medians into BENCH_results.json, and fails if any kernel
 # regressed more than the tolerance (default 25%) versus the checked-in
 # BENCH_baseline.json.

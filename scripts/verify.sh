@@ -23,13 +23,15 @@ cargo build --release --examples
 echo "== cargo test --workspace -q =="
 cargo test --workspace -q
 
-# The SIMD kernels (the scale search and GELU) have scalar twins that must
-# be bit-identical. The workspace run above exercises the auto-detected path;
-# this run pins the scalar fallback for olive-core and for olive-models,
-# whose eval and decode forwards dispatch GELU, so both dispatch targets are
+# The SIMD kernels (the OVP and uniform scale searches, uniform fake
+# quantization and GELU) have scalar twins that must be bit-identical. The
+# workspace run above exercises the auto-detected path; this run pins the
+# scalar fallback for olive-core, for olive-models, whose eval and decode
+# forwards dispatch GELU, and for olive-baselines, whose uniform quantizer
+# dispatches its search and fake quantization, so both dispatch targets are
 # tested on every verify.
-echo "== OLIVE_SIMD=scalar cargo test -q -p olive-core -p olive-models =="
-OLIVE_SIMD=scalar cargo test -q -p olive-core -p olive-models
+echo "== OLIVE_SIMD=scalar cargo test -q -p olive-core -p olive-models -p olive-baselines =="
+OLIVE_SIMD=scalar cargo test -q -p olive-core -p olive-models -p olive-baselines
 
 # The served-path benchmark (servebench/, a package of its own, built into
 # servebench/target) imports the library surface — TensorQuantizer,
