@@ -14,12 +14,25 @@
 //! OVP integer GEMM, every other scheme runs fake-quantization + FP32 GEMM.
 //! The default set (no `--scheme`) is what `BENCH_baseline.json` gates, so
 //! its kernel names are stable.
+//!
+//! The `served/*` rows time the dispatched dense GEMMs
+//! (`olive_core::simd::matmul` and `matmul_transpose_b`) on one thread at
+//! the shapes the served forwards run, each next to a `_scalar` twin pinned
+//! to the scalar path, the reference kernels: `m16_tiny_layer` (a BERT-tiny
+//! eval layer's four weight GEMMs over 16 tokens), `m16_tiny_head`,
+//! `m128_small_layer` and `m2_small_layer` (a gpt2-small layer's four at a
+//! two-stream 64-token prefill and a two-stream decode step),
+//! `m2_small_head`, and `eval_forward_tiny` (one BERT-tiny fp32 forward of
+//! 16 tokens, which servebench's `eval_miss` runs 32 times per request;
+//! its twin also runs GELU on the scalar path). The activations are seeded
+//! unit Gaussians with no zeros, as the fp32 teacher's are.
 
 use olive_api::Scheme;
 use olive_bench::cli::BenchCli;
+use olive_core::simd::{self, with_simd, SimdPath};
 use olive_core::{quantized_matmul, OliveQuantizer};
 use olive_harness::bench::{black_box, BenchConfig, BenchSuite};
-use olive_models::SynthProfile;
+use olive_models::{EngineConfig, OutlierSeverity, SynthProfile, TinyTransformer};
 use olive_tensor::matmul::matmul;
 use olive_tensor::rng::Rng;
 use olive_tensor::Tensor;
@@ -97,6 +110,69 @@ fn bench_scheme(suite: &mut BenchSuite, scheme: &Scheme, n: usize, seed: u64) {
     }
 }
 
+/// A `[rows, cols]` activation of unit Gaussians.
+fn activation(rng: &mut Rng, rows: usize, cols: usize) -> Tensor {
+    let mut x = Tensor::zeros(vec![rows, cols]);
+    rng.fill_normal(x.data_mut(), 0.0, 1.0);
+    x
+}
+
+/// The `served/*` rows (see the module docs), each on the dispatched path
+/// and pinned to the scalar one, at one thread.
+fn bench_served(suite: &mut BenchSuite) {
+    let mut rng = Rng::seed_from(0x5E);
+    let tiny = TinyTransformer::generate(
+        EngineConfig::tiny(),
+        OutlierSeverity::transformer(),
+        &mut rng,
+    );
+    let small = TinyTransformer::generate(EngineConfig::small(), OutlierSeverity::llm(), &mut rng);
+    let tokens: Vec<usize> = (0..16).map(|_| rng.below(tiny.config.vocab)).collect();
+    let layers = [
+        ("m16_tiny_layer", 16, &tiny),
+        ("m128_small_layer", 128, &small),
+        ("m2_small_layer", 2, &small),
+    ]
+    .map(|(name, m, model)| {
+        let layer = &model.layers[0];
+        let gemms: Vec<(Tensor, &Tensor)> = [&layer.wqkv, &layer.wo, &layer.w1, &layer.w2]
+            .into_iter()
+            .map(|w| (activation(&mut rng, m, w.rows()), w))
+            .collect();
+        (name, gemms)
+    });
+    let heads = [("m16_tiny_head", 16, &tiny), ("m2_small_head", 2, &small)]
+        .map(|(name, m, model)| (name, activation(&mut rng, m, model.config.d_model), model));
+
+    let twins = [("", None), ("_scalar", Some(SimdPath::Scalar))];
+    let mut timed = |name: &str, macs: u64, f: &mut dyn FnMut()| {
+        for (suffix, path) in twins {
+            with_simd(path, || {
+                olive_runtime::with_threads(1, || {
+                    suite.bench_with_elements(&format!("served/{name}{suffix}"), macs, &mut *f);
+                })
+            });
+        }
+    };
+    for (name, gemms) in &layers {
+        let macs = gemms.iter().map(|(x, w)| (x.len() * w.cols()) as u64).sum();
+        timed(name, macs, &mut || {
+            for (x, w) in gemms {
+                black_box(simd::matmul(black_box(x), black_box(w)));
+            }
+        });
+    }
+    for (name, x, model) in &heads {
+        let macs = (x.len() * model.config.vocab) as u64;
+        timed(name, macs, &mut || {
+            black_box(simd::matmul_transpose_b(black_box(x), &model.embedding));
+        });
+    }
+    timed("eval_forward_tiny", tokens.len() as u64, &mut || {
+        black_box(tiny.forward(black_box(&tokens), None));
+    });
+}
+
 fn main() {
     let cli = BenchCli::parse();
     let mut suite = cli.suite("quantized_gemm");
@@ -112,6 +188,7 @@ fn main() {
 
     // The gate's stable kernel set: shapes measured in both modes.
     bench_shape(&mut suite, 256, 0x6E);
+    bench_served(&mut suite);
 
     if cli.quick {
         cli.finish(&[&suite]);

@@ -1,9 +1,10 @@
-//! SIMD dispatch for the OVP and uniform scale searches and for GELU.
+//! SIMD dispatch for the OVP and uniform scale searches, GELU and the dense
+//! f32 GEMMs.
 //!
 //! This module is the **only** place in the workspace where `unsafe` code is
 //! permitted (enforced by the `no-unsafe-outside-simd` olive-lint rule; the
 //! runtime pool's lifetime-erasure internals carry the one grandfathered
-//! exemption in `lint.toml`). It holds three kernels, all floating point and
+//! exemption in `lint.toml`). It holds five kernels, all floating point and
 //! bit-identical across paths:
 //!
 //! * the OVP scale search's candidate scoring (`score_candidates`): lanes
@@ -16,7 +17,11 @@
 //!   from zero by truncating and testing the dropped fraction;
 //! * [`gelu_in_place`]: lanes hold elements, and each lane runs
 //!   [`gelu_scalar`]'s operations, computing every branch of its `tanhf`
-//!   and blending the lanes by masks.
+//!   and blending the lanes by masks;
+//! * the dense GEMMs under every served forward, [`matmul`] and
+//!   [`matmul_transpose_b`]: lanes hold output elements, each accumulated
+//!   in a register from +0.0 with `k` ascending, a multiply then an add,
+//!   exactly as `olive_tensor::matmul`'s kernels (their scalar path) do.
 //!
 //! Dispatch order is `AVX2 > scalar`, resolved at runtime with
 //! [`std::arch::is_x86_feature_detected!`] and overridable per process with
@@ -29,6 +34,7 @@
 
 use crate::quantizer::FourBitGrid;
 use olive_tensor::matmul::gelu_scalar;
+use olive_tensor::Tensor;
 use std::cell::Cell;
 use std::sync::Once;
 
@@ -129,7 +135,9 @@ thread_local! {
 /// Runs `f` with the kernel dispatch pinned to `path` on this thread
 /// (restored on exit, even on panic). `None` restores auto/env resolution.
 /// Unsupported pins degrade to scalar at resolve time, keeping results
-/// bit-identical. Intended for tests; processes should use `OLIVE_SIMD`.
+/// bit-identical. Tests pin a path with it, and a model forward pins
+/// [`resolve_path`]'s answer so that its many kernel calls skip the
+/// environment; processes choose a path with `OLIVE_SIMD`.
 pub fn with_simd<R>(path: Option<SimdPath>, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<SimdPath>);
     impl Drop for Restore {
@@ -334,6 +342,64 @@ pub fn gelu_in_place(xs: &mut [f32]) {
     }
 }
 
+/// `C = A × B` on the dispatched path: bit for bit
+/// [`olive_tensor::matmul::matmul`], which is the scalar path. `a` is
+/// `[m, k]`, `b` is `[k, n]` and zero-sized operands are valid.
+///
+/// Every output element starts at +0.0 and adds `a·b` for `k` ascending,
+/// skipping a zero activation, as the reference does; AVX2 keeps a 4 × 16
+/// block of outputs in registers across all of `k`. The rows are sharded
+/// over the pool by the reference's [`olive_tensor::matmul::gemm_rows`],
+/// so the bits do not depend on the thread count either.
+///
+/// # Panics
+///
+/// Panics if the inner dimensions do not match or an input is not rank-2.
+pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
+    match resolve_path() {
+        #[cfg(target_arch = "x86_64")]
+        SimdPath::Avx2 => {
+            let (m, k) = (a.rows(), a.cols());
+            let (kb, n) = (b.rows(), b.cols());
+            assert_eq!(k, kb, "matmul inner dimensions mismatch: {} vs {}", k, kb);
+            let (ad, bd) = (a.data(), b.data());
+            // SAFETY: `resolve_path` returns AVX2 only when the CPU supports it.
+            olive_tensor::matmul::gemm_rows(m, k, n, |rows, out| unsafe {
+                x86::matmul_avx2(ad, bd, k, n, rows, out)
+            })
+        }
+        _ => olive_tensor::matmul::matmul(a, b),
+    }
+}
+
+/// `C = A × Bᵀ` on the dispatched path: bit for bit
+/// [`olive_tensor::matmul::matmul_transpose_b`], which is the scalar path.
+/// `a` is `[m, k]`, `b` is `[n, k]` and zero-sized operands are valid.
+///
+/// Every output element is one dot product from +0.0 in ascending `k`
+/// order; AVX2 holds eight of them in the lanes of one register and
+/// transposes `b` in 8 × 8 tiles in registers, with no copy of `b`.
+///
+/// # Panics
+///
+/// Panics if the inner dimensions do not match or an input is not rank-2.
+pub fn matmul_transpose_b(a: &Tensor, b: &Tensor) -> Tensor {
+    match resolve_path() {
+        #[cfg(target_arch = "x86_64")]
+        SimdPath::Avx2 => {
+            let (m, k) = (a.rows(), a.cols());
+            let (n, kb) = (b.rows(), b.cols());
+            assert_eq!(k, kb, "matmul_transpose_b inner dimensions mismatch");
+            let (ad, bd) = (a.data(), b.data());
+            // SAFETY: `resolve_path` returns AVX2 only when the CPU supports it.
+            olive_tensor::matmul::gemm_rows(m, k, n, |rows, out| unsafe {
+                x86::matmul_transpose_b_avx2(ad, bd, k, n, rows, out)
+            })
+        }
+        _ => olive_tensor::matmul::matmul_transpose_b(a, b),
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     //! The intrinsic kernels. `#[target_feature]` makes each function compile
@@ -347,6 +413,7 @@ mod x86 {
     };
     use olive_tensor::matmul::{gelu_scalar, GELU_CUBIC, GELU_SQRT_2_OVER_PI};
     use std::arch::x86_64::*;
+    use std::ops::Range;
 
     /// A [`FourBitGrid`] broadcast across eight lanes.
     #[derive(Clone, Copy)]
@@ -757,6 +824,252 @@ mod x86 {
         }
         for v in chunks.into_remainder() {
             *v = gelu_scalar(*v);
+        }
+    }
+
+    /// Rows `rows` of `C = A × B` into `out`, which holds exactly those
+    /// rows; `ad` is `[m, k]` and `bd` `[k, n]`, row-major. Columns go in
+    /// tiles of 16, then one of 8, then the scalar loop for the last
+    /// `n % 8`; rows in blocks of 4, then one block of the 1–3 left.
+    ///
+    /// # Safety
+    /// Caller must have verified AVX2 via `is_x86_feature_detected!`; the
+    /// operand lengths are checked here.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn matmul_avx2(
+        ad: &[f32],
+        bd: &[f32],
+        k: usize,
+        n: usize,
+        rows: Range<usize>,
+        out: &mut [f32],
+    ) {
+        let m = rows.len();
+        let a_rows = &ad[rows.start * k..rows.end * k];
+        assert!(bd.len() == k * n && out.len() == m * n);
+        let (a, c) = (a_rows.as_ptr(), out.as_mut_ptr());
+        let mut j = 0;
+        while n - j >= 16 {
+            row_blocks::<2>(a, m, k, bd.as_ptr().add(j), n, c.add(j));
+            j += 16;
+        }
+        if n - j >= 8 {
+            row_blocks::<1>(a, m, k, bd.as_ptr().add(j), n, c.add(j));
+            j += 8;
+        }
+        for (ri, orow) in out.chunks_exact_mut(n.max(1)).enumerate() {
+            let arow = &a_rows[ri * k..][..k];
+            for (jj, o) in orow.iter_mut().enumerate().skip(j) {
+                let mut acc = 0.0f32;
+                for (kk, &av) in arow.iter().enumerate() {
+                    if av != 0.0 {
+                        acc += av * bd[kk * n + jj];
+                    }
+                }
+                *o = acc;
+            }
+        }
+    }
+
+    /// Columns `0..8·V` of `C` (at `c`, row stride `n`) for all `m` rows
+    /// of `A` (at `a`, row stride `k`), from `B`'s columns at `b`:
+    /// [`row_block`]s of 4 rows, then one of the 1–3 left.
+    ///
+    /// # Safety
+    /// Caller must have verified AVX2 and that every row and column read
+    /// or written is in bounds.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn row_blocks<const V: usize>(
+        a: *const f32,
+        m: usize,
+        k: usize,
+        b: *const f32,
+        n: usize,
+        c: *mut f32,
+    ) {
+        let mut i = 0;
+        while m - i >= 4 {
+            row_block::<4, V>(a.add(i * k), k, b, n, c.add(i * n));
+            i += 4;
+        }
+        match m - i {
+            3 => row_block::<3, V>(a.add(i * k), k, b, n, c.add(i * n)),
+            2 => row_block::<2, V>(a.add(i * k), k, b, n, c.add(i * n)),
+            1 => row_block::<1, V>(a.add(i * k), k, b, n, c.add(i * n)),
+            _ => {}
+        }
+    }
+
+    /// An `R × 8V` block of `C`, held in `R·V` registers across all of
+    /// `k`. Each lane adds `a·b` for `k` ascending, a multiply then an add
+    /// (never fused), and drops the product where `a` is ±0.0, which the
+    /// reference skips: and-not with the `a == 0` mask leaves +0.0, and
+    /// adding +0.0 to an accumulator that starts at +0.0 changes nothing
+    /// (it never becomes −0.0). Multiplying by the mask instead would not
+    /// do, since `0·∞` is NaN.
+    ///
+    /// # Safety
+    /// As [`row_blocks`].
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn row_block<const R: usize, const V: usize>(
+        a: *const f32,
+        k: usize,
+        b: *const f32,
+        n: usize,
+        c: *mut f32,
+    ) {
+        let zero = _mm256_setzero_ps();
+        let mut acc = [[zero; V]; R];
+        for kk in 0..k {
+            let mut bv = [zero; V];
+            for (v, bv) in bv.iter_mut().enumerate() {
+                *bv = _mm256_loadu_ps(b.add(kk * n + 8 * v));
+            }
+            for (r, acc) in acc.iter_mut().enumerate() {
+                let av = _mm256_set1_ps(*a.add(r * k + kk));
+                let skip = _mm256_cmp_ps::<_CMP_EQ_OQ>(av, zero);
+                for (acc, &bv) in acc.iter_mut().zip(&bv) {
+                    let product = _mm256_andnot_ps(skip, _mm256_mul_ps(av, bv));
+                    *acc = _mm256_add_ps(*acc, product);
+                }
+            }
+        }
+        for (r, acc) in acc.iter().enumerate() {
+            for (v, &acc) in acc.iter().enumerate() {
+                _mm256_storeu_ps(c.add(r * n + 8 * v), acc);
+            }
+        }
+    }
+
+    /// Rows `rows` of `C = A × Bᵀ` into `out`, which holds exactly those
+    /// rows; `ad` is `[m, k]` and `bd` `[n, k]`, row-major. Outputs go
+    /// eight to a register, in blocks of up to 4 rows; the last `n % 8`
+    /// of each row run the scalar loop.
+    ///
+    /// # Safety
+    /// Caller must have verified AVX2 via `is_x86_feature_detected!`; the
+    /// operand lengths are checked here.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn matmul_transpose_b_avx2(
+        ad: &[f32],
+        bd: &[f32],
+        k: usize,
+        n: usize,
+        rows: Range<usize>,
+        out: &mut [f32],
+    ) {
+        let m = rows.len();
+        let a_rows = &ad[rows.start * k..rows.end * k];
+        assert!(bd.len() == n * k && out.len() == m * n);
+        let (a, c) = (a_rows.as_ptr(), out.as_mut_ptr());
+        let n8 = n - n % 8;
+        for j in (0..n8).step_by(8) {
+            let b = bd.as_ptr().add(j * k);
+            let mut i = 0;
+            while m - i >= 4 {
+                dot_block::<4>(a.add(i * k), k, b, c.add(i * n + j), n);
+                i += 4;
+            }
+            match m - i {
+                3 => dot_block::<3>(a.add(i * k), k, b, c.add(i * n + j), n),
+                2 => dot_block::<2>(a.add(i * k), k, b, c.add(i * n + j), n),
+                1 => dot_block::<1>(a.add(i * k), k, b, c.add(i * n + j), n),
+                _ => {}
+            }
+        }
+        for (ri, orow) in out.chunks_exact_mut(n.max(1)).enumerate() {
+            let arow = &a_rows[ri * k..][..k];
+            for (j, o) in orow.iter_mut().enumerate().skip(n8) {
+                let mut acc = 0.0f32;
+                for (&av, &bv) in arow.iter().zip(&bd[j * k..(j + 1) * k]) {
+                    acc += av * bv;
+                }
+                *o = acc;
+            }
+        }
+    }
+
+    /// `rows[l]` becomes column `l` of the 8 × 8 tile `rows`.
+    ///
+    /// # Safety
+    /// Caller must have verified AVX2 via `is_x86_feature_detected!`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn transpose8(r: [__m256; 8]) -> [__m256; 8] {
+        // Per 128-bit half: [r0[0], r1[0], r0[1], r1[1]], and so on.
+        let t0 = _mm256_unpacklo_ps(r[0], r[1]);
+        let t1 = _mm256_unpackhi_ps(r[0], r[1]);
+        let t2 = _mm256_unpacklo_ps(r[2], r[3]);
+        let t3 = _mm256_unpackhi_ps(r[2], r[3]);
+        let t4 = _mm256_unpacklo_ps(r[4], r[5]);
+        let t5 = _mm256_unpackhi_ps(r[4], r[5]);
+        let t6 = _mm256_unpacklo_ps(r[6], r[7]);
+        let t7 = _mm256_unpackhi_ps(r[6], r[7]);
+        // Per half: column q of rows 0–3 (s0–s3) and of rows 4–7 (s4–s7).
+        let s0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+        let s1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
+        let s2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+        let s3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
+        let s4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+        let s5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
+        let s6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+        let s7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
+        [
+            _mm256_permute2f128_ps::<0x20>(s0, s4),
+            _mm256_permute2f128_ps::<0x20>(s1, s5),
+            _mm256_permute2f128_ps::<0x20>(s2, s6),
+            _mm256_permute2f128_ps::<0x20>(s3, s7),
+            _mm256_permute2f128_ps::<0x31>(s0, s4),
+            _mm256_permute2f128_ps::<0x31>(s1, s5),
+            _mm256_permute2f128_ps::<0x31>(s2, s6),
+            _mm256_permute2f128_ps::<0x31>(s3, s7),
+        ]
+    }
+
+    /// Eight outputs `C[r][j..j + 8]` (at `c`, row stride `n`) for `R`
+    /// rows of `A` (at `a`, row stride `k`), from the eight rows of `B` at
+    /// `b`: lane `l` of row `r`'s register is the dot product of `A` row
+    /// `r` with `B` row `l`, from +0.0 with `k` ascending, a multiply then
+    /// an add. `B` is transposed eight `k` at a time in registers; the
+    /// last `k % 8` continue each lane's sum in scalar.
+    ///
+    /// # Safety
+    /// Caller must have verified AVX2 and that every row read or written
+    /// is in bounds.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn dot_block<const R: usize>(
+        a: *const f32,
+        k: usize,
+        b: *const f32,
+        c: *mut f32,
+        n: usize,
+    ) {
+        let mut acc = [_mm256_setzero_ps(); R];
+        let k8 = k - k % 8;
+        for k0 in (0..k8).step_by(8) {
+            let mut tile = [_mm256_setzero_ps(); 8];
+            for (l, row) in tile.iter_mut().enumerate() {
+                *row = _mm256_loadu_ps(b.add(l * k + k0));
+            }
+            for (kk, &bk) in transpose8(tile).iter().enumerate() {
+                for (r, acc) in acc.iter_mut().enumerate() {
+                    let av = _mm256_set1_ps(*a.add(r * k + k0 + kk));
+                    *acc = _mm256_add_ps(*acc, _mm256_mul_ps(av, bk));
+                }
+            }
+        }
+        for (r, acc) in acc.iter().enumerate() {
+            let mut lanes = [0.0f32; 8];
+            _mm256_storeu_ps(lanes.as_mut_ptr(), *acc);
+            for (l, lane) in lanes.iter_mut().enumerate() {
+                for kk in k8..k {
+                    *lane += *a.add(r * k + kk) * *b.add(l * k + kk);
+                }
+            }
+            std::ptr::copy_nonoverlapping(lanes.as_ptr(), c.add(r * n), 8);
         }
     }
 }

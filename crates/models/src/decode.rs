@@ -41,7 +41,7 @@
 //! Because every non-GEMM op in the step is per-row (layer norm, per-row
 //! activation quantization, GELU, residual add) and every GEMM row is
 //! accumulated in ascending-`k` order regardless of the batch's row count
-//! (the `olive-tensor` kernel contract), the row for token *t* of a run is
+//! (the kernel contract below), the row for token *t* of a run is
 //! **bit-identical** to the lone-stream `push` of that token — the property
 //! that lets `olive-serve` merge concurrent `/v1/generate` streams, and
 //! feed a new stream's whole prompt, into one forward per tick without
@@ -55,9 +55,12 @@
 //! tests below. The contract holds by construction:
 //!
 //! * every GEMM row is accumulated in the same ascending-`k` order whether it
-//!   is computed as one row of a batch product or as a `[1, k]` product (the
-//!   `olive-tensor` kernel contract), and the runtime's determinism contract
-//!   makes that independent of `OLIVE_THREADS`;
+//!   is computed as one row of a batch product or as a `[1, k]` product, and
+//!   the runtime's determinism contract makes that independent of
+//!   `OLIVE_THREADS`. This kernel contract covers both GEMMs in play:
+//!   `olive_tensor::matmul`'s, which `forward_causal` calls, and the
+//!   dispatched `olive_core::simd` ones `feed_batch` calls, whose every
+//!   path returns the `olive_tensor` kernels' bits;
 //! * attention is causal, so a position's keys/values never change once
 //!   computed, and the softmax over a masked batch row is bit-identical to
 //!   the softmax over the unmasked prefix (masked lanes contribute exactly
@@ -75,7 +78,7 @@
 
 use crate::engine::{argmax, TinyTransformer};
 use crate::kv::{KvStore, VecKv};
-use olive_core::simd::gelu_in_place;
+use olive_core::simd::{self, gelu_in_place};
 use olive_core::TensorQuantizer;
 use olive_tensor::matmul::{
     gelu, layer_norm, matmul, matmul_transpose_b, softmax_row, softmax_rows,
@@ -218,58 +221,66 @@ impl TinyTransformer {
             slots.iter().all(|slot| !slot.tokens.is_empty()),
             "a feed slot needs a token"
         );
-        let rows: usize = slots.iter().map(|slot| slot.tokens.len()).sum();
-        let mut x = self.embed(
-            rows,
-            slots
-                .iter()
-                .flat_map(|slot| slot.tokens.iter().copied().zip(slot.pos..)),
-        );
+        // Resolve the kernel path once: the kernel calls below then read
+        // only this thread's override, not the environment.
+        simd::with_simd(Some(simd::resolve_path()), || {
+            let rows: usize = slots.iter().map(|slot| slot.tokens.len()).sum();
+            let mut x = self.embed(
+                rows,
+                slots
+                    .iter()
+                    .flat_map(|slot| slot.tokens.iter().copied().zip(slot.pos..)),
+            );
 
-        // Every intermediate is quantized and activated in place and freed
-        // as soon as its consumer has run, so a long prefill holds only a
-        // few live tensors at a time.
-        let mut scores = Vec::new();
-        for (li, layer) in self.layers.iter().enumerate() {
-            let normed = layer_norm(&x, &layer.ln1_gamma, &layer.ln1_beta, 1e-5);
-            let qkv = matmul(&quantize_rows_owned(normed, act_quant), &layer.wqkv);
-            let mut attn = Tensor::zeros(vec![rows, d]);
-            let mut r = 0;
-            for slot in slots.iter_mut() {
-                for o in 0..slot.tokens.len() {
-                    let row = qkv.row(r);
-                    slot.kv.append(li, &row[d..2 * d], &row[2 * d..3 * d]);
-                    let positions = slot.pos + o + 1;
-                    self.attend(
-                        &*slot.kv,
-                        li,
-                        &row[..d],
-                        positions,
-                        &mut scores,
-                        attn.row_mut(r),
-                    );
-                    r += 1;
+            // Every intermediate is quantized and activated in place and freed
+            // as soon as its consumer has run, so a long prefill holds only a
+            // few live tensors at a time.
+            let mut scores = Vec::new();
+            for (li, layer) in self.layers.iter().enumerate() {
+                let normed = layer_norm(&x, &layer.ln1_gamma, &layer.ln1_beta, 1e-5);
+                let qkv = simd::matmul(&quantize_rows_owned(normed, act_quant), &layer.wqkv);
+                let mut attn = Tensor::zeros(vec![rows, d]);
+                let mut r = 0;
+                for slot in slots.iter_mut() {
+                    for o in 0..slot.tokens.len() {
+                        let row = qkv.row(r);
+                        slot.kv.append(li, &row[d..2 * d], &row[2 * d..3 * d]);
+                        let positions = slot.pos + o + 1;
+                        self.attend(
+                            &*slot.kv,
+                            li,
+                            &row[..d],
+                            positions,
+                            &mut scores,
+                            attn.row_mut(r),
+                        );
+                        r += 1;
+                    }
                 }
+                drop(qkv);
+                x = x.add(&simd::matmul(
+                    &quantize_rows_owned(attn, act_quant),
+                    &layer.wo,
+                ));
+
+                let normed = layer_norm(&x, &layer.ln2_gamma, &layer.ln2_beta, 1e-5);
+                let mut h = simd::matmul(&quantize_rows_owned(normed, act_quant), &layer.w1);
+                gelu_in_place(h.data_mut());
+                x = x.add(&simd::matmul(&quantize_rows_owned(h, act_quant), &layer.w2));
             }
-            drop(qkv);
-            x = x.add(&matmul(&quantize_rows_owned(attn, act_quant), &layer.wo));
 
-            let normed = layer_norm(&x, &layer.ln2_gamma, &layer.ln2_beta, 1e-5);
-            let mut h = matmul(&quantize_rows_owned(normed, act_quant), &layer.w1);
-            gelu_in_place(h.data_mut());
-            x = x.add(&matmul(&quantize_rows_owned(h, act_quant), &layer.w2));
-        }
-
-        let mut last = Tensor::zeros(vec![slots.len(), d]);
-        let mut end = 0;
-        for (s, slot) in slots.iter().enumerate() {
-            end += slot.tokens.len();
-            last.row_mut(s).copy_from_slice(x.row(end - 1));
-        }
-        drop(x);
-        let normed = layer_norm(&last, &self.ln_f_gamma, &self.ln_f_beta, 1e-5);
-        let logits = matmul_transpose_b(&quantize_rows_owned(normed, act_quant), &self.embedding);
-        (0..slots.len()).map(|s| logits.row(s).to_vec()).collect()
+            let mut last = Tensor::zeros(vec![slots.len(), d]);
+            let mut end = 0;
+            for (s, slot) in slots.iter().enumerate() {
+                end += slot.tokens.len();
+                last.row_mut(s).copy_from_slice(x.row(end - 1));
+            }
+            drop(x);
+            let normed = layer_norm(&last, &self.ln_f_gamma, &self.ln_f_beta, 1e-5);
+            let logits =
+                simd::matmul_transpose_b(&quantize_rows_owned(normed, act_quant), &self.embedding);
+            (0..slots.len()).map(|s| logits.row(s).to_vec()).collect()
+        })
     }
 
     /// Advances the current step of every stream in `slots` by one token:

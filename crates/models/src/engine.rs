@@ -18,9 +18,9 @@
 //! the function computed by an outlier-heavy Transformer*.
 
 use crate::config::ModelFamily;
-use olive_core::simd::gelu_in_place;
+use olive_core::simd::{gelu_in_place, matmul, matmul_transpose_b, resolve_path, with_simd};
 use olive_core::TensorQuantizer;
-use olive_tensor::matmul::{layer_norm, matmul, matmul_transpose_b, softmax_rows};
+use olive_tensor::matmul::{layer_norm, softmax_rows};
 use olive_tensor::rng::Rng;
 use olive_tensor::Tensor;
 
@@ -245,39 +245,43 @@ impl TinyTransformer {
     ///
     /// Panics if any token id is out of vocabulary range.
     pub fn forward(&self, tokens: &[usize], act_quant: Option<&dyn TensorQuantizer>) -> Tensor {
-        let mut x = self.embed(tokens.len(), tokens.iter().copied().zip(0..));
+        // Resolve the kernel path once: the kernel calls below then read
+        // only this thread's override, not the environment.
+        with_simd(Some(resolve_path()), || {
+            let mut x = self.embed(tokens.len(), tokens.iter().copied().zip(0..));
 
-        let maybe_q = |t: &Tensor| -> Tensor {
-            match act_quant {
-                Some(q) => q.quantize_dequantize(t),
-                None => t.clone(),
+            let maybe_q = |t: &Tensor| -> Tensor {
+                match act_quant {
+                    Some(q) => q.quantize_dequantize(t),
+                    None => t.clone(),
+                }
+            };
+
+            for layer in &self.layers {
+                // Pre-norm attention block.
+                let normed = layer_norm(&x, &layer.ln1_gamma, &layer.ln1_beta, 1e-5);
+                let qkv_in = maybe_q(&normed);
+                let qkv = matmul(&qkv_in, &layer.wqkv);
+                let attn = self.attention(&qkv);
+                let attn_in = maybe_q(&attn);
+                let out = matmul(&attn_in, &layer.wo);
+                x = x.add(&out);
+
+                // Pre-norm FFN block.
+                let normed = layer_norm(&x, &layer.ln2_gamma, &layer.ln2_beta, 1e-5);
+                let ffn_in = maybe_q(&normed);
+                let mut h = matmul(&ffn_in, &layer.w1);
+                gelu_in_place(h.data_mut());
+                let h_in = maybe_q(&h);
+                let ffn = matmul(&h_in, &layer.w2);
+                x = x.add(&ffn);
             }
-        };
 
-        for layer in &self.layers {
-            // Pre-norm attention block.
-            let normed = layer_norm(&x, &layer.ln1_gamma, &layer.ln1_beta, 1e-5);
-            let qkv_in = maybe_q(&normed);
-            let qkv = matmul(&qkv_in, &layer.wqkv);
-            let attn = self.attention(&qkv);
-            let attn_in = maybe_q(&attn);
-            let out = matmul(&attn_in, &layer.wo);
-            x = x.add(&out);
-
-            // Pre-norm FFN block.
-            let normed = layer_norm(&x, &layer.ln2_gamma, &layer.ln2_beta, 1e-5);
-            let ffn_in = maybe_q(&normed);
-            let mut h = matmul(&ffn_in, &layer.w1);
-            gelu_in_place(h.data_mut());
-            let h_in = maybe_q(&h);
-            let ffn = matmul(&h_in, &layer.w2);
-            x = x.add(&ffn);
-        }
-
-        let normed = layer_norm(&x, &self.ln_f_gamma, &self.ln_f_beta, 1e-5);
-        let head_in = maybe_q(&normed);
-        // Weight tying: logits = x · Eᵀ.
-        matmul_transpose_b(&head_in, &self.embedding)
+            let normed = layer_norm(&x, &self.ln_f_gamma, &self.ln_f_beta, 1e-5);
+            let head_in = maybe_q(&normed);
+            // Weight tying: logits = x · Eᵀ.
+            matmul_transpose_b(&head_in, &self.embedding)
+        })
     }
 
     /// Embeds `rows` `(token, position)` pairs as the rows of a

@@ -16,7 +16,7 @@ use olive_serve::client::Connection;
 use olive_serve::{SchedConfig, ServeConfig, Server};
 use std::io::{Read, Write};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The stream mix: mixed prompt lengths, step counts, schemes, families and
 /// seeds, so merged ticks combine differently-shaped flights and several
@@ -105,6 +105,29 @@ fn assert_streams_bit_identical(server: &Server, expected: &Arc<Vec<(String, Str
     }
 }
 
+/// Polls `/healthz` until no decode session and no KV page is in use. The
+/// scheduler ends a hung-up flight only once a chunk write to it fails,
+/// which can come after every surviving stream has finished, so the
+/// disconnecting stream may still be live when the clients join. A leak
+/// fails at the 10 s deadline with the last body.
+fn assert_sessions_drain(server: &Server) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let health = olive_serve::client::get(server.local_addr(), "/healthz").unwrap();
+        let v = JsonValue::parse(&health.body).unwrap();
+        let gauge = |key| v.get(key).and_then(JsonValue::as_u64);
+        if gauge("decode_sessions") == Some(0) && gauge("kv_pages_used") == Some(0) {
+            return;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "sessions still live after 10 s: {}",
+            health.body
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
 #[test]
 fn concurrent_sessions_stream_bit_identical_bytes() {
     // Expected bodies computed once, directly, before any server exists:
@@ -149,20 +172,7 @@ fn concurrent_sessions_stream_bit_identical_bytes() {
             assert_streams_bit_identical(&server, &expected);
 
             // The disconnected session fully released its slot and pages.
-            let health = olive_serve::client::get(server.local_addr(), "/healthz").unwrap();
-            let v = JsonValue::parse(&health.body).unwrap();
-            assert_eq!(
-                v.get("decode_sessions").and_then(JsonValue::as_u64),
-                Some(0),
-                "{}",
-                health.body
-            );
-            assert_eq!(
-                v.get("kv_pages_used").and_then(JsonValue::as_u64),
-                Some(0),
-                "{}",
-                health.body
-            );
+            assert_sessions_drain(&server);
             server.shutdown();
         }
     }

@@ -6,6 +6,12 @@
 //! output is computed by the same kernel code with the same `k`-ascending
 //! accumulation order no matter how many threads run (`OLIVE_THREADS=1` and
 //! `OLIVE_THREADS=8` produce bit-identical tensors).
+//!
+//! [`matmul`] and [`matmul_transpose_b`] are the scalar reference of the
+//! dispatched `olive_core::simd` GEMMs that the served forwards call: their
+//! scalar path, and the oracle their AVX2 path must match bit for bit. The
+//! causal `forward_causal` keeps calling them, so the decode-cache property
+//! tests compare the served `feed_batch` with them at model level.
 
 use crate::libm::tanhf;
 use crate::Tensor;
@@ -97,18 +103,8 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     let (m, k) = (a.rows(), a.cols());
     let (kb, n) = (b.rows(), b.cols());
     assert_eq!(k, kb, "matmul inner dimensions mismatch: {} vs {}", k, kb);
-
-    let mut out = vec![0.0f32; m * n];
-    let ad = a.data();
-    let bd = b.data();
-    if olive_runtime::should_parallelize(m, gemm_work(m, k, n)) {
-        olive_runtime::par_rows_mut(m, n, &mut out, |rows, block| {
-            gemm_block(ad, bd, k, n, rows, block);
-        });
-    } else {
-        gemm_block(ad, bd, k, n, 0..m, &mut out);
-    }
-    Tensor::from_vec(vec![m, n], out)
+    let (ad, bd) = (a.data(), b.data());
+    gemm_rows(m, k, n, |rows, block| gemm_block(ad, bd, k, n, rows, block))
 }
 
 /// `C = A × Bᵀ` without materialising the transpose.
@@ -124,15 +120,29 @@ pub fn matmul_transpose_b(a: &Tensor, b: &Tensor) -> Tensor {
     let (m, k) = (a.rows(), a.cols());
     let (n, kb) = (b.rows(), b.cols());
     assert_eq!(k, kb, "matmul_transpose_b inner dimensions mismatch");
+    let (ad, bd) = (a.data(), b.data());
+    gemm_rows(m, k, n, |rows, block| {
+        gemm_tb_block(ad, bd, k, n, rows, block)
+    })
+}
+
+/// The `[m, n]` product of a GEMM with inner dimension `k`, whose rows
+/// `rows_into(rows, out)` computes into `out` (holding exactly those rows,
+/// zero-initialised). Rows are sharded over the [`olive_runtime`] pool when
+/// the product is large enough; a kernel that computes each row alone then
+/// returns the same bits at every thread count. The dispatched
+/// `olive_core::simd` GEMMs shard through it too, so both share one rule.
+pub fn gemm_rows(
+    m: usize,
+    k: usize,
+    n: usize,
+    rows_into: impl Fn(Range<usize>, &mut [f32]) + Sync,
+) -> Tensor {
     let mut out = vec![0.0f32; m * n];
-    let ad = a.data();
-    let bd = b.data();
     if olive_runtime::should_parallelize(m, gemm_work(m, k, n)) {
-        olive_runtime::par_rows_mut(m, n, &mut out, |rows, block| {
-            gemm_tb_block(ad, bd, k, n, rows, block);
-        });
+        olive_runtime::par_rows_mut(m, n, &mut out, rows_into);
     } else {
-        gemm_tb_block(ad, bd, k, n, 0..m, &mut out);
+        rows_into(0..m, &mut out);
     }
     Tensor::from_vec(vec![m, n], out)
 }

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Bench-regression gate for the OliVe reproduction workspace.
 #
-# Runs the four micro-benchmarks (encoding, quantized_gemm, simulators, and
-# decode: the served prefill tick, its per-token twin and one decode step)
+# Runs the four micro-benchmarks (encoding, quantized_gemm with its served/*
+# rows: the dense GEMMs at the served shapes and one BERT-tiny forward, each
+# next to a _scalar twin, simulators, and decode: the served prefill tick,
+# its per-token twin and one decode step)
 # in --quick mode plus the serve_loadgen serving benchmark (the p50 of a
 # cached /v1/eval, serve/eval_tiny_cached, and of a one-client /v1/eval that
 # misses every cache, serve/eval_tiny_miss) and the gen_loadgen

@@ -60,7 +60,8 @@ mkdir -p "$ARTDIR"
 PREPARE_LOG="$WORKDIR/prepare.log"
 "$BIN/olive-prepare" --artifact-dir "$ARTDIR" --verify \
     --eval "$EVAL_BODY" --generate "$GEN_BODY" | tee "$PREPARE_LOG"
-# Every snapshot line must report load_ms well under prepare_ms.
+# Every snapshot line must report load_ms well under prepare_ms (each the
+# minimum of olive-prepare's 5 timed runs).
 awk '
     /^olive-prepare: wrote / {
         prepare = load = ""

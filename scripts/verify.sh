@@ -24,14 +24,15 @@ echo "== cargo test --workspace -q =="
 cargo test --workspace -q
 
 # The SIMD kernels (the OVP and uniform scale searches, uniform fake
-# quantization and GELU) have scalar twins that must be bit-identical. The
-# workspace run above exercises the auto-detected path; this run pins the
-# scalar fallback for olive-core, for olive-models, whose eval and decode
-# forwards dispatch GELU, and for olive-baselines, whose uniform quantizer
-# dispatches its search and fake quantization, so both dispatch targets are
-# tested on every verify.
-echo "== OLIVE_SIMD=scalar cargo test -q -p olive-core -p olive-models -p olive-baselines =="
-OLIVE_SIMD=scalar cargo test -q -p olive-core -p olive-models -p olive-baselines
+# quantization, GELU and the dense GEMMs) have scalar twins that must be
+# bit-identical. The workspace run above exercises the auto-detected path;
+# this run pins the scalar fallback for olive-core, for olive-models, whose
+# eval and decode forwards dispatch GELU and the dense GEMMs, for
+# olive-baselines, whose uniform quantizer dispatches its search and fake
+# quantization, and for olive-api, whose tbl06/tbl09 goldens pin the bytes
+# of those forwards, so both dispatch targets are tested on every verify.
+echo "== OLIVE_SIMD=scalar cargo test -q -p olive-core -p olive-models -p olive-baselines -p olive-api =="
+OLIVE_SIMD=scalar cargo test -q -p olive-core -p olive-models -p olive-baselines -p olive-api
 
 # The served-path benchmark (servebench/, a package of its own, built into
 # servebench/target) imports the library surface — TensorQuantizer,
