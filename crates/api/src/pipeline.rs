@@ -23,7 +23,10 @@
 use crate::json::JsonValue;
 use crate::scheme::Scheme;
 use olive_harness::report::Table;
-use olive_models::{eval_scores, EngineConfig, EvalTask, OutlierSeverity, TinyTransformer};
+use olive_models::{
+    eval_scores, student_scores, teacher_logits, EngineConfig, EvalTask, OutlierSeverity,
+    TinyTransformer,
+};
 use olive_tensor::rng::Rng;
 use olive_tensor::Tensor;
 use std::sync::Arc;
@@ -250,7 +253,10 @@ pub struct SchemeResult {
     pub position_agreement: f64,
     /// Pseudo-perplexity against the teacher's argmax labels.
     pub perplexity: f64,
-    /// Wall time of quantizing + evaluating this scheme, in seconds.
+    /// Wall time of this scheme's own work, in seconds: quantizing its
+    /// weights (or reusing its cached student) and its student forwards
+    /// and scores. The teacher's forwards are shared by every scheme of a
+    /// run, and no scheme's time includes them.
     pub wall_time_s: f64,
 }
 
@@ -434,6 +440,11 @@ impl StudentCache {
 /// a pipeline run, exposed for studies that transform weights directly
 /// instead of going through a registry scheme (the Fig. 3 clipping/pruning
 /// motivation study).
+///
+/// It holds the teacher, the task and the quantize-once students, and not
+/// the teacher's logits of the task: [`Pipeline::run_prepared`] recomputes
+/// those once per run. Keeping them would grow every preparation a serving
+/// cache holds by its task's logits (32 KiB for BERT-tiny at 8 inputs).
 #[derive(Debug, Clone)]
 pub struct PreparedEval {
     /// The FP32 teacher.
@@ -485,7 +496,7 @@ impl PreparedEval {
     /// stay FP32), against the teacher.
     pub fn fidelity_of_weight_transform<F>(&self, f: F) -> f64
     where
-        F: Fn(&str, &Tensor) -> Tensor,
+        F: Fn(&str, &Tensor) -> Tensor + Sync,
     {
         let student = self.teacher.map_weights(f);
         eval_scores(&self.teacher, &student, &self.task, None).fidelity
@@ -607,26 +618,51 @@ impl Pipeline {
 
     /// Generates the teacher and evaluation task without running any scheme.
     pub fn prepare(&self) -> PreparedEval {
+        self.prepare_with_logits().0
+    }
+
+    /// The preparation, plus the teacher's logits of every task input when
+    /// calibration computed them: a confident calibration runs the teacher
+    /// on every candidate, a random one runs no forward at all.
+    fn prepare_with_logits(&self) -> (PreparedEval, Option<Vec<Tensor>>) {
         let mut rng = Rng::seed_from(self.seed);
         let teacher = TinyTransformer::generate(self.model.config, self.model.severity, &mut rng);
-        let task = match self.calibration {
-            Calibration::Confident { oversample } => EvalTask::generate_confident(
-                &self.task,
-                &teacher,
-                self.batches,
-                oversample,
-                &mut rng,
-            ),
-            Calibration::Random => {
-                EvalTask::generate(&self.task, &self.model.config, self.batches, &mut rng)
+        let (task, logits) = match self.calibration {
+            Calibration::Confident { oversample } => {
+                let (task, logits) = EvalTask::generate_confident_with_logits(
+                    &self.task,
+                    &teacher,
+                    self.batches,
+                    oversample,
+                    &mut rng,
+                );
+                (task, Some(logits))
             }
+            Calibration::Random => (
+                EvalTask::generate(&self.task, &self.model.config, self.batches, &mut rng),
+                None,
+            ),
         };
-        PreparedEval::new(teacher, task)
+        (PreparedEval::new(teacher, task), logits)
     }
 
     /// Runs every configured scheme and collects the unified report.
     pub fn run(&self) -> EvalReport {
-        self.run_prepared(&self.prepare())
+        self.prepare_and_run().1
+    }
+
+    /// Prepares, runs every configured scheme, and returns the preparation
+    /// with the report, for a cache to keep the preparation.
+    ///
+    /// A confident calibration has already run the teacher on every kept
+    /// input, so each scheme is scored against those logits and the run adds
+    /// only student forwards. The logits are dropped with the run; the
+    /// returned preparation holds what [`prepare`](Self::prepare) returns.
+    pub fn prepare_and_run(&self) -> (PreparedEval, EvalReport) {
+        let (prepared, logits) = self.prepare_with_logits();
+        let logits = logits.unwrap_or_else(|| teacher_logits(&prepared.teacher, &prepared.task));
+        let report = self.report(&prepared, &logits);
+        (prepared, report)
     }
 
     /// Runs every configured scheme against an already-[`prepare`](Self::prepare)d
@@ -635,11 +671,21 @@ impl Pipeline {
     /// (model, seed, batches, calibration). This is the quantize-once,
     /// serve-many entry point: `olive-serve`'s model cache prepares each
     /// (model, seed, batches) once and reuses it across requests.
+    ///
+    /// The teacher half of the scores (its logits of every task input) runs
+    /// once per call and is shared by every scheme, which then costs one
+    /// student forward per input.
     pub fn run_prepared(&self, prepared: &PreparedEval) -> EvalReport {
+        self.report(prepared, &teacher_logits(&prepared.teacher, &prepared.task))
+    }
+
+    /// The report of every configured scheme, each scored against
+    /// `teacher_logits`, the teacher's logits of `prepared.task`.
+    fn report(&self, prepared: &PreparedEval, teacher_logits: &[Tensor]) -> EvalReport {
         let results = self
             .schemes
             .iter()
-            .map(|scheme| self.run_scheme(prepared, scheme))
+            .map(|scheme| self.run_scheme(prepared, teacher_logits, scheme))
             .collect();
         EvalReport {
             model: self.model.name.clone(),
@@ -652,7 +698,12 @@ impl Pipeline {
         }
     }
 
-    fn run_scheme(&self, prepared: &PreparedEval, scheme: &Scheme) -> SchemeResult {
+    fn run_scheme(
+        &self,
+        prepared: &PreparedEval,
+        teacher_logits: &[Tensor],
+        scheme: &Scheme,
+    ) -> SchemeResult {
         let quantizer = scheme.build();
         // olive-lint: allow(no-wallclock-in-deterministic-paths): feeds only wall_time_s, which without_wall_times strips before any byte comparison
         let start = std::time::Instant::now();
@@ -664,7 +715,7 @@ impl Pipeline {
         });
         let quantize_acts = self.quantize_activations && quantizer.quantizes_activations();
         let act_q = quantize_acts.then_some(quantizer.as_ref());
-        let scores = eval_scores(&prepared.teacher, &student, &prepared.task, act_q);
+        let scores = student_scores(teacher_logits, &student, &prepared.task, act_q);
         SchemeResult {
             spec: scheme.to_string(),
             name: quantizer.name().to_string(),
@@ -856,16 +907,39 @@ mod tests {
 
     #[test]
     fn run_prepared_matches_run_bit_for_bit() {
-        let pipeline = tiny_pipeline().schemes(["olive-4bit", "uniform:8"]);
-        let direct = pipeline.run();
-        let prepared = pipeline.prepare();
-        // Serve-many: the same preparation feeds several runs.
-        for _ in 0..2 {
-            let served = pipeline.run_prepared(&prepared);
-            assert_eq!(
-                served.without_wall_times().to_json(),
-                direct.clone().without_wall_times().to_json()
-            );
+        // `run` scores against calibration's teacher logits, `run_prepared`
+        // recomputes them once per run: every preparation, however it was
+        // made, must give the same bytes, for several schemes at once.
+        let schemes = ["olive-4bit", "uniform:8", "uniform:4@per-row"];
+        for calibration in [Calibration::confident(2), Calibration::random()] {
+            for batches in [4, 0] {
+                let pipeline = tiny_pipeline()
+                    .calibrate(calibration)
+                    .batches(batches)
+                    .schemes(schemes);
+                let direct = pipeline.run().without_wall_times().to_json();
+                let (kept, report) = pipeline.prepare_and_run();
+                assert_eq!(report.without_wall_times().to_json(), direct);
+                let prepared = pipeline.prepare();
+                let snapshot = crate::ModelArtifact::eval("key", "BERT", &prepared)
+                    .with_students(&pipeline.schemes)
+                    .to_bytes();
+                let loaded = crate::ModelArtifact::from_bytes(&snapshot)
+                    .unwrap()
+                    .prepared_eval()
+                    .unwrap();
+                // Serve-many: each preparation feeds several runs.
+                for p in [&kept, &prepared, &loaded] {
+                    for _ in 0..2 {
+                        let served = pipeline.run_prepared(p);
+                        assert_eq!(
+                            served.without_wall_times().to_json(),
+                            direct,
+                            "{calibration:?}, {batches} batches"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -10,9 +10,7 @@
 
 use olive_api::{Calibration, ModelFamily, Pipeline};
 use olive_core::TensorQuantizer;
-use olive_models::{
-    logit_fidelity, pseudo_perplexity, EngineConfig, EvalTask, OutlierSeverity, TinyTransformer,
-};
+use olive_models::{argmax, EngineConfig, EvalTask, OutlierSeverity, TinyTransformer};
 use olive_tensor::rng::Rng;
 
 /// The pre-refactor harness defaults: `EngineConfig::small()`, 24 inputs,
@@ -104,4 +102,85 @@ fn pipeline_matches_a_hand_constructed_legacy_evaluation() {
     let r = report.result("olive-4bit").unwrap();
     assert_eq!(r.fidelity, legacy_fidelity);
     assert_eq!(r.perplexity, legacy_ppl);
+}
+
+// The legacy harness's two standalone folds, kept here as the cross-check's
+// reference: one teacher and one student forward per input, one partial per
+// input, folded in input order.
+
+/// Mean cosine similarity of the teacher's and the student's logit rows.
+fn logit_fidelity(
+    teacher: &TinyTransformer,
+    student: &TinyTransformer,
+    task: &EvalTask,
+    act_quant: Option<&dyn TensorQuantizer>,
+) -> f64 {
+    let partials = olive_runtime::par_map(&task.inputs, |input| {
+        let t_logits = teacher.forward(input, None);
+        let s_logits = student.forward(input, act_quant);
+        let sum: f64 = (0..t_logits.rows())
+            .map(|pos| cosine(t_logits.row(pos), s_logits.row(pos)))
+            .fold(0.0, |acc, c| acc + c);
+        (sum, t_logits.rows())
+    });
+    let (total, count) = partials
+        .into_iter()
+        .fold((0.0f64, 0usize), |(t, c), (sum, rows)| (t + sum, c + rows));
+    if count == 0 {
+        1.0
+    } else {
+        total / count as f64
+    }
+}
+
+/// `exp` of the student's mean cross-entropy against the teacher's argmax
+/// labels.
+fn pseudo_perplexity(
+    teacher: &TinyTransformer,
+    student: &TinyTransformer,
+    task: &EvalTask,
+    act_quant: Option<&dyn TensorQuantizer>,
+) -> f64 {
+    let partials = olive_runtime::par_map(&task.inputs, |input| {
+        let t_logits = teacher.forward(input, None);
+        let s_logits = student.forward(input, act_quant);
+        let ce: f64 = (0..t_logits.rows())
+            .map(|pos| {
+                let label = argmax(t_logits.row(pos));
+                let probs = softmax(s_logits.row(pos));
+                -probs[label].max(1e-12).ln()
+            })
+            .fold(0.0, |acc, c| acc + c);
+        (ce, t_logits.rows())
+    });
+    let (total, count) = partials
+        .into_iter()
+        .fold((0.0f64, 0usize), |(t, c), (ce, rows)| (t + ce, c + rows));
+    if count == 0 {
+        1.0
+    } else {
+        (total / count as f64).exp()
+    }
+}
+
+fn cosine(a: &[f32], b: &[f32]) -> f64 {
+    let mut dot = 0.0f64;
+    let mut na = 0.0f64;
+    let mut nb = 0.0f64;
+    for (&x, &y) in a.iter().zip(b) {
+        dot += x as f64 * y as f64;
+        na += (x as f64).powi(2);
+        nb += (y as f64).powi(2);
+    }
+    if na == 0.0 || nb == 0.0 {
+        return if na == nb { 1.0 } else { 0.0 };
+    }
+    dot / (na.sqrt() * nb.sqrt())
+}
+
+fn softmax(row: &[f32]) -> Vec<f64> {
+    let max = row.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b)) as f64;
+    let exps: Vec<f64> = row.iter().map(|&v| ((v as f64) - max).exp()).collect();
+    let sum: f64 = exps.iter().sum();
+    exps.iter().map(|e| e / sum.max(1e-300)).collect()
 }

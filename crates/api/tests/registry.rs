@@ -5,6 +5,7 @@ use olive_api::{Granularity, Scheme};
 use olive_core::TensorQuantizer;
 use olive_harness::check::{check, check_with, CheckConfig};
 use olive_harness::{prop_assert, prop_assert_eq};
+use olive_models::{EngineConfig, OutlierSeverity, TinyTransformer};
 use olive_tensor::rng::Rng;
 use olive_tensor::Tensor;
 
@@ -272,5 +273,39 @@ fn registry_covers_core_and_baseline_quantizers() {
             q.bits_per_element(),
             bits
         );
+    }
+}
+
+/// `quantize_weights` maps a teacher's weight matrices on the pool; for
+/// every registry spec, at both granularities, its student must hold the
+/// bits of quantizing each matrix on its own, one after another, at 1 and
+/// at 8 threads.
+#[test]
+fn quantize_weights_on_the_pool_matches_a_serial_per_tensor_map() {
+    let teacher = TinyTransformer::generate(
+        EngineConfig::tiny(),
+        OutlierSeverity::llm(),
+        &mut Rng::seed_from(5),
+    );
+    let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+    for base in Scheme::all() {
+        for scheme in [base, base.with_granularity(Granularity::PerRow)] {
+            let q = scheme.build();
+            let serial: Vec<Vec<u32>> = teacher
+                .named_weights()
+                .into_iter()
+                .map(|(_, w)| bits(&q.quantize_dequantize(w)))
+                .collect();
+            for threads in [1, 8] {
+                let student =
+                    olive_runtime::with_threads(threads, || teacher.quantize_weights(q.as_ref()));
+                let pooled: Vec<Vec<u32>> = student
+                    .named_weights()
+                    .into_iter()
+                    .map(|(_, w)| bits(w))
+                    .collect();
+                assert!(pooled == serial, "{scheme} at {threads} threads");
+            }
+        }
     }
 }

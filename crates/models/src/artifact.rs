@@ -5,9 +5,12 @@
 //! serve many — only scales horizontally if "once" can happen in a different
 //! process than "serve". This module provides the byte-level half of that:
 //! [`ArtifactWriter`] frames typed fields (integers, strings, f32 slices,
-//! tensors) into a payload protected by a magic number, a format version, an
-//! explicit length, and an FNV-1a-64 checksum; [`ArtifactReader`] validates
-//! all four before handing a single field back.
+//! tensors) into a payload protected by a magic number, a format version
+//! ([`FORMAT_VERSION`], now 2), an explicit length, and a word-wise
+//! FNV-1a-derived 64-bit checksum ([`fnv1a64`]); [`ArtifactReader`]
+//! validates all four before handing a single field back. The checksum
+//! hashes eight bytes per step: a byte at a time, it took about nine tenths
+//! of a snapshot load.
 //!
 //! Two properties are load-bearing:
 //!
@@ -33,8 +36,10 @@ use std::fmt;
 pub const MAGIC: [u8; 8] = *b"OLVARTIF";
 
 /// Current format version. Readers reject anything else: the format is
-/// allowed to evolve, silent misinterpretation is not.
-pub const FORMAT_VERSION: u32 = 1;
+/// allowed to evolve, silent misinterpretation is not. Version 2 hashes
+/// the payload a word at a time ([`fnv1a64`]); version 1 hashed it with
+/// byte-wise FNV-1a, so a version-1 snapshot is refused rather than misread.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Header size: magic (8) + version (4) + payload length (8) + checksum (8).
 pub const HEADER_BYTES: usize = 28;
@@ -123,15 +128,42 @@ impl From<std::io::Error> for ArtifactError {
     }
 }
 
-/// FNV-1a 64-bit over `bytes` — the integrity hash for artifact payloads.
+/// An FNV-1a-derived 64-bit hash over `bytes`, eight bytes per step — the
+/// integrity hash for artifact payloads (format version 2 on) and the key
+/// hash in snapshot file names.
+///
+/// Each step folds one little-endian 8-byte word into the accumulator:
+/// XOR the word in, multiply by the FNV prime, XOR the high half into the
+/// low half, multiply by a second odd constant. The `len % 8` tail then
+/// goes in one byte per step. Two multiplies per word instead of one per
+/// byte make hashing a snapshot about 3.5 times cheaper; byte-wise FNV-1a
+/// took about nine tenths of a snapshot load.
+///
 /// Not cryptographic; it guards against truncation and bit rot, not
-/// adversaries (single-byte corruption always changes the digest: each step
-/// is injective in the accumulator).
+/// adversaries. Every step is injective in the accumulator and in its
+/// input (XOR, odd multiplies, and an xorshift are all invertible), so
+/// any corruption confined to one word, or to one tail byte, always
+/// changes the digest. Corruption spread over several words can cancel,
+/// but only for particular payloads. That takes both the xorshift and the
+/// second multiply: a multiply passes a flip of bit 63 through unchanged,
+/// and an xorshift moves any flip to a fixed place, so a step with one
+/// multiply, with or without the xorshift after it, lets fixed flip
+/// patterns in two words cancel for every payload.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    const MIX: u64 = 0x9e37_79b9_7f4a_7c15;
+    let step = |hash: u64, input: u64| {
+        let h = (hash ^ input).wrapping_mul(PRIME);
+        (h ^ (h >> 32)).wrapping_mul(MIX)
+    };
+    let mut words = bytes.chunks_exact(8);
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    for word in &mut words {
+        let word = u64::from_le_bytes(word.try_into().expect("chunks_exact yields 8 bytes"));
+        hash = step(hash, word);
+    }
+    for &b in words.remainder() {
+        hash = step(hash, u64::from(b));
     }
     hash
 }
@@ -670,6 +702,69 @@ pub fn validate_tokens(
 mod tests {
     use super::*;
     use olive_tensor::rng::Rng;
+
+    #[test]
+    fn checksum_catches_every_single_byte_flip_in_words_and_tail() {
+        // 2 full words + a 3-byte tail: both halves of the hash are hit.
+        let bytes: Vec<u8> = (0u8..19).map(|i| i.wrapping_mul(37)).collect();
+        let digest = fnv1a64(&bytes);
+        for i in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut flipped = bytes.clone();
+                flipped[i] ^= 1 << bit;
+                assert_ne!(fnv1a64(&flipped), digest, "byte {i} bit {bit}");
+            }
+        }
+        // The empty input hashes to the offset basis; prefixes of 7 (tail
+        // only), 8 (one word) and 9 bytes (word + tail) all hash apart.
+        let prefixes: Vec<u64> = [0, 7, 8, 9].iter().map(|&n| fnv1a64(&bytes[..n])).collect();
+        assert_eq!(prefixes[0], 0xcbf2_9ce4_8422_2325);
+        for (i, a) in prefixes.iter().enumerate() {
+            for b in &prefixes[i + 1..] {
+                assert_ne!(a, b);
+            }
+        }
+    }
+
+    #[test]
+    fn top_bit_flips_in_two_words_are_rejected() {
+        // Flip patterns that cancel for every payload under weaker steps:
+        // bit 63 of any two words (one multiply a word), and bit 63 of one
+        // word with bits 63 and 31 of the next (a multiply, then an
+        // xorshift). Bit 63 of a word is bit 7 of its last byte.
+        let mut w = ArtifactWriter::new();
+        let values: Vec<f32> = (0..24).map(|i| i as f32 * 0.37 - 4.0).collect();
+        w.f32s(&values);
+        let bytes = w.finish();
+        let words = (bytes.len() - HEADER_BYTES) / 8;
+        let flip = |bytes: &mut [u8], word: usize, bit: usize| {
+            bytes[HEADER_BYTES + 8 * word + bit / 8] ^= 1 << (bit % 8);
+        };
+        let rejected = |bytes: &[u8]| {
+            matches!(
+                ArtifactReader::new(bytes),
+                Err(ArtifactError::ChecksumMismatch { .. })
+            )
+        };
+        for i in 0..words {
+            for j in i + 1..words {
+                let mut corrupt = bytes.clone();
+                flip(&mut corrupt, i, 63);
+                flip(&mut corrupt, j, 63);
+                assert!(rejected(&corrupt), "bit 63 of words {i} and {j}");
+            }
+            if i + 1 < words {
+                let mut corrupt = bytes.clone();
+                flip(&mut corrupt, i, 63);
+                flip(&mut corrupt, i + 1, 63);
+                flip(&mut corrupt, i + 1, 31);
+                assert!(
+                    rejected(&corrupt),
+                    "bit 63 of word {i}, 63 and 31 of the next"
+                );
+            }
+        }
+    }
 
     #[test]
     fn primitives_round_trip_bit_exactly() {

@@ -200,16 +200,40 @@ impl TinyTransformer {
     }
 
     /// Returns a copy whose weight matrices have been passed through `f`.
-    pub fn map_weights<F: Fn(&str, &Tensor) -> Tensor>(&self, f: F) -> Self {
-        let mut out = self.clone();
-        out.embedding = f("embedding", &self.embedding);
-        for (i, layer) in out.layers.iter_mut().enumerate() {
-            layer.wqkv = f(&format!("layer{}.wqkv", i), &self.layers[i].wqkv);
-            layer.wo = f(&format!("layer{}.wo", i), &self.layers[i].wo);
-            layer.w1 = f(&format!("layer{}.w1", i), &self.layers[i].w1);
-            layer.w2 = f(&format!("layer{}.w2", i), &self.layers[i].w2);
+    ///
+    /// The calls run on the `olive-runtime` pool, one job per matrix of
+    /// [`named_weights`](Self::named_weights), and each result goes back
+    /// into its own slot, so the copy does not depend on the thread count.
+    /// Parallel code inside `f` runs inline in its job. The caller's SIMD
+    /// path is resolved once and pinned in every job, as
+    /// [`forward`](Self::forward) does.
+    pub fn map_weights<F: Fn(&str, &Tensor) -> Tensor + Sync>(&self, f: F) -> Self {
+        let path = resolve_path();
+        let mut mapped = olive_runtime::par_map(&self.named_weights(), |(name, w)| {
+            with_simd(Some(path), || f(name, w))
+        })
+        .into_iter();
+        let mut next = || mapped.next().expect("one result per weight");
+        TinyTransformer {
+            config: self.config,
+            embedding: next(),
+            layers: self
+                .layers
+                .iter()
+                .map(|l| LayerWeights {
+                    wqkv: next(),
+                    wo: next(),
+                    w1: next(),
+                    w2: next(),
+                    ln1_gamma: l.ln1_gamma.clone(),
+                    ln1_beta: l.ln1_beta.clone(),
+                    ln2_gamma: l.ln2_gamma.clone(),
+                    ln2_beta: l.ln2_beta.clone(),
+                })
+                .collect(),
+            ln_f_gamma: self.ln_f_gamma.clone(),
+            ln_f_beta: self.ln_f_beta.clone(),
         }
-        out
     }
 
     /// Returns a student whose weights are fake-quantized with `q`.
@@ -342,32 +366,6 @@ impl TinyTransformer {
         }
         out
     }
-
-    /// Next-token prediction (argmax of the last position's logits).
-    pub fn predict(&self, tokens: &[usize], act_quant: Option<&dyn TensorQuantizer>) -> usize {
-        let logits = self.forward(tokens, act_quant);
-        argmax(logits.row(logits.rows() - 1))
-    }
-
-    /// The decision margin of the last position: the gap between the largest
-    /// and second-largest logit. Inputs with a large margin correspond to the
-    /// "confident" predictions a trained task model makes; they are what the
-    /// confidence-filtered evaluation tasks are built from.
-    pub fn decision_margin(&self, tokens: &[usize]) -> f32 {
-        let logits = self.forward(tokens, None);
-        let row = logits.row(logits.rows() - 1);
-        let mut best = f32::NEG_INFINITY;
-        let mut second = f32::NEG_INFINITY;
-        for &v in row {
-            if v > best {
-                second = best;
-                best = v;
-            } else if v > second {
-                second = v;
-            }
-        }
-        best - second
-    }
 }
 
 /// Index of the largest value (first winner on ties) — the greedy decoding
@@ -434,134 +432,104 @@ impl EvalTask {
         oversample: usize,
         rng: &mut Rng,
     ) -> Self {
+        Self::generate_confident_with_logits(name, teacher, n_inputs, oversample, rng).0
+    }
+
+    /// [`generate_confident`](Self::generate_confident), also returning the
+    /// teacher's logits of every kept input, in task order. They are the
+    /// forwards that scored the candidates, kept instead of dropped, and
+    /// bit-identical to [`teacher_logits`] of the task: an evaluation on a
+    /// fresh task can skip its teacher half.
+    ///
+    /// Candidates are drawn and scored 64 at a time, and every candidate
+    /// that falls out of the best `n_inputs` is dropped with its logits, so
+    /// calibration holds at most `n_inputs` + 64 candidates' logits,
+    /// whatever the oversample.
+    pub fn generate_confident_with_logits(
+        name: &str,
+        teacher: &TinyTransformer,
+        n_inputs: usize,
+        oversample: usize,
+        rng: &mut Rng,
+    ) -> (Self, Vec<Tensor>) {
         let config = &teacher.config;
-        let candidates = EvalTask::generate(name, config, n_inputs * oversample.max(1), rng);
-        // Margin scoring is embarrassingly parallel over candidates; par_map
-        // keeps input order, and the stable sort below keeps ties
-        // deterministic, so the selected task is thread-count independent.
-        let margins =
-            olive_runtime::par_map(&candidates.inputs, |input| teacher.decision_margin(input));
-        let mut scored: Vec<(f32, Vec<usize>)> =
-            margins.into_iter().zip(candidates.inputs).collect();
-        scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
-        EvalTask {
+        let mut left = n_inputs * oversample.max(1);
+        // The best candidates so far, best first: by margin descending,
+        // then by candidate index ascending, the order a stable sort of
+        // every candidate by margin gives. Chunks are drawn from `rng` in
+        // candidate order and appended after the kept candidates, whose
+        // indices are all lower, so the stable sort of the two keeps that
+        // order. Each chunk's forwards run on the pool in input order, so
+        // the selected task is thread-count independent.
+        let mut kept: Vec<(f32, Vec<usize>, Tensor)> = Vec::new();
+        while left > 0 {
+            let chunk = EvalTask::generate(name, config, left.min(CALIBRATION_CHUNK), rng);
+            left -= chunk.inputs.len();
+            let logits = teacher_logits(teacher, &chunk);
+            kept.extend(
+                chunk
+                    .inputs
+                    .into_iter()
+                    .zip(logits)
+                    .map(|(input, logits)| (decision_margin(&logits), input, logits)),
+            );
+            kept.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
+            kept.truncate(n_inputs);
+        }
+        let (inputs, logits) = kept
+            .into_iter()
+            .map(|(_, input, logits)| (input, logits))
+            .unzip();
+        let task = EvalTask {
             name: name.to_string(),
-            inputs: scored.into_iter().take(n_inputs).map(|(_, i)| i).collect(),
-        }
+            inputs,
+        };
+        (task, logits)
     }
 }
 
-/// Fraction of task inputs on which `student` predicts the same next token as
-/// `teacher` (the "accuracy" proxy).
-///
-/// The batch is sharded over the `olive-runtime` worker pool (one forward
-/// pass per input is independent of every other); the score is identical at
-/// every thread count.
-pub fn agreement(
-    teacher: &TinyTransformer,
-    student: &TinyTransformer,
-    task: &EvalTask,
-    act_quant: Option<&dyn TensorQuantizer>,
-) -> f64 {
-    if task.inputs.is_empty() {
-        return 1.0;
-    }
-    let hits: usize = olive_runtime::par_map(&task.inputs, |input| {
-        usize::from(teacher.predict(input, None) == student.predict(input, act_quant))
-    })
-    .into_iter()
-    .sum();
-    hits as f64 / task.inputs.len() as f64
-}
+/// Candidates [`EvalTask::generate_confident`] draws and scores at a time.
+const CALIBRATION_CHUNK: usize = 64;
 
-/// Fraction of *positions* (across all task inputs) at which `student`'s
-/// argmax prediction matches `teacher`'s — the SQuAD-style exact-match proxy
-/// of Tbl. 8, stricter than the last-position [`agreement`].
-///
-/// Sharded over the batch like the other metrics; the per-input counters are
-/// integers, so the score is identical at every thread count.
-pub fn position_agreement(
-    teacher: &TinyTransformer,
-    student: &TinyTransformer,
-    task: &EvalTask,
-    act_quant: Option<&dyn TensorQuantizer>,
-) -> f64 {
-    if task.inputs.is_empty() {
-        return 1.0;
-    }
-    let partials = olive_runtime::par_map(&task.inputs, |input| {
-        let t_logits = teacher.forward(input, None);
-        let s_logits = student.forward(input, act_quant);
-        let mut hits = 0usize;
-        for pos in 0..t_logits.rows() {
-            if argmax(t_logits.row(pos)) == argmax(s_logits.row(pos)) {
-                hits += 1;
-            }
+/// The decision margin of the last position: the gap between the largest
+/// and second-largest logit. Inputs with a large margin correspond to the
+/// "confident" predictions a trained task model makes; they are what the
+/// confidence-filtered evaluation tasks are built from.
+fn decision_margin(logits: &Tensor) -> f32 {
+    let row = logits.row(logits.rows() - 1);
+    let mut best = f32::NEG_INFINITY;
+    let mut second = f32::NEG_INFINITY;
+    for &v in row {
+        if v > best {
+            second = best;
+            best = v;
+        } else if v > second {
+            second = v;
         }
-        (hits, t_logits.rows())
-    });
-    let mut hits = 0usize;
-    let mut total = 0usize;
-    for (h, rows) in partials {
-        hits += h;
-        total += rows;
     }
-    hits as f64 / total.max(1) as f64
-}
-
-/// Functional-fidelity score: the mean cosine similarity between the teacher's
-/// and the student's logit vectors over every position of every task input.
-///
-/// This is the primary accuracy proxy of the reproduction (see DESIGN.md):
-/// an untrained teacher has many near-tie argmax decisions, so raw argmax
-/// agreement punishes *every* perturbation by a large seed-dependent constant,
-/// whereas fine-tuned checkpoints (what the paper evaluates) have wide
-/// decision margins. Cosine fidelity measures the same thing the paper's
-/// accuracy numbers measure — how much quantization perturbs the computed
-/// function — without that artifact: FP32 scores exactly 1.0, near-lossless
-/// schemes score ≈ 1.0 and outlier-destroying schemes drop sharply.
-pub fn logit_fidelity(
-    teacher: &TinyTransformer,
-    student: &TinyTransformer,
-    task: &EvalTask,
-    act_quant: Option<&dyn TensorQuantizer>,
-) -> f64 {
-    // One (sum, count) partial per input, computed in parallel over the batch
-    // and folded in input order — the f64 reduction order is therefore fixed,
-    // keeping the score bit-identical at every thread count.
-    let partials = olive_runtime::par_map(&task.inputs, |input| {
-        let t_logits = teacher.forward(input, None);
-        let s_logits = student.forward(input, act_quant);
-        let mut sum = 0.0f64;
-        for pos in 0..t_logits.rows() {
-            sum += cosine(t_logits.row(pos), s_logits.row(pos));
-        }
-        (sum, t_logits.rows())
-    });
-    let mut total = 0.0f64;
-    let mut count = 0usize;
-    for (sum, rows) in partials {
-        total += sum;
-        count += rows;
-    }
-    if count == 0 {
-        1.0
-    } else {
-        total / count as f64
-    }
+    best - second
 }
 
 /// All four teacher–student scores of one evaluation, computed in a single
-/// pass (one teacher + one student forward per input).
+/// pass: one teacher + one student forward per input.
 ///
-/// Each field is **bit-identical** to the corresponding standalone metric
-/// function ([`logit_fidelity`], [`agreement`], [`position_agreement`],
-/// [`pseudo_perplexity`]): the per-input partials and the in-input-order f64
-/// folds are the same, only the forward passes are shared. This is what the
-/// `olive::api` evaluation pipeline runs.
+/// The teacher half ([`teacher_logits`]) does not depend on the student,
+/// so a caller scoring several students on one task computes it once and
+/// runs only the student half ([`student_scores`]) per student.
+/// [`eval_scores`] is the two halves back to back. Each field is
+/// **bit-identical** to the standalone metric of the same name that this
+/// module's tests keep as its oracle (fidelity, last-position agreement,
+/// all-position agreement, pseudo-perplexity): the per-input partials and
+/// the in-input-order f64 folds are the same, only the forwards are shared.
+/// This is what the `olive::api` evaluation pipeline runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvalScores {
-    /// Mean cosine similarity of the logit vectors (the accuracy proxy).
+    /// Mean cosine similarity of the logit vectors over every position of
+    /// every input: the primary accuracy proxy. An untrained teacher has
+    /// many near-tie argmax decisions, so argmax agreement punishes every
+    /// perturbation by a large seed-dependent constant; fidelity measures
+    /// how much quantization perturbs the computed function without that
+    /// artifact (FP32 scores exactly 1.0).
     pub fidelity: f64,
     /// Last-position argmax agreement.
     pub agreement: f64,
@@ -571,13 +539,46 @@ pub struct EvalScores {
     pub perplexity: f64,
 }
 
-/// Computes [`EvalScores`] for a student against a teacher on a task.
+/// Computes [`EvalScores`] for a student against a teacher on a task: the
+/// teacher half, then the student half.
 pub fn eval_scores(
     teacher: &TinyTransformer,
     student: &TinyTransformer,
     task: &EvalTask,
     act_quant: Option<&dyn TensorQuantizer>,
 ) -> EvalScores {
+    student_scores(&teacher_logits(teacher, task), student, task, act_quant)
+}
+
+/// The teacher half of an evaluation: the FP32 teacher's logits
+/// `[seq_len, vocab]` of every task input, in task order. One forward per
+/// input, sharded over the `olive-runtime` pool.
+pub fn teacher_logits(teacher: &TinyTransformer, task: &EvalTask) -> Vec<Tensor> {
+    olive_runtime::par_map(&task.inputs, |input| teacher.forward(input, None))
+}
+
+/// The student half of an evaluation: scores `student` against the
+/// teacher's logits of each task input (`teacher_logits[i]` belongs to
+/// `task.inputs[i]`), one student forward per input.
+///
+/// The inputs are sharded over the pool; each yields one partial, and the
+/// partials are folded in input order, so the scores are bit-identical at
+/// every thread count.
+///
+/// # Panics
+///
+/// Panics unless `teacher_logits` holds one tensor per task input.
+pub fn student_scores(
+    teacher_logits: &[Tensor],
+    student: &TinyTransformer,
+    task: &EvalTask,
+    act_quant: Option<&dyn TensorQuantizer>,
+) -> EvalScores {
+    assert_eq!(
+        teacher_logits.len(),
+        task.inputs.len(),
+        "student_scores: one teacher logits tensor per task input"
+    );
     if task.inputs.is_empty() {
         return EvalScores {
             fidelity: 1.0,
@@ -586,8 +587,8 @@ pub fn eval_scores(
             perplexity: 1.0,
         };
     }
-    let partials = olive_runtime::par_map(&task.inputs, |input| {
-        let t_logits = teacher.forward(input, None);
+    let pairs: Vec<(&Vec<usize>, &Tensor)> = task.inputs.iter().zip(teacher_logits).collect();
+    let partials = olive_runtime::par_map(&pairs, |&(input, t_logits)| {
         let s_logits = student.forward(input, act_quant);
         let rows = t_logits.rows();
         let mut cos_sum = 0.0f64;
@@ -621,7 +622,7 @@ pub fn eval_scores(
         rows_total += rows;
     }
     EvalScores {
-        // The `rows_total == 0` guards mirror the standalone functions'
+        // The `rows_total == 0` guards mirror the standalone metrics'
         // empty-count behaviour (only reachable with zero-length inputs).
         fidelity: if rows_total == 0 {
             1.0
@@ -653,46 +654,180 @@ fn cosine(a: &[f32], b: &[f32]) -> f64 {
     dot / (na.sqrt() * nb.sqrt())
 }
 
-/// Pseudo-perplexity: `exp` of the student's mean cross-entropy against the
-/// teacher's argmax next-token labels over all positions.
-pub fn pseudo_perplexity(
-    teacher: &TinyTransformer,
-    student: &TinyTransformer,
-    task: &EvalTask,
-    act_quant: Option<&dyn TensorQuantizer>,
-) -> f64 {
-    // Sharded over the batch like `logit_fidelity`, with the same
-    // fold-in-input-order determinism argument.
-    let partials = olive_runtime::par_map(&task.inputs, |input| {
-        let t_logits = teacher.forward(input, None);
-        let s_logits = student.forward(input, act_quant);
-        let mut ce = 0.0f64;
-        for pos in 0..t_logits.rows() {
-            let label = argmax(t_logits.row(pos));
-            let probs = softmax_vec(s_logits.row(pos));
-            let p = probs[label].max(1e-12);
-            ce += -p.ln();
-        }
-        (ce, t_logits.rows())
-    });
-    let mut total_ce = 0.0f64;
-    let mut count = 0usize;
-    for (ce, rows) in partials {
-        total_ce += ce;
-        count += rows;
-    }
-    if count == 0 {
-        1.0
-    } else {
-        (total_ce / count as f64).exp()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use olive_baselines::UniformQuantizer;
     use olive_core::{Fp32Baseline, OliveQuantizer};
+
+    // The standalone metrics: one teacher and one student forward per input
+    // and metric, each folded on its own. Nothing serves them; they stay
+    // here as the oracle of the split scorer (`teacher_logits` +
+    // `student_scores`), which must match them bit for bit.
+
+    /// Next-token prediction (argmax of the last position's logits).
+    fn predict(
+        model: &TinyTransformer,
+        tokens: &[usize],
+        act_quant: Option<&dyn TensorQuantizer>,
+    ) -> usize {
+        let logits = model.forward(tokens, act_quant);
+        argmax(logits.row(logits.rows() - 1))
+    }
+
+    /// Fraction of task inputs on which `student` predicts the same next
+    /// token as `teacher` (the "accuracy" proxy).
+    fn agreement(
+        teacher: &TinyTransformer,
+        student: &TinyTransformer,
+        task: &EvalTask,
+        act_quant: Option<&dyn TensorQuantizer>,
+    ) -> f64 {
+        if task.inputs.is_empty() {
+            return 1.0;
+        }
+        let hits: usize = olive_runtime::par_map(&task.inputs, |input| {
+            usize::from(predict(teacher, input, None) == predict(student, input, act_quant))
+        })
+        .into_iter()
+        .sum();
+        hits as f64 / task.inputs.len() as f64
+    }
+
+    /// Fraction of *positions* (across all task inputs) at which
+    /// `student`'s argmax prediction matches `teacher`'s — the SQuAD-style
+    /// exact-match proxy of Tbl. 8.
+    fn position_agreement(
+        teacher: &TinyTransformer,
+        student: &TinyTransformer,
+        task: &EvalTask,
+        act_quant: Option<&dyn TensorQuantizer>,
+    ) -> f64 {
+        if task.inputs.is_empty() {
+            return 1.0;
+        }
+        let partials = olive_runtime::par_map(&task.inputs, |input| {
+            let t_logits = teacher.forward(input, None);
+            let s_logits = student.forward(input, act_quant);
+            let mut hits = 0usize;
+            for pos in 0..t_logits.rows() {
+                if argmax(t_logits.row(pos)) == argmax(s_logits.row(pos)) {
+                    hits += 1;
+                }
+            }
+            (hits, t_logits.rows())
+        });
+        let mut hits = 0usize;
+        let mut total = 0usize;
+        for (h, rows) in partials {
+            hits += h;
+            total += rows;
+        }
+        hits as f64 / total.max(1) as f64
+    }
+
+    /// The mean cosine similarity between the teacher's and the student's
+    /// logit vectors over every position of every task input, folded in
+    /// input order.
+    fn logit_fidelity(
+        teacher: &TinyTransformer,
+        student: &TinyTransformer,
+        task: &EvalTask,
+        act_quant: Option<&dyn TensorQuantizer>,
+    ) -> f64 {
+        let partials = olive_runtime::par_map(&task.inputs, |input| {
+            let t_logits = teacher.forward(input, None);
+            let s_logits = student.forward(input, act_quant);
+            let mut sum = 0.0f64;
+            for pos in 0..t_logits.rows() {
+                sum += cosine(t_logits.row(pos), s_logits.row(pos));
+            }
+            (sum, t_logits.rows())
+        });
+        let mut total = 0.0f64;
+        let mut count = 0usize;
+        for (sum, rows) in partials {
+            total += sum;
+            count += rows;
+        }
+        if count == 0 {
+            1.0
+        } else {
+            total / count as f64
+        }
+    }
+
+    /// Pseudo-perplexity: `exp` of the student's mean cross-entropy against
+    /// the teacher's argmax next-token labels over all positions.
+    fn pseudo_perplexity(
+        teacher: &TinyTransformer,
+        student: &TinyTransformer,
+        task: &EvalTask,
+        act_quant: Option<&dyn TensorQuantizer>,
+    ) -> f64 {
+        let partials = olive_runtime::par_map(&task.inputs, |input| {
+            let t_logits = teacher.forward(input, None);
+            let s_logits = student.forward(input, act_quant);
+            let mut ce = 0.0f64;
+            for pos in 0..t_logits.rows() {
+                let label = argmax(t_logits.row(pos));
+                let probs = softmax_vec(s_logits.row(pos));
+                let p = probs[label].max(1e-12);
+                ce += -p.ln();
+            }
+            (ce, t_logits.rows())
+        });
+        let mut total_ce = 0.0f64;
+        let mut count = 0usize;
+        for (ce, rows) in partials {
+            total_ce += ce;
+            count += rows;
+        }
+        if count == 0 {
+            1.0
+        } else {
+            (total_ce / count as f64).exp()
+        }
+    }
+
+    /// Calibration in one piece: every candidate's forward, then one
+    /// stable sort of all of them by margin. The oracle of the chunked
+    /// calibration, which must keep the same inputs and logits.
+    fn confident_in_one_sort(
+        teacher: &TinyTransformer,
+        n_inputs: usize,
+        oversample: usize,
+        rng: &mut Rng,
+    ) -> (Vec<Vec<usize>>, Vec<Tensor>) {
+        let candidates = EvalTask::generate("unit", &teacher.config, n_inputs * oversample, rng);
+        let mut scored: Vec<(f32, Vec<usize>, Tensor)> = candidates
+            .inputs
+            .into_iter()
+            .map(|input| {
+                let logits = teacher.forward(&input, None);
+                (decision_margin(&logits), input, logits)
+            })
+            .collect();
+        scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
+        scored
+            .into_iter()
+            .take(n_inputs)
+            .map(|(_, input, logits)| (input, logits))
+            .unzip()
+    }
+
+    /// Whether two tensor lists hold the same shapes and the same bits
+    /// (-0.0 and NaN would slip past `==`).
+    fn same_bits(got: &[Tensor], want: &[Tensor]) -> bool {
+        got.len() == want.len()
+            && got.iter().zip(want).all(|(a, b)| {
+                a.shape() == b.shape()
+                    && a.data()
+                        .iter()
+                        .zip(b.data())
+                        .all(|(x, y)| x.to_bits() == y.to_bits())
+            })
+    }
 
     fn setup() -> (TinyTransformer, EvalTask) {
         let cfg = EngineConfig::tiny();
@@ -812,22 +947,39 @@ mod tests {
         let (teacher, task) = setup();
         let student = teacher.quantize_weights(&OliveQuantizer::int4());
         let q = OliveQuantizer::int4();
-        for act in [None, Some(&q as &dyn TensorQuantizer)] {
-            let fused = eval_scores(&teacher, &student, &task, act);
-            assert_eq!(
-                fused.fidelity,
-                logit_fidelity(&teacher, &student, &task, act)
-            );
-            assert_eq!(fused.agreement, agreement(&teacher, &student, &task, act));
-            assert_eq!(
-                fused.position_agreement,
-                position_agreement(&teacher, &student, &task, act)
-            );
-            assert_eq!(
-                fused.perplexity,
-                pseudo_perplexity(&teacher, &student, &task, act)
-            );
+        for threads in [1, 8] {
+            olive_runtime::with_threads(threads, || {
+                let t_logits = teacher_logits(&teacher, &task);
+                for act in [None, Some(&q as &dyn TensorQuantizer)] {
+                    let oracle = EvalScores {
+                        fidelity: logit_fidelity(&teacher, &student, &task, act),
+                        agreement: agreement(&teacher, &student, &task, act),
+                        position_agreement: position_agreement(&teacher, &student, &task, act),
+                        perplexity: pseudo_perplexity(&teacher, &student, &task, act),
+                    };
+                    let split = student_scores(&t_logits, &student, &task, act);
+                    let fused = eval_scores(&teacher, &student, &task, act);
+                    for got in [split, fused] {
+                        // Bits, not values: -0.0 and NaN would slip past `==`.
+                        assert_eq!(got.fidelity.to_bits(), oracle.fidelity.to_bits());
+                        assert_eq!(got.agreement.to_bits(), oracle.agreement.to_bits());
+                        assert_eq!(
+                            got.position_agreement.to_bits(),
+                            oracle.position_agreement.to_bits()
+                        );
+                        assert_eq!(got.perplexity.to_bits(), oracle.perplexity.to_bits());
+                    }
+                }
+            });
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "one teacher logits tensor per task input")]
+    fn student_scores_reject_mismatched_teacher_logits() {
+        let (teacher, task) = setup();
+        let t_logits = teacher_logits(&teacher, &task);
+        let _ = student_scores(&t_logits[1..], &teacher, &task, None);
     }
 
     #[test]
@@ -852,13 +1004,7 @@ mod tests {
         let (teacher, task) = setup();
         let student = teacher.quantize_weights(&OliveQuantizer::int4());
         let q = OliveQuantizer::int4();
-        let run = || {
-            (
-                agreement(&teacher, &student, &task, Some(&q)),
-                logit_fidelity(&teacher, &student, &task, Some(&q)),
-                pseudo_perplexity(&teacher, &student, &task, Some(&q)),
-            )
-        };
+        let run = || eval_scores(&teacher, &student, &task, Some(&q));
         let seq = olive_runtime::with_threads(1, run);
         let par = olive_runtime::with_threads(8, run);
         assert_eq!(seq, par);
@@ -870,12 +1016,93 @@ mod tests {
         let mut rng = Rng::seed_from(7);
         let teacher = TinyTransformer::generate(cfg, OutlierSeverity::llm(), &mut rng);
         let gen = |threads: usize| {
-            let mut rng = Rng::seed_from(99);
             olive_runtime::with_threads(threads, || {
-                EvalTask::generate_confident("unit", &teacher, 6, 4, &mut rng)
+                let plain =
+                    EvalTask::generate_confident("unit", &teacher, 6, 4, &mut Rng::seed_from(99));
+                let (task, logits) = EvalTask::generate_confident_with_logits(
+                    "unit",
+                    &teacher,
+                    6,
+                    4,
+                    &mut Rng::seed_from(99),
+                );
+                assert_eq!(task.inputs, plain.inputs);
+                // Calibration's logits are the teacher half of the kept
+                // inputs, bit for bit.
+                let want: Vec<Tensor> = task
+                    .inputs
+                    .iter()
+                    .map(|input| teacher.forward(input, None))
+                    .collect();
+                assert!(same_bits(&logits, &want));
+                (task.inputs, logits)
             })
         };
-        assert_eq!(gen(1).inputs, gen(8).inputs);
+        let (seq_inputs, seq_logits) = gen(1);
+        let (par_inputs, par_logits) = gen(8);
+        assert_eq!(seq_inputs, par_inputs);
+        assert!(same_bits(&seq_logits, &par_logits));
+    }
+
+    #[test]
+    fn chunked_calibration_keeps_what_one_sort_of_every_candidate_keeps() {
+        // 5 × 40 = 200 candidates: three full chunks and a partial one. The
+        // all-zero teacher's logits are all zero, so every margin ties and
+        // the first five candidates are kept, across chunk boundaries.
+        let (teacher, _) = setup();
+        let flat = teacher.map_weights(|_, w| w.map(|_| 0.0));
+        for model in [&teacher, &flat] {
+            for threads in [1, 8] {
+                olive_runtime::with_threads(threads, || {
+                    let mut rng = Rng::seed_from(5);
+                    let (task, logits) =
+                        EvalTask::generate_confident_with_logits("unit", model, 5, 40, &mut rng);
+                    let mut one_sort_rng = Rng::seed_from(5);
+                    let (inputs, want) = confident_in_one_sort(model, 5, 40, &mut one_sort_rng);
+                    assert_eq!(task.inputs, inputs, "{threads} threads");
+                    assert!(same_bits(&logits, &want), "{threads} threads");
+                    // Both drew every candidate from the generator.
+                    assert_eq!(rng.next_u64(), one_sort_rng.next_u64());
+                });
+            }
+        }
+        let (ties, _) =
+            EvalTask::generate_confident_with_logits("unit", &flat, 5, 40, &mut Rng::seed_from(5));
+        let first = EvalTask::generate("unit", &flat.config, 5, &mut Rng::seed_from(5));
+        assert_eq!(ties.inputs, first.inputs);
+    }
+
+    #[test]
+    fn map_weights_puts_each_result_in_its_own_slot() {
+        // Each mapped matrix lands in its own slot, at any thread count:
+        // tag every matrix with its position in `named_weights`.
+        let (teacher, _) = setup();
+        let names: Vec<String> = teacher
+            .named_weights()
+            .into_iter()
+            .map(|(n, _)| n)
+            .collect();
+        for threads in [1, 8] {
+            let tagged = olive_runtime::with_threads(threads, || {
+                teacher.map_weights(|name, w| {
+                    let tag = names.iter().position(|n| n == name).unwrap() as f32;
+                    w.map(|_| tag)
+                })
+            });
+            for (i, (_, w)) in tagged.named_weights().into_iter().enumerate() {
+                assert!(w.data().iter().all(|&v| v == i as f32), "slot {i}");
+            }
+            // Everything but the weight matrices is copied as it is.
+            assert_eq!(tagged.config, teacher.config);
+            for (got, want) in tagged.layers.iter().zip(&teacher.layers) {
+                assert_eq!(got.ln1_gamma, want.ln1_gamma);
+                assert_eq!(got.ln1_beta, want.ln1_beta);
+                assert_eq!(got.ln2_gamma, want.ln2_gamma);
+                assert_eq!(got.ln2_beta, want.ln2_beta);
+            }
+            assert_eq!(tagged.ln_f_gamma, teacher.ln_f_gamma);
+            assert_eq!(tagged.ln_f_beta, teacher.ln_f_beta);
+        }
     }
 
     #[test]

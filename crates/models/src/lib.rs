@@ -43,8 +43,8 @@ pub use decode::{
     FeedGroup, FeedSlot, StepSlot,
 };
 pub use engine::{
-    agreement, argmax, eval_scores, logit_fidelity, position_agreement, pseudo_perplexity,
-    EngineConfig, EvalScores, EvalTask, OutlierSeverity, TinyTransformer,
+    argmax, eval_scores, student_scores, teacher_logits, EngineConfig, EvalScores, EvalTask,
+    OutlierSeverity, TinyTransformer,
 };
 pub use kv::{pages_needed, KvPool, KvStore, PagedKv, VecKv};
 pub use synth::{model_tensor_suite, NamedTensor, SynthProfile};

@@ -3,11 +3,13 @@
 //! The deployment model the paper's accelerator assumes is a model quantized
 //! *once* and then served for millions of requests. This cache realises that
 //! for the proxy pipelines: the expensive part of an `/v1/eval` — generating
-//! the FP32 teacher and its calibrated task ([`Pipeline::prepare`]) — is
-//! computed once per (family, size, seed, batches, calibration, task) and
-//! shared across every request and every scheme; the fully rendered response
-//! body is additionally cached per (preparation, scheme set, weights-only)
-//! so a repeated request is answered without touching the model at all.
+//! the FP32 teacher and its calibrated task, which a miss does in
+//! [`Pipeline::prepare_and_run`](olive_api::Pipeline::prepare_and_run) —
+//! is computed once per (family, size, seed, batches, calibration, task)
+//! and shared across every request and every scheme; the fully rendered
+//! response body is additionally cached per (preparation, scheme set,
+//! weights-only) so a repeated request is answered without touching the
+//! model at all.
 //!
 //! Correctness leans on determinism, not invalidation: a cache entry is a
 //! pure function of its key (the runtime's bit-determinism contract), so a
@@ -172,30 +174,32 @@ impl ModelCache {
             return hit;
         }
         let pipeline = req.pipeline();
-        let prepared = {
-            let prepared_key = req.prepared_key();
-            let hit = lock_or_recover(&self.prepared).get(&prepared_key);
-            match hit {
-                Some(p) => p,
-                None => {
-                    let p = self
-                        .load_artifact(&prepared_key)
-                        .and_then(|a| a.prepared_eval())
-                        .map_or_else(|| Arc::new(pipeline.prepare()), Arc::new);
-                    lock_or_recover(&self.prepared).insert(prepared_key, Arc::clone(&p));
-                    p
-                }
+        let prepared_key = req.prepared_key();
+        let hit = lock_or_recover(&self.prepared).get(&prepared_key);
+        let report = match hit {
+            Some(prepared) => pipeline.run_prepared(&prepared),
+            None => {
+                // A preparation made here scores against calibration's
+                // teacher logits. It is cached after the run: an identical
+                // miss racing this one prepares again, to the same bytes.
+                let loaded = self
+                    .load_artifact(&prepared_key)
+                    .and_then(|a| a.prepared_eval());
+                let (prepared, report) = match loaded {
+                    Some(prepared) => {
+                        let report = pipeline.run_prepared(&prepared);
+                        (prepared, report)
+                    }
+                    None => pipeline.prepare_and_run(),
+                };
+                lock_or_recover(&self.prepared).insert(prepared_key, Arc::new(prepared));
+                report
             }
         };
         // Wall times are the lone nondeterministic report field; serving
         // strips them so responses are byte-stable (crate determinism
         // contract).
-        let body = Arc::new(
-            pipeline
-                .run_prepared(&prepared)
-                .without_wall_times()
-                .to_json(),
-        );
+        let body = Arc::new(report.without_wall_times().to_json());
         lock_or_recover(&self.responses).insert(req.response_key(), Arc::clone(&body));
         body
     }
