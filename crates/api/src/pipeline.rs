@@ -208,7 +208,13 @@ pub struct GemmProfile {
 }
 
 impl GemmProfile {
-    /// Computes the profile of an architecture.
+    /// Computes the profile of an architecture over `seq_len` tokens.
+    ///
+    /// It counts the paper's workload, the GEMMs an accelerator runs for
+    /// one forward, two attention GEMMs per head among them; not the CPU
+    /// kernel calls of [`TinyTransformer::forward`], whose attention reads
+    /// keys and values one query row at a time and runs no GEMM. Every
+    /// `/v1/eval` body serves these numbers as `gemm`.
     pub fn of(config: &EngineConfig) -> Self {
         let seq = config.seq_len as u64;
         let d = config.d_model as u64;

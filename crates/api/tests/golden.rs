@@ -7,6 +7,11 @@
 //! `tbl09_llm_perplexity` binaries use. The pipeline must reproduce them to
 //! the last bit — any drift in teacher generation, task selection, quantizer
 //! behaviour or metric folding fails this test.
+//!
+//! Those cells run `EngineConfig::small`. The BERT-tiny cell pins the shape
+//! `/v1/eval` serves most (servebench's `eval_miss`), captured from the
+//! eval forward's own per-head attention before `forward` moved onto the
+//! decode layer stack.
 
 use olive_api::{Calibration, ModelFamily, Pipeline};
 use olive_core::TensorQuantizer;
@@ -69,6 +74,53 @@ fn tbl09_cell_is_bit_identical_through_the_pipeline() {
     for (spec, golden) in TBL09_GOLDEN {
         let got = report.result(spec).expect(spec).perplexity;
         assert_eq!(got, golden, "{spec}: {got:?} != golden {golden:?}");
+    }
+}
+
+/// The served eval shape, servebench's `eval_miss` request: BERT-tiny, 8
+/// inputs kept at 2× oversampling, activations quantized. All four scores
+/// of each scheme as f64 bits: fidelity, agreement, position agreement and
+/// pseudo-perplexity.
+const TINY_SEED: u64 = 7;
+const TINY_GOLDEN: [(&str, [u64; 4]); 2] = [
+    (
+        "olive-4bit",
+        [
+            0x3fe7_33f7_07c3_77aa,
+            0x3fd8_0000_0000_0000,
+            0x3fdb_8000_0000_0000,
+            0x4027_e9fb_3500_534d,
+        ],
+    ),
+    (
+        "uniform:4",
+        [
+            0x3fc6_2cce_6c4b_c573,
+            0x0000_0000_0000_0000,
+            0x3fc3_0000_0000_0000,
+            0x4055_8594_a36e_723a,
+        ],
+    ),
+];
+
+#[test]
+fn served_tiny_cell_is_bit_identical_through_run_and_run_prepared() {
+    let pipeline = Pipeline::new(ModelFamily::Bert.tiny())
+        .schemes(TINY_GOLDEN.iter().map(|(spec, _)| *spec))
+        .seed(TINY_SEED)
+        .batches(8)
+        .calibrate(Calibration::confident(2));
+    let prepared = pipeline.prepare();
+    for (path, report) in [
+        ("run", pipeline.run()),
+        ("run_prepared", pipeline.run_prepared(&prepared)),
+    ] {
+        for (spec, golden) in TINY_GOLDEN {
+            let r = report.result(spec).expect(spec);
+            let got =
+                [r.fidelity, r.agreement, r.position_agreement, r.perplexity].map(f64::to_bits);
+            assert_eq!(got, golden, "{path} {spec}");
+        }
     }
 }
 

@@ -22,10 +22,12 @@
 //! eval layer's four weight GEMMs over 16 tokens), `m16_tiny_head`,
 //! `m128_small_layer` and `m2_small_layer` (a gpt2-small layer's four at a
 //! two-stream 64-token prefill and a two-stream decode step),
-//! `m2_small_head`, and `eval_forward_tiny` (one BERT-tiny fp32 forward of
-//! 16 tokens, which servebench's `eval_miss` runs 32 times per request;
-//! its twin also runs GELU on the scalar path). The activations are seeded
-//! unit Gaussians with no zeros, as the fp32 teacher's are.
+//! `m2_small_head`, `eval_forward_tiny` (one BERT-tiny fp32 forward of
+//! 16 tokens, which servebench's `eval_miss` runs 32 times per request)
+//! and `eval_forward_small` (one `EngineConfig::small` fp32 forward of 32
+//! tokens, the paper-table binaries' model). The forwards' twins also run
+//! GELU on the scalar path. The activations are seeded unit Gaussians with
+//! no zeros, as the fp32 teacher's are.
 
 use olive_api::Scheme;
 use olive_bench::cli::BenchCli;
@@ -143,6 +145,8 @@ fn bench_served(suite: &mut BenchSuite) {
     });
     let heads = [("m16_tiny_head", 16, &tiny), ("m2_small_head", 2, &small)]
         .map(|(name, m, model)| (name, activation(&mut rng, m, model.config.d_model), model));
+    // Drawn last, so the rows above keep their inputs.
+    let small_tokens: Vec<usize> = (0..32).map(|_| rng.below(small.config.vocab)).collect();
 
     let twins = [("", None), ("_scalar", Some(SimdPath::Scalar))];
     let mut timed = |name: &str, macs: u64, f: &mut dyn FnMut()| {
@@ -170,6 +174,9 @@ fn bench_served(suite: &mut BenchSuite) {
     }
     timed("eval_forward_tiny", tokens.len() as u64, &mut || {
         black_box(tiny.forward(black_box(&tokens), None));
+    });
+    timed("eval_forward_small", small_tokens.len() as u64, &mut || {
+        black_box(small.forward(black_box(&small_tokens), None));
     });
 }
 

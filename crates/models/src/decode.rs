@@ -1,38 +1,49 @@
-//! Incremental autoregressive decoding for the proxy Transformer.
+//! Incremental autoregressive decoding for the proxy Transformer, and the
+//! one layer stack every forward of it runs.
 //!
 //! Generative serving means one request turns into hundreds of decode steps,
 //! each a full quantized-GEMM workload — exactly the traffic shape the
 //! paper's accelerator targets. This module adds that workload class to the
-//! proxy model in two bit-identical flavours:
+//! proxy model: [`DecodeSession`] is a resumable session that caches every
+//! layer's per-position keys and values, so pushing token *t + 1* reuses all
+//! of step *t*'s prefix work instead of recomputing the full forward pass
+//! (O(len) work per step instead of O(len²)).
 //!
-//! * [`TinyTransformer::forward_causal`] — the **batch** (prefill) path: one
-//!   causally-masked forward pass over a whole token sequence, the reference
-//!   semantics;
-//! * [`DecodeSession`] — the **incremental** path: a resumable session that
-//!   caches every layer's per-position keys and values, so pushing token
-//!   *t + 1* reuses all of step *t*'s prefix work instead of recomputing the
-//!   full forward pass (O(len) work per step instead of O(len²)).
+//! ## One layer stack
+//!
+//! Every forward of the model — the eval [`TinyTransformer::forward`] and
+//! every decode feed — runs one private layer stack. It stacks its slots'
+//! runs of tokens into one `[Σ run, d]` embed → layer-norm → act-quant →
+//! GEMM pipeline per layer. Per layer, every row appends its key/value row
+//! to its own stream's [`KvStore`] first; then each row attends, reading
+//! its stream's keys and values in place from the store. The stack takes
+//! two parameters:
+//!
+//! * the **mask**. Causal: row *o* of a run starting at position `pos`
+//!   attends over positions `0..pos + o + 1`, which the appends before it
+//!   have all written. Bidirectional: every row attends over the whole
+//!   run. Only `forward` asks for it, over one fresh [`VecKv`];
+//! * the **act-quant of each GEMM input**: per row while decoding (see the
+//!   contract below), per tensor in `forward`. A per-tensor scale spans
+//!   every stacked row, so only `forward`, with its one slot, passes it.
 //!
 //! ## Step-schedulable decoding (continuous batching)
 //!
-//! The incremental path is itself split so a serving scheduler can drive
-//! many streams through shared GEMMs:
+//! The decode path is split so a serving scheduler can drive many streams
+//! through shared GEMMs:
 //!
 //! * [`TinyTransformer::feed_batch`] advances K independent streams at once,
 //!   each by a *run* of tokens ([`FeedSlot`] carries the stream's
 //!   externally-owned [`KvStore`], its run and the run's first position):
-//!   one token while decoding, the whole prompt while prefilling. Every
-//!   run's rows are stacked into one `[Σ run, d]` embed → layer-norm →
-//!   per-row act-quant → GEMM pipeline per layer. Each row appends its
-//!   key/value row to its own store, then attends over its stream's
-//!   positions `0..=pos`, reading them in place from the store. Only each
-//!   run's last row goes through the final layer-norm and LM head: a
-//!   prefill discards the other rows' logits;
+//!   one token while decoding, the whole prompt while prefilling. It is the
+//!   layer stack, causal and with per-row act-quant; only each run's last
+//!   row goes through the final layer-norm and LM head: a prefill discards
+//!   the other rows' logits;
 //! * [`TinyTransformer::advance_batch`] ([`StepSlot`]) is the one-token
 //!   case, [`TinyTransformer::advance_one`] the K = 1 case of that, and
-//!   [`DecodeSession::push`] is a thin wrapper over it holding a
-//!   [`VecKv`](crate::kv::VecKv) — single-stream, batched and prefill
-//!   decoding share one code path, so they cannot drift apart;
+//!   [`DecodeSession::push`] is a thin wrapper over it holding a [`VecKv`]
+//!   — single-stream, batched and prefill decoding share one code path, so
+//!   they cannot drift apart;
 //! * [`feed_groups`] runs one `feed_batch` per model group ([`FeedGroup`]:
 //!   a tick's quantized students and fp32 teachers) side by side on the
 //!   runtime pool, when their work passes the GEMMs' dispatch rule
@@ -50,16 +61,18 @@
 //! ## The decode-cache determinism contract
 //!
 //! For any token sequence, thread count and activation quantizer, row *i* of
-//! `forward_causal(&tokens[..=i])` is **bit-identical** to the logits
-//! [`DecodeSession::push`] returns for token *i* — enforced by the property
-//! tests below. The contract holds by construction:
+//! a causally-masked forward over `tokens[..=i]` is **bit-identical** to
+//! the logits [`DecodeSession::push`] returns for token *i*. This module's
+//! tests enforce it against such a forward, kept there as the independent
+//! reference on the scalar `olive_tensor` kernels. The contract holds by
+//! construction:
 //!
 //! * every GEMM row is accumulated in the same ascending-`k` order whether it
 //!   is computed as one row of a batch product or as a `[1, k]` product, and
 //!   the runtime's determinism contract makes that independent of
 //!   `OLIVE_THREADS`. This kernel contract covers both GEMMs in play:
-//!   `olive_tensor::matmul`'s, which `forward_causal` calls, and the
-//!   dispatched `olive_core::simd` ones `feed_batch` calls, whose every
+//!   `olive_tensor::matmul`'s, which the reference calls, and the
+//!   dispatched `olive_core::simd` ones the layer stack calls, whose every
 //!   path returns the `olive_tensor` kernels' bits;
 //! * attention is causal, so a position's keys/values never change once
 //!   computed, and the softmax over a masked batch row is bit-identical to
@@ -69,27 +82,18 @@
 //!   calibrated on its own `d` values — dynamic per-token scales, as
 //!   decode-time quantization does in deployment), so a row's quantized
 //!   values cannot depend on later rows.
-//!
-//! Note the *causal* forward is a different function from the bidirectional
-//! [`TinyTransformer::forward`] used by the evaluation metrics: full
-//! bidirectional attention lets every position read every other, which makes
-//! incremental reuse impossible by definition. The evaluation path and its
-//! goldens are untouched.
 
-use crate::engine::{argmax, TinyTransformer};
+use crate::engine::TinyTransformer;
 use crate::kv::{KvStore, VecKv};
 use olive_core::simd::{self, gelu_in_place};
 use olive_core::TensorQuantizer;
-use olive_tensor::matmul::{
-    gelu, layer_norm, matmul, matmul_transpose_b, softmax_row, softmax_rows,
-};
+use olive_tensor::matmul::{layer_norm, softmax_row};
 use olive_tensor::Tensor;
-use std::borrow::Cow;
 use std::ops::Range;
 
 /// Fake-quantizes each row of `t` in place, on its own (per-token dynamic
 /// calibration — see the module docs for why decode requires this).
-fn quantize_rows_owned(mut t: Tensor, q: Option<&dyn TensorQuantizer>) -> Tensor {
+fn quantize_rows(mut t: Tensor, q: Option<&dyn TensorQuantizer>) -> Tensor {
     if let Some(q) = q {
         let mut row = vec![0.0; t.cols()];
         for i in 0..t.rows() {
@@ -100,109 +104,85 @@ fn quantize_rows_owned(mut t: Tensor, q: Option<&dyn TensorQuantizer>) -> Tensor
     t
 }
 
-/// [`quantize_rows_owned`] for a borrowed `t`: quantizes a copy, and
-/// passes `t` through uncopied when there is no quantizer.
-fn quantize_rows<'t>(t: &'t Tensor, q: Option<&dyn TensorQuantizer>) -> Cow<'t, Tensor> {
-    match q {
-        None => Cow::Borrowed(t),
-        Some(_) => Cow::Owned(quantize_rows_owned(t.clone(), q)),
-    }
-}
-
 impl TinyTransformer {
-    /// Causally-masked forward pass: position *i* attends only to positions
-    /// `0..=i`. Returns the logits of every position, `[seq_len, vocab]`.
+    /// The layer stack of every forward (see the module docs): embeds the
+    /// rows of every slot's run, runs them through each layer and returns
+    /// the final hidden rows, `[Σ run, d_model]`, before the final
+    /// layer-norm. `quantize` is applied to every GEMM input. Each row
+    /// appends its key/value row to its slot's store; then it attends over
+    /// its slot's positions `0..pos + o + 1` when `causal`, or
+    /// `0..pos + run` otherwise.
     ///
-    /// This is the batch (prefill) reference for autoregressive decoding;
-    /// [`DecodeSession`] computes the same logits incrementally,
-    /// bit-identically (see the module docs). Activation quantization, when
-    /// requested, is applied per row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any token id is out of vocabulary range.
-    pub fn forward_causal(
+    /// The caller pins the SIMD path.
+    pub(crate) fn layer_stack(
         &self,
-        tokens: &[usize],
-        act_quant: Option<&dyn TensorQuantizer>,
+        quantize: &dyn Fn(Tensor) -> Tensor,
+        causal: bool,
+        slots: &mut [FeedSlot<'_>],
     ) -> Tensor {
-        let mut x = self.embed(tokens.len(), tokens.iter().copied().zip(0..));
-        for layer in &self.layers {
+        let d = self.config.d_model;
+        let rows: usize = slots.iter().map(|slot| slot.tokens.len()).sum();
+        let mut x = self.embed(
+            rows,
+            slots
+                .iter()
+                .flat_map(|slot| slot.tokens.iter().copied().zip(slot.pos..)),
+        );
+
+        // Every intermediate is quantized and activated in place and freed
+        // as soon as its consumer has run, so a long prefill holds only a
+        // few live tensors at a time.
+        let mut scores = Vec::new();
+        for (li, layer) in self.layers.iter().enumerate() {
             let normed = layer_norm(&x, &layer.ln1_gamma, &layer.ln1_beta, 1e-5);
-            let qkv_in = quantize_rows(&normed, act_quant);
-            let qkv = matmul(&qkv_in, &layer.wqkv);
-            let attn = self.attention_causal(&qkv);
-            let attn_in = quantize_rows(&attn, act_quant);
-            let out = matmul(&attn_in, &layer.wo);
-            x = x.add(&out);
+            let qkv = simd::matmul(&quantize(normed), &layer.wqkv);
+            let mut attn = Tensor::zeros(vec![rows, d]);
+            let mut first = 0;
+            for slot in slots.iter_mut() {
+                let run = slot.tokens.len();
+                for r in first..first + run {
+                    let row = qkv.row(r);
+                    slot.kv.append(li, &row[d..2 * d], &row[2 * d..3 * d]);
+                }
+                for o in 0..run {
+                    let positions = slot.pos + if causal { o + 1 } else { run };
+                    let r = first + o;
+                    self.attend(
+                        &*slot.kv,
+                        li,
+                        &qkv.row(r)[..d],
+                        positions,
+                        &mut scores,
+                        attn.row_mut(r),
+                    );
+                }
+                first += run;
+            }
+            drop(qkv);
+            x = x.add(&simd::matmul(&quantize(attn), &layer.wo));
 
             let normed = layer_norm(&x, &layer.ln2_gamma, &layer.ln2_beta, 1e-5);
-            let ffn_in = quantize_rows(&normed, act_quant);
-            let h = gelu(&matmul(&ffn_in, &layer.w1));
-            let h_in = quantize_rows(&h, act_quant);
-            let ffn = matmul(&h_in, &layer.w2);
-            x = x.add(&ffn);
+            let mut h = simd::matmul(&quantize(normed), &layer.w1);
+            gelu_in_place(h.data_mut());
+            x = x.add(&simd::matmul(&quantize(h), &layer.w2));
         }
-
-        let normed = layer_norm(&x, &self.ln_f_gamma, &self.ln_f_beta, 1e-5);
-        let head_in = quantize_rows(&normed, act_quant);
-        matmul_transpose_b(&head_in, &self.embedding)
-    }
-
-    /// Multi-head self-attention over a fused `[seq, 3·d_model]` QKV tensor
-    /// with a causal mask: scores above the diagonal are `-inf` before the
-    /// softmax, so `exp` maps them to exactly `0.0` and they contribute
-    /// nothing to the context GEMM (whose kernel skips zero activations).
-    fn attention_causal(&self, qkv: &Tensor) -> Tensor {
-        let d = self.config.d_model;
-        let seq = qkv.rows();
-        let heads = self.config.n_heads;
-        let dh = self.config.head_dim();
-        let mut out = Tensor::zeros(vec![seq, d]);
-        for h in 0..heads {
-            let mut q = Tensor::zeros(vec![seq, dh]);
-            let mut k = Tensor::zeros(vec![seq, dh]);
-            let mut v = Tensor::zeros(vec![seq, dh]);
-            for i in 0..seq {
-                for j in 0..dh {
-                    q[[i, j]] = qkv[[i, h * dh + j]];
-                    k[[i, j]] = qkv[[i, d + h * dh + j]];
-                    v[[i, j]] = qkv[[i, 2 * d + h * dh + j]];
-                }
-            }
-            let scale = 1.0 / (dh as f32).sqrt();
-            let mut scores = matmul_transpose_b(&q, &k).scale(scale);
-            for i in 0..seq {
-                for j in (i + 1)..seq {
-                    scores[[i, j]] = f32::NEG_INFINITY;
-                }
-            }
-            let probs = softmax_rows(&scores);
-            let ctx = matmul(&probs, &v);
-            for i in 0..seq {
-                for j in 0..dh {
-                    out[[i, j + h * dh]] = ctx[[i, j]];
-                }
-            }
-        }
-        out
+        x
     }
 
     /// Advances every stream in `slots` by its run of tokens through **one**
-    /// batched forward: the runs' rows are stacked into a `[Σ run, d]`
-    /// embed and one layer-norm → quantize → GEMM pipeline per layer,
-    /// shared by all K streams. Each row appends its key/value row to its
-    /// own stream's [`KvStore`], then attends over that stream's positions
-    /// up to its own, so streams stay fully independent. Returns the logits
-    /// of each run's **last** token, in slot order — the distribution over
-    /// the stream's next token; the other rows skip the LM head.
+    /// batched forward: the layer stack (see the module docs), causal and
+    /// with per-row act-quant, shared by all K streams. Each row appends its
+    /// key/value row to its own stream's [`KvStore`] and attends over that
+    /// stream's positions up to its own, so streams stay fully independent.
+    /// Returns the logits of each run's **last** token, in slot order — the
+    /// distribution over the stream's next token; the other rows skip the
+    /// LM head.
     ///
-    /// The logits of a run ending at token *t* are bit-identical to
-    /// [`forward_causal`](Self::forward_causal)'s row *t* and to the lone
-    /// `push` of that token (see the module docs for why), at any
-    /// `OLIVE_THREADS` and any split of the tokens into runs and slots — the
-    /// property continuous batching and one-tick prefill in `olive-serve`
-    /// rest on.
+    /// The logits of a run ending at token *t* are bit-identical to row *t*
+    /// of a causal forward over the whole sequence and to the lone `push` of
+    /// that token (see the module docs for why), at any `OLIVE_THREADS` and
+    /// any split of the tokens into runs and slots — the property
+    /// continuous batching and one-tick prefill in `olive-serve` rest on.
     ///
     /// # Panics
     ///
@@ -221,54 +201,11 @@ impl TinyTransformer {
             slots.iter().all(|slot| !slot.tokens.is_empty()),
             "a feed slot needs a token"
         );
+        let quantize = |t: Tensor| quantize_rows(t, act_quant);
         // Resolve the kernel path once: the kernel calls below then read
         // only this thread's override, not the environment.
         simd::with_simd(Some(simd::resolve_path()), || {
-            let rows: usize = slots.iter().map(|slot| slot.tokens.len()).sum();
-            let mut x = self.embed(
-                rows,
-                slots
-                    .iter()
-                    .flat_map(|slot| slot.tokens.iter().copied().zip(slot.pos..)),
-            );
-
-            // Every intermediate is quantized and activated in place and freed
-            // as soon as its consumer has run, so a long prefill holds only a
-            // few live tensors at a time.
-            let mut scores = Vec::new();
-            for (li, layer) in self.layers.iter().enumerate() {
-                let normed = layer_norm(&x, &layer.ln1_gamma, &layer.ln1_beta, 1e-5);
-                let qkv = simd::matmul(&quantize_rows_owned(normed, act_quant), &layer.wqkv);
-                let mut attn = Tensor::zeros(vec![rows, d]);
-                let mut r = 0;
-                for slot in slots.iter_mut() {
-                    for o in 0..slot.tokens.len() {
-                        let row = qkv.row(r);
-                        slot.kv.append(li, &row[d..2 * d], &row[2 * d..3 * d]);
-                        let positions = slot.pos + o + 1;
-                        self.attend(
-                            &*slot.kv,
-                            li,
-                            &row[..d],
-                            positions,
-                            &mut scores,
-                            attn.row_mut(r),
-                        );
-                        r += 1;
-                    }
-                }
-                drop(qkv);
-                x = x.add(&simd::matmul(
-                    &quantize_rows_owned(attn, act_quant),
-                    &layer.wo,
-                ));
-
-                let normed = layer_norm(&x, &layer.ln2_gamma, &layer.ln2_beta, 1e-5);
-                let mut h = simd::matmul(&quantize_rows_owned(normed, act_quant), &layer.w1);
-                gelu_in_place(h.data_mut());
-                x = x.add(&simd::matmul(&quantize_rows_owned(h, act_quant), &layer.w2));
-            }
-
+            let x = self.layer_stack(&quantize, true, slots);
             let mut last = Tensor::zeros(vec![slots.len(), d]);
             let mut end = 0;
             for (s, slot) in slots.iter().enumerate() {
@@ -277,8 +214,7 @@ impl TinyTransformer {
             }
             drop(x);
             let normed = layer_norm(&last, &self.ln_f_gamma, &self.ln_f_beta, 1e-5);
-            let logits =
-                simd::matmul_transpose_b(&quantize_rows_owned(normed, act_quant), &self.embedding);
+            let logits = simd::matmul_transpose_b(&quantize(normed), &self.embedding);
             (0..slots.len()).map(|s| logits.row(s).to_vec()).collect()
         })
     }
@@ -324,14 +260,17 @@ impl TinyTransformer {
 
     /// Attention of one query row against positions `0..positions` of a
     /// stream's keys/values, read in place from `kv` and written into `out`
-    /// (`d_model` wide). `q` is the query third of the fused QKV row;
-    /// `scores` is scratch, `[heads × positions]`, reused across calls.
+    /// (`d_model` wide): the attention of every forward. `q` is the query
+    /// third of the fused QKV row; `scores` is scratch,
+    /// `[heads × positions]`, reused across calls.
     ///
     /// The arithmetic is that of the per-head `[1, dh] × [positions, dh]ᵀ`
-    /// GEMM, scale, [`softmax_rows`] and `[1, positions] × [positions, dh]`
-    /// GEMM this replaces, element for element: each score sums from 0.0 in
-    /// ascending `k` and is then scaled, and each context value sums from
-    /// 0.0 in ascending position, skipping zero probabilities.
+    /// GEMM, scale, [`softmax_rows`](olive_tensor::matmul::softmax_rows) and
+    /// `[1, positions] × [positions, dh]` GEMM, element for element: each
+    /// score sums from 0.0 in ascending `k` and is then scaled, and each
+    /// context value sums from 0.0 in ascending position, skipping zero
+    /// probabilities. `engine.rs`'s tests keep the eval forward's per-head
+    /// GEMM attention as its oracle.
     fn attend(
         &self,
         kv: &dyn KvStore,
@@ -480,9 +419,9 @@ pub struct StepSlot<'s> {
 /// Holds per-layer key/value caches; [`push`](DecodeSession::push)ing a token
 /// computes only that position's activations (reusing every earlier
 /// position's cached keys/values) and returns its logits — bit-identical to
-/// the corresponding row of [`TinyTransformer::forward_causal`] over the full
-/// token sequence, at any `OLIVE_THREADS` (the decode-cache determinism
-/// contract, see the module docs).
+/// the corresponding row of a causal forward over the full token sequence,
+/// at any `OLIVE_THREADS` (the decode-cache determinism contract, see the
+/// module docs).
 pub struct DecodeSession<'a> {
     model: &'a TinyTransformer,
     act_quant: Option<&'a dyn TensorQuantizer>,
@@ -490,7 +429,8 @@ pub struct DecodeSession<'a> {
     /// owns its storage; schedulers that pool storage use
     /// [`TinyTransformer::advance_batch`] directly instead.
     kv: VecKv,
-    tokens: Vec<usize>,
+    /// Positions decoded so far.
+    pos: usize,
 }
 
 impl<'a> DecodeSession<'a> {
@@ -501,23 +441,8 @@ impl<'a> DecodeSession<'a> {
             model,
             act_quant,
             kv: VecKv::new(model.config.n_layers, model.config.d_model),
-            tokens: Vec::new(),
+            pos: 0,
         }
-    }
-
-    /// Positions decoded so far.
-    pub fn len(&self) -> usize {
-        self.tokens.len()
-    }
-
-    /// True before the first [`push`](DecodeSession::push).
-    pub fn is_empty(&self) -> bool {
-        self.tokens.is_empty()
-    }
-
-    /// The tokens pushed so far, in order.
-    pub fn tokens(&self) -> &[usize] {
-        &self.tokens
     }
 
     /// Decodes one token at the next position and returns that position's
@@ -527,11 +452,10 @@ impl<'a> DecodeSession<'a> {
     ///
     /// Panics if the token id is out of vocabulary range.
     pub fn push(&mut self, token: usize) -> Vec<f32> {
-        let pos = self.tokens.len();
         let logits = self
             .model
-            .advance_one(self.act_quant, &mut self.kv, token, pos);
-        self.tokens.push(token);
+            .advance_one(self.act_quant, &mut self.kv, token, self.pos);
+        self.pos += 1;
         logits
     }
 
@@ -546,68 +470,137 @@ impl<'a> DecodeSession<'a> {
     }
 }
 
-/// Greedy (argmax) continuation of `prompt` by `max_new_tokens` tokens via
-/// the incremental [`DecodeSession`] path. Returns only the new tokens.
-///
-/// # Panics
-///
-/// Panics on an empty prompt (there is no distribution to continue from) or
-/// out-of-vocabulary prompt tokens.
-pub fn generate_greedy(
-    model: &TinyTransformer,
-    prompt: &[usize],
-    max_new_tokens: usize,
-    act_quant: Option<&dyn TensorQuantizer>,
-) -> Vec<usize> {
-    let mut session = DecodeSession::new(model, act_quant);
-    let mut logits = session
-        .prefill(prompt)
-        .expect("generate_greedy requires a non-empty prompt");
-    let mut generated = Vec::with_capacity(max_new_tokens);
-    for _ in 0..max_new_tokens {
-        let next = argmax(&logits);
-        generated.push(next);
-        logits = session.push(next);
-    }
-    generated
-}
-
-/// Reference greedy generation that recomputes the full causal forward pass
-/// every step — O(len²) per token, used to pin the [`DecodeSession`] fast
-/// path down in tests and benches.
-///
-/// # Panics
-///
-/// Panics on an empty prompt or out-of-vocabulary prompt tokens.
-pub fn generate_greedy_recompute(
-    model: &TinyTransformer,
-    prompt: &[usize],
-    max_new_tokens: usize,
-    act_quant: Option<&dyn TensorQuantizer>,
-) -> Vec<usize> {
-    assert!(
-        !prompt.is_empty(),
-        "generate_greedy_recompute requires a non-empty prompt"
-    );
-    let mut tokens = prompt.to_vec();
-    let mut generated = Vec::with_capacity(max_new_tokens);
-    for _ in 0..max_new_tokens {
-        let logits = model.forward_causal(&tokens, act_quant);
-        let next = argmax(logits.row(logits.rows() - 1));
-        generated.push(next);
-        tokens.push(next);
-    }
-    generated
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{EngineConfig, OutlierSeverity};
+    use crate::engine::{argmax, EngineConfig, OutlierSeverity};
     use crate::kv::{pages_needed, KvPool, PagedKv};
     use olive_baselines::UniformQuantizer;
     use olive_core::OliveQuantizer;
+    use olive_tensor::matmul::{gelu, matmul, matmul_transpose_b, softmax_rows};
     use olive_tensor::rng::Rng;
+
+    /// Causally-masked forward pass: position *i* attends only to positions
+    /// `0..=i`. Returns the logits of every position, `[seq_len, vocab]`.
+    ///
+    /// This is the decode-cache contract's independent reference, on the
+    /// scalar `olive_tensor` kernels and a per-head attention of its own:
+    /// [`DecodeSession`] and `feed_batch` must return the same logits
+    /// incrementally, bit-identically (see the module docs). Activation
+    /// quantization, when requested, is applied per row.
+    fn forward_causal(
+        model: &TinyTransformer,
+        tokens: &[usize],
+        act_quant: Option<&dyn TensorQuantizer>,
+    ) -> Tensor {
+        let quantize = |t: &Tensor| quantize_rows(t.clone(), act_quant);
+        let mut x = model.embed(tokens.len(), tokens.iter().copied().zip(0..));
+        for layer in &model.layers {
+            let normed = layer_norm(&x, &layer.ln1_gamma, &layer.ln1_beta, 1e-5);
+            let qkv_in = quantize(&normed);
+            let qkv = matmul(&qkv_in, &layer.wqkv);
+            let attn = attention_causal(model, &qkv);
+            let attn_in = quantize(&attn);
+            let out = matmul(&attn_in, &layer.wo);
+            x = x.add(&out);
+
+            let normed = layer_norm(&x, &layer.ln2_gamma, &layer.ln2_beta, 1e-5);
+            let ffn_in = quantize(&normed);
+            let h = gelu(&matmul(&ffn_in, &layer.w1));
+            let h_in = quantize(&h);
+            let ffn = matmul(&h_in, &layer.w2);
+            x = x.add(&ffn);
+        }
+
+        let normed = layer_norm(&x, &model.ln_f_gamma, &model.ln_f_beta, 1e-5);
+        let head_in = quantize(&normed);
+        matmul_transpose_b(&head_in, &model.embedding)
+    }
+
+    /// Multi-head self-attention over a fused `[seq, 3·d_model]` QKV tensor
+    /// with a causal mask: scores above the diagonal are `-inf` before the
+    /// softmax, so `exp` maps them to exactly `0.0` and they contribute
+    /// nothing to the context GEMM (whose kernel skips zero activations).
+    fn attention_causal(model: &TinyTransformer, qkv: &Tensor) -> Tensor {
+        let d = model.config.d_model;
+        let seq = qkv.rows();
+        let heads = model.config.n_heads;
+        let dh = model.config.head_dim();
+        let mut out = Tensor::zeros(vec![seq, d]);
+        for h in 0..heads {
+            let mut q = Tensor::zeros(vec![seq, dh]);
+            let mut k = Tensor::zeros(vec![seq, dh]);
+            let mut v = Tensor::zeros(vec![seq, dh]);
+            for i in 0..seq {
+                for j in 0..dh {
+                    q[[i, j]] = qkv[[i, h * dh + j]];
+                    k[[i, j]] = qkv[[i, d + h * dh + j]];
+                    v[[i, j]] = qkv[[i, 2 * d + h * dh + j]];
+                }
+            }
+            let scale = 1.0 / (dh as f32).sqrt();
+            let mut scores = matmul_transpose_b(&q, &k).scale(scale);
+            for i in 0..seq {
+                for j in (i + 1)..seq {
+                    scores[[i, j]] = f32::NEG_INFINITY;
+                }
+            }
+            let probs = softmax_rows(&scores);
+            let ctx = matmul(&probs, &v);
+            for i in 0..seq {
+                for j in 0..dh {
+                    out[[i, j + h * dh]] = ctx[[i, j]];
+                }
+            }
+        }
+        out
+    }
+
+    /// Greedy (argmax) continuation of `prompt` by `max_new_tokens` tokens
+    /// via the incremental [`DecodeSession`] path. Returns only the new
+    /// tokens.
+    fn generate_greedy(
+        model: &TinyTransformer,
+        prompt: &[usize],
+        max_new_tokens: usize,
+        act_quant: Option<&dyn TensorQuantizer>,
+    ) -> Vec<usize> {
+        let mut session = DecodeSession::new(model, act_quant);
+        let mut logits = session
+            .prefill(prompt)
+            .expect("generate_greedy requires a non-empty prompt");
+        let mut generated = Vec::with_capacity(max_new_tokens);
+        for _ in 0..max_new_tokens {
+            let next = argmax(&logits);
+            generated.push(next);
+            logits = session.push(next);
+        }
+        generated
+    }
+
+    /// Reference greedy generation that recomputes the full causal forward
+    /// pass every step — O(len²) per token, which pins the
+    /// [`DecodeSession`] fast path down.
+    fn generate_greedy_recompute(
+        model: &TinyTransformer,
+        prompt: &[usize],
+        max_new_tokens: usize,
+        act_quant: Option<&dyn TensorQuantizer>,
+    ) -> Vec<usize> {
+        assert!(
+            !prompt.is_empty(),
+            "generate_greedy_recompute requires a non-empty prompt"
+        );
+        let mut tokens = prompt.to_vec();
+        let mut generated = Vec::with_capacity(max_new_tokens);
+        for _ in 0..max_new_tokens {
+            let logits = forward_causal(model, &tokens, act_quant);
+            let next = argmax(logits.row(logits.rows() - 1));
+            generated.push(next);
+            tokens.push(next);
+        }
+        generated
+    }
 
     fn teacher(seed: u64) -> TinyTransformer {
         let mut rng = Rng::seed_from(seed);
@@ -621,7 +614,7 @@ mod tests {
     #[test]
     fn causal_logits_have_the_right_shape_and_are_finite() {
         let model = teacher(1);
-        let logits = model.forward_causal(&[1, 2, 3], None);
+        let logits = forward_causal(&model, &[1, 2, 3], None);
         assert_eq!(logits.shape(), &[3, model.config.vocab]);
         assert!(logits.data().iter().all(|v| v.is_finite()));
     }
@@ -631,8 +624,8 @@ mod tests {
         // The defining property of causality: earlier rows do not change
         // when the sequence is extended.
         let model = teacher(2);
-        let long = model.forward_causal(&[5, 9, 2, 7], None);
-        let short = model.forward_causal(&[5, 9, 2], None);
+        let long = forward_causal(&model, &[5, 9, 2, 7], None);
+        let short = forward_causal(&model, &[5, 9, 2], None);
         for pos in 0..3 {
             assert_eq!(long.row(pos), short.row(pos), "position {pos}");
         }
@@ -663,7 +656,7 @@ mod tests {
                 for act in [None, Some(&q as &dyn TensorQuantizer)] {
                     for threads in [1usize, 8] {
                         let diverged = olive_runtime::with_threads(threads, || {
-                            let batch = model.forward_causal(tokens, act);
+                            let batch = forward_causal(&model, tokens, act);
                             let mut session = DecodeSession::new(&model, act);
                             for (pos, &tok) in tokens.iter().enumerate() {
                                 if session.push(tok).as_slice() != batch.row(pos) {
@@ -846,7 +839,7 @@ mod tests {
                 for (name, act) in acts {
                     for threads in [1usize, 8] {
                         let diverged = olive_runtime::with_threads(threads, || {
-                            let batch = model.forward_causal(tokens, act);
+                            let batch = forward_causal(&model, tokens, act);
                             let mut pool = KvPool::new(2 * cfg.d_model, 1024);
                             let mut paged = small_paged(&cfg, &mut pool, tokens.len());
                             let mut flat = VecKv::new(cfg.n_layers, cfg.d_model);
@@ -1061,9 +1054,6 @@ mod tests {
             last_split = split.push(t);
         }
         assert_eq!(last_whole, last_split);
-        assert_eq!(whole.tokens(), split.tokens());
-        assert_eq!(whole.len(), 9);
-        assert!(!whole.is_empty());
     }
 
     #[test]

@@ -18,9 +18,11 @@
 //! the function computed by an outlier-heavy Transformer*.
 
 use crate::config::ModelFamily;
-use olive_core::simd::{gelu_in_place, matmul, matmul_transpose_b, resolve_path, with_simd};
+use crate::decode::FeedSlot;
+use crate::kv::VecKv;
+use olive_core::simd::{matmul_transpose_b, resolve_path, with_simd};
 use olive_core::TensorQuantizer;
-use olive_tensor::matmul::{layer_norm, softmax_rows};
+use olive_tensor::matmul::layer_norm;
 use olive_tensor::rng::Rng;
 use olive_tensor::Tensor;
 
@@ -259,52 +261,40 @@ impl TinyTransformer {
     }
 
     /// Runs the model on a token sequence and returns the logits of every
-    /// position, `[seq_len, vocab]`.
+    /// position, `[seq_len, vocab]`, with bidirectional attention: every
+    /// position attends to every other.
     ///
     /// If `act_quant` is given, the input activations of every GEMM are
-    /// fake-quantized first (activation quantization, as in the paper's
-    /// weight+activation setting).
+    /// fake-quantized first, per tensor (activation quantization, as in the
+    /// paper's weight+activation setting).
+    ///
+    /// This is the layer stack every decode feed runs (see
+    /// [`crate::decode`]), over one fresh [`VecKv`] with a bidirectional
+    /// mask, then the final layer-norm and LM head over every row.
     ///
     /// # Panics
     ///
     /// Panics if any token id is out of vocabulary range.
     pub fn forward(&self, tokens: &[usize], act_quant: Option<&dyn TensorQuantizer>) -> Tensor {
+        // A per-tensor scale spans every row of the stack, which is right
+        // only because this stack has one slot.
+        let quantize = |t: Tensor| match act_quant {
+            Some(q) => q.quantize_dequantize(&t),
+            None => t,
+        };
+        let mut kv = VecKv::new(self.config.n_layers, self.config.d_model);
+        let mut slot = [FeedSlot {
+            kv: &mut kv,
+            tokens,
+            pos: 0,
+        }];
         // Resolve the kernel path once: the kernel calls below then read
         // only this thread's override, not the environment.
         with_simd(Some(resolve_path()), || {
-            let mut x = self.embed(tokens.len(), tokens.iter().copied().zip(0..));
-
-            let maybe_q = |t: &Tensor| -> Tensor {
-                match act_quant {
-                    Some(q) => q.quantize_dequantize(t),
-                    None => t.clone(),
-                }
-            };
-
-            for layer in &self.layers {
-                // Pre-norm attention block.
-                let normed = layer_norm(&x, &layer.ln1_gamma, &layer.ln1_beta, 1e-5);
-                let qkv_in = maybe_q(&normed);
-                let qkv = matmul(&qkv_in, &layer.wqkv);
-                let attn = self.attention(&qkv);
-                let attn_in = maybe_q(&attn);
-                let out = matmul(&attn_in, &layer.wo);
-                x = x.add(&out);
-
-                // Pre-norm FFN block.
-                let normed = layer_norm(&x, &layer.ln2_gamma, &layer.ln2_beta, 1e-5);
-                let ffn_in = maybe_q(&normed);
-                let mut h = matmul(&ffn_in, &layer.w1);
-                gelu_in_place(h.data_mut());
-                let h_in = maybe_q(&h);
-                let ffn = matmul(&h_in, &layer.w2);
-                x = x.add(&ffn);
-            }
-
+            let x = self.layer_stack(&quantize, false, &mut slot);
             let normed = layer_norm(&x, &self.ln_f_gamma, &self.ln_f_beta, 1e-5);
-            let head_in = maybe_q(&normed);
             // Weight tying: logits = x · Eᵀ.
-            matmul_transpose_b(&head_in, &self.embedding)
+            matmul_transpose_b(&quantize(normed), &self.embedding)
         })
     }
 
@@ -334,42 +324,10 @@ impl TinyTransformer {
         }
         x
     }
-
-    /// Multi-head self-attention over a fused `[seq, 3·d_model]` QKV tensor.
-    fn attention(&self, qkv: &Tensor) -> Tensor {
-        let d = self.config.d_model;
-        let seq = qkv.rows();
-        let heads = self.config.n_heads;
-        let dh = self.config.head_dim();
-        let mut out = Tensor::zeros(vec![seq, d]);
-        for h in 0..heads {
-            // Slice Q, K, V for this head.
-            let mut q = Tensor::zeros(vec![seq, dh]);
-            let mut k = Tensor::zeros(vec![seq, dh]);
-            let mut v = Tensor::zeros(vec![seq, dh]);
-            for i in 0..seq {
-                for j in 0..dh {
-                    q[[i, j]] = qkv[[i, h * dh + j]];
-                    k[[i, j]] = qkv[[i, d + h * dh + j]];
-                    v[[i, j]] = qkv[[i, 2 * d + h * dh + j]];
-                }
-            }
-            let scale = 1.0 / (dh as f32).sqrt();
-            let scores = matmul_transpose_b(&q, &k).scale(scale);
-            let probs = softmax_rows(&scores);
-            let ctx = matmul(&probs, &v);
-            for i in 0..seq {
-                for j in 0..dh {
-                    out[[i, j + h * dh]] = ctx[[i, j]];
-                }
-            }
-        }
-        out
-    }
 }
 
 /// Index of the largest value (first winner on ties) — the greedy decoding
-/// rule shared by the evaluation metrics and [`crate::decode`].
+/// rule shared by the evaluation metrics and greedy generation.
 pub fn argmax(row: &[f32]) -> usize {
     let mut best = 0;
     let mut best_v = f32::NEG_INFINITY;
@@ -658,7 +616,146 @@ fn cosine(a: &[f32], b: &[f32]) -> f64 {
 mod tests {
     use super::*;
     use olive_baselines::UniformQuantizer;
+    use olive_core::simd::{gelu_in_place, matmul};
     use olive_core::{Fp32Baseline, OliveQuantizer};
+    use olive_tensor::matmul::softmax_rows;
+
+    // The eval forward as it ran before it shared the decode layer stack:
+    // its own layer loop, a per-head copy-and-GEMM attention, and
+    // per-tensor act-quant of every GEMM input. Nothing serves it; it stays
+    // here as the oracle of `forward`, which must match it bit for bit.
+
+    /// The eval forward's own body: logits of every position.
+    fn forward_per_head(
+        model: &TinyTransformer,
+        tokens: &[usize],
+        act_quant: Option<&dyn TensorQuantizer>,
+    ) -> Tensor {
+        with_simd(Some(resolve_path()), || {
+            let mut x = model.embed(tokens.len(), tokens.iter().copied().zip(0..));
+
+            let maybe_q = |t: &Tensor| -> Tensor {
+                match act_quant {
+                    Some(q) => q.quantize_dequantize(t),
+                    None => t.clone(),
+                }
+            };
+
+            for layer in &model.layers {
+                // Pre-norm attention block.
+                let normed = layer_norm(&x, &layer.ln1_gamma, &layer.ln1_beta, 1e-5);
+                let qkv_in = maybe_q(&normed);
+                let qkv = matmul(&qkv_in, &layer.wqkv);
+                let attn = attention_per_head(model, &qkv);
+                let attn_in = maybe_q(&attn);
+                let out = matmul(&attn_in, &layer.wo);
+                x = x.add(&out);
+
+                // Pre-norm FFN block.
+                let normed = layer_norm(&x, &layer.ln2_gamma, &layer.ln2_beta, 1e-5);
+                let ffn_in = maybe_q(&normed);
+                let mut h = matmul(&ffn_in, &layer.w1);
+                gelu_in_place(h.data_mut());
+                let h_in = maybe_q(&h);
+                let ffn = matmul(&h_in, &layer.w2);
+                x = x.add(&ffn);
+            }
+
+            let normed = layer_norm(&x, &model.ln_f_gamma, &model.ln_f_beta, 1e-5);
+            let head_in = maybe_q(&normed);
+            // Weight tying: logits = x · Eᵀ.
+            matmul_transpose_b(&head_in, &model.embedding)
+        })
+    }
+
+    /// Multi-head self-attention over a fused `[seq, 3·d_model]` QKV tensor:
+    /// each head's Q/K/V copied out, then scored and mixed by the dense
+    /// GEMMs.
+    fn attention_per_head(model: &TinyTransformer, qkv: &Tensor) -> Tensor {
+        let d = model.config.d_model;
+        let seq = qkv.rows();
+        let heads = model.config.n_heads;
+        let dh = model.config.head_dim();
+        let mut out = Tensor::zeros(vec![seq, d]);
+        for h in 0..heads {
+            // Slice Q, K, V for this head.
+            let mut q = Tensor::zeros(vec![seq, dh]);
+            let mut k = Tensor::zeros(vec![seq, dh]);
+            let mut v = Tensor::zeros(vec![seq, dh]);
+            for i in 0..seq {
+                for j in 0..dh {
+                    q[[i, j]] = qkv[[i, h * dh + j]];
+                    k[[i, j]] = qkv[[i, d + h * dh + j]];
+                    v[[i, j]] = qkv[[i, 2 * d + h * dh + j]];
+                }
+            }
+            let scale = 1.0 / (dh as f32).sqrt();
+            let scores = matmul_transpose_b(&q, &k).scale(scale);
+            let probs = softmax_rows(&scores);
+            let ctx = matmul(&probs, &v);
+            for i in 0..seq {
+                for j in 0..dh {
+                    out[[i, j + h * dh]] = ctx[[i, j]];
+                }
+            }
+        }
+        out
+    }
+
+    /// The fold, property-tested: `forward` (the decode layer stack with a
+    /// bidirectional mask and `attend`) returns the per-head eval forward's
+    /// logits bit for bit, on BERT-tiny and the small model, on 1 to
+    /// 2·`seq_len` tokens, without act-quant and with olive-4bit and
+    /// uniform:4, at 1 and 8 threads.
+    #[test]
+    fn forward_is_bit_identical_to_the_per_head_eval_forward() {
+        let models = [
+            (EngineConfig::tiny(), OutlierSeverity::transformer()),
+            (EngineConfig::small(), OutlierSeverity::llm()),
+        ];
+        let config = olive_harness::check::CheckConfig {
+            cases: 6,
+            ..Default::default()
+        };
+        olive_harness::check::check_with(
+            config,
+            "forward_matches_per_head",
+            |rng| {
+                let seed = rng.next_u64();
+                let lens = models.map(|(cfg, _)| 1 + rng.below(2 * cfg.seq_len));
+                (seed, lens)
+            },
+            |&(seed, lens)| {
+                let olive = OliveQuantizer::int4();
+                let uniform = UniformQuantizer::new(4);
+                let acts: [(&str, Option<&dyn TensorQuantizer>); 3] = [
+                    ("none", None),
+                    ("olive-4bit", Some(&olive)),
+                    ("uniform:4", Some(&uniform)),
+                ];
+                let mut rng = Rng::seed_from(seed);
+                for ((cfg, severity), len) in models.into_iter().zip(lens) {
+                    let model = TinyTransformer::generate(cfg, severity, &mut rng);
+                    let tokens: Vec<usize> = (0..len).map(|_| rng.below(cfg.vocab)).collect();
+                    for (name, act) in acts {
+                        for threads in [1usize, 8] {
+                            let (got, want) = olive_runtime::with_threads(threads, || {
+                                let want = forward_per_head(&model, &tokens, act);
+                                (model.forward(&tokens, act), want)
+                            });
+                            if !same_bits(&[got], &[want]) {
+                                return Err(format!(
+                                    "d_model {} on {len} tokens (act={name}, threads={threads})",
+                                    cfg.d_model
+                                ));
+                            }
+                        }
+                    }
+                }
+                Ok(())
+            },
+        );
+    }
 
     // The standalone metrics: one teacher and one student forward per input
     // and metric, each folded on its own. Nothing serves them; they stay
@@ -846,6 +943,16 @@ mod tests {
             &[teacher.config.seq_len, teacher.config.vocab]
         );
         assert!(logits.data().iter().all(|v| v.is_finite()));
+    }
+
+    #[test]
+    fn forward_on_no_tokens_returns_no_rows() {
+        let (teacher, _) = setup();
+        let q = OliveQuantizer::int4();
+        for act in [None, Some(&q as &dyn TensorQuantizer)] {
+            let logits = teacher.forward(&[], act);
+            assert_eq!(logits.shape(), &[0, teacher.config.vocab]);
+        }
     }
 
     #[test]

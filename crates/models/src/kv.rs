@@ -9,8 +9,9 @@
 //! serving layer can supply pooled memory:
 //!
 //! * [`VecKv`] — the simple owned store (per-layer flat vectors), used by
-//!   [`DecodeSession`](crate::decode::DecodeSession) and anywhere a single
-//!   self-contained session is enough;
+//!   [`DecodeSession`](crate::decode::DecodeSession), by the eval
+//!   [`forward`](crate::engine::TinyTransformer::forward), and anywhere a
+//!   single self-contained session is enough;
 //! * [`KvPool`] — a fixed-capacity pool of uniform pages (`Box<[f32]>`)
 //!   recycled across streams: releasing a page returns it to the free list
 //!   instead of the allocator, so steady-state serving performs no KV

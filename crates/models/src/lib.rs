@@ -12,13 +12,13 @@
 //!   Fig. 2 / Tbl. 2 (Gaussian bulk + sparse extreme outliers).
 //! * [`engine`] — a small runnable Transformer with planted outliers used as a
 //!   teacher–student accuracy proxy for the GLUE/SQuAD/perplexity tables.
-//! * [`decode`] — causal (autoregressive) forward pass plus the KV-cached
-//!   incremental [`DecodeSession`], bit-identical to the batch path — the
-//!   generative workload class behind `olive-serve`'s `/v1/generate` — and
-//!   the step-schedulable [`FeedSlot`]/`feed_batch` API that lets a
-//!   scheduler merge many streams' current steps, and whole prompts, into
-//!   one batched forward ([`StepSlot`]/`advance_batch` is its one-token
-//!   case).
+//! * [`decode`] — the one layer stack every forward runs (the eval
+//!   `forward` with a bidirectional mask, decode with a causal one), the
+//!   KV-cached incremental [`DecodeSession`] — the generative workload
+//!   class behind `olive-serve`'s `/v1/generate` — and the
+//!   step-schedulable [`FeedSlot`]/`feed_batch` API that lets a scheduler
+//!   merge many streams' current steps, and whole prompts, into one
+//!   batched forward ([`StepSlot`]/`advance_batch` is its one-token case).
 //! * [`kv`] — externally-owned KV-cache storage: the [`KvStore`] trait,
 //!   plain [`VecKv`], and the paged [`KvPool`]/[`PagedKv`] pair the serving
 //!   layer uses for continuous batching.
@@ -38,10 +38,7 @@ pub mod workload;
 
 pub use artifact::{ArtifactError, ArtifactReader, ArtifactWriter};
 pub use config::{ModelConfig, ModelFamily};
-pub use decode::{
-    feed_groups, feeds_in_parallel, generate_greedy, generate_greedy_recompute, DecodeSession,
-    FeedGroup, FeedSlot, StepSlot,
-};
+pub use decode::{feed_groups, feeds_in_parallel, DecodeSession, FeedGroup, FeedSlot, StepSlot};
 pub use engine::{
     argmax, eval_scores, student_scores, teacher_logits, EngineConfig, EvalScores, EvalTask,
     OutlierSeverity, TinyTransformer,

@@ -17,7 +17,7 @@
 //! FIFO) is purely a memory-footprint concern.
 
 use crate::protocol::{EvalRequest, GenerateRequest};
-use olive_api::{GenOptions, GenReport, ModelArtifact, PreparedEval, PreparedGen};
+use olive_api::{ModelArtifact, PreparedEval, PreparedGen};
 use olive_models::TinyTransformer;
 use olive_runtime::lock_or_recover;
 use std::collections::BTreeMap;
@@ -239,31 +239,6 @@ impl ModelCache {
         student
     }
 
-    /// Streams one `/v1/generate` request end to end: fetches (or computes
-    /// and caches) the prepared teacher + prompt, then decodes through
-    /// [`Pipeline::generation`](olive_api::Pipeline::generation), handing
-    /// `sink` each JSON fragment as its step is decoded. Returns the
-    /// (wall-time-stripped) report whose `to_json` equals the concatenated
-    /// fragments.
-    ///
-    /// This is the *single-session* path (used by tests and embedders); the
-    /// server's `/v1/generate` endpoint decodes through the continuous-
-    /// batching scheduler in [`crate::decode_sched`], which produces the
-    /// same bytes per stream while interleaving many streams.
-    ///
-    /// Generation responses are **not** body-cached: the stream is the
-    /// point, and the expensive part (teacher generation) is what the
-    /// preparation cache already amortises.
-    pub fn generate_stream(&self, req: &GenerateRequest, sink: &mut dyn FnMut(&str)) -> GenReport {
-        let prepared = self.gen_prepared(req);
-        req.pipeline().generation(
-            GenOptions::new()
-                .prepared(&prepared)
-                .max_new_tokens(req.max_new_tokens)
-                .stream(sink),
-        )
-    }
-
     /// (prepared eval models, prepared generation models, cached response
     /// bodies) currently held — surfaced by `/healthz`.
     pub fn sizes(&self) -> (usize, usize, usize) {
@@ -278,7 +253,28 @@ impl ModelCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use olive_api::JsonValue;
+    use olive_api::{GenOptions, GenReport, JsonValue};
+
+    /// Streams one `/v1/generate` request end to end on one session:
+    /// fetches (or computes and caches) the prepared teacher + prompt, then
+    /// decodes through [`Pipeline::generation`](olive_api::Pipeline::generation),
+    /// handing `sink` each JSON fragment as its step is decoded. Returns the
+    /// (wall-time-stripped) report whose `to_json` equals the concatenated
+    /// fragments. The server's `/v1/generate` decodes through the
+    /// continuous-batching scheduler instead, to the same bytes per stream.
+    fn generate_stream(
+        cache: &ModelCache,
+        req: &GenerateRequest,
+        sink: &mut dyn FnMut(&str),
+    ) -> GenReport {
+        let prepared = cache.gen_prepared(req);
+        req.pipeline().generation(
+            GenOptions::new()
+                .prepared(&prepared)
+                .max_new_tokens(req.max_new_tokens)
+                .stream(sink),
+        )
+    }
 
     fn request(text: &str) -> EvalRequest {
         EvalRequest::decode(&JsonValue::parse(text).unwrap()).unwrap()
@@ -314,9 +310,9 @@ mod tests {
         let olive = decode(r#"{"scheme": "olive-4bit", "max_new_tokens": 3, "prompt_tokens": 4}"#);
         let fp32 = decode(r#"{"scheme": "fp32", "max_new_tokens": 3, "prompt_tokens": 4}"#);
         let mut streamed = String::new();
-        let report = cache.generate_stream(&olive, &mut |f| streamed.push_str(f));
+        let report = generate_stream(&cache, &olive, &mut |f| streamed.push_str(f));
         assert_eq!(streamed, report.to_json(), "fragments must concatenate");
-        let _ = cache.generate_stream(&fp32, &mut |_| {});
+        let _ = generate_stream(&cache, &fp32, &mut |_| {});
         // One shared generation preparation, no body caching.
         assert_eq!(cache.sizes(), (0, 1, 0));
         // Served bytes equal the direct pipeline's rendering.
@@ -403,7 +399,7 @@ mod tests {
 
         let warm = ModelCache::new();
         let mut want = String::new();
-        let _ = warm.generate_stream(&req, &mut |f| want.push_str(f));
+        let _ = generate_stream(&warm, &req, &mut |f| want.push_str(f));
 
         let artifact = olive_api::ModelArtifact::gen(
             req.prepared_key(),
@@ -424,7 +420,7 @@ mod tests {
             .quantize_weights(req.scheme.build().as_ref());
         assert_eq!(student.embedding.data(), direct.embedding.data());
         let mut got = String::new();
-        let _ = cold.generate_stream(&req, &mut |f| got.push_str(f));
+        let _ = generate_stream(&cold, &req, &mut |f| got.push_str(f));
         assert_eq!(
             got, want,
             "cold-started stream must match in-process stream"

@@ -10,8 +10,9 @@
 //! [`matmul`] and [`matmul_transpose_b`] are the scalar reference of the
 //! dispatched `olive_core::simd` GEMMs that the served forwards call: their
 //! scalar path, and the oracle their AVX2 path must match bit for bit. The
-//! causal `forward_causal` keeps calling them, so the decode-cache property
-//! tests compare the served `feed_batch` with them at model level.
+//! causal forward that `olive_models::decode`'s tests keep as the
+//! decode-cache reference calls them, so those property tests compare the
+//! served `feed_batch` with them at model level.
 
 use crate::libm::tanhf;
 use crate::Tensor;

@@ -27,7 +27,9 @@ cargo test --workspace -q
 # quantization, GELU and the dense GEMMs) have scalar twins that must be
 # bit-identical. The workspace run above exercises the auto-detected path;
 # this run pins the scalar fallback for olive-core, for olive-models, whose
-# eval and decode forwards dispatch GELU and the dense GEMMs, for
+# one layer stack (under the eval forward and every decode feed) dispatches
+# GELU and the dense GEMMs, and whose oracle tests compare it with the eval
+# forward's per-head attention and a scalar causal forward, for
 # olive-baselines, whose uniform quantizer dispatches its search and fake
 # quantization, and for olive-api, whose tbl06/tbl09 goldens pin the bytes
 # of those forwards, so both dispatch targets are tested on every verify.
