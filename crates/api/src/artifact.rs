@@ -122,14 +122,6 @@ impl ModelArtifact {
         self
     }
 
-    /// The student quantized under `spec`, if the artifact carries one.
-    pub fn student(&self, spec: &str) -> Option<&TinyTransformer> {
-        self.students
-            .iter()
-            .find(|(s, _)| s == spec)
-            .map(|(_, m)| m)
-    }
-
     /// Rebuilds the eval preparation, or `None` for a generation artifact.
     /// The artifact's quantized students seed the preparation's
     /// quantize-once cache, so a loader's first eval per scheme skips
@@ -138,9 +130,7 @@ impl ModelArtifact {
         match &self.payload {
             ArtifactPayload::Eval { task } => {
                 let prepared = PreparedEval::new(self.teacher.clone(), task.clone());
-                for (spec, student) in &self.students {
-                    prepared.seed_student(spec.clone(), student.clone());
-                }
+                prepared.students.seed(&self.students);
                 Some(prepared)
             }
             ArtifactPayload::Gen { .. } => None,
@@ -148,12 +138,15 @@ impl ModelArtifact {
     }
 
     /// Rebuilds the generation preparation, or `None` for an eval artifact.
+    /// The artifact's quantized students seed the preparation's
+    /// quantize-once cache, as in [`prepared_eval`](Self::prepared_eval).
     pub fn prepared_gen(&self) -> Option<PreparedGen> {
         match &self.payload {
-            ArtifactPayload::Gen { prompt } => Some(PreparedGen {
-                teacher: self.teacher.clone(),
-                prompt: prompt.clone(),
-            }),
+            ArtifactPayload::Gen { prompt } => {
+                let prepared = PreparedGen::new(self.teacher.clone(), prompt.clone());
+                prepared.students.seed(&self.students);
+                Some(prepared)
+            }
             ArtifactPayload::Eval { .. } => None,
         }
     }
@@ -365,8 +358,25 @@ mod tests {
             .without_wall_times()
             .to_json();
         assert_eq!(a, b);
-        assert!(back.student("olive-4bit").is_some());
+        assert!(back.students.iter().any(|(spec, _)| spec == "olive-4bit"));
         assert!(back.describe().contains("\"kind\": \"eval\""));
+    }
+
+    #[test]
+    fn prepared_gen_holds_the_artifacts_students() {
+        let pipeline = Pipeline::new(ModelFamily::Gpt2.tiny()).seed(4);
+        let prepared = pipeline.prepare_generation(3);
+        let schemes = ["olive-4bit", "uniform:4"].map(|s| Scheme::parse(s).unwrap());
+        let artifact = ModelArtifact::gen("key-s", "GPT-2", &prepared).with_students(&schemes);
+        let restored = artifact.prepared_gen().expect("gen payload");
+        // Seeded before any lookup: every student the snapshot carries.
+        assert_eq!(restored.students.len(), schemes.len());
+        for (scheme, (_, stored)) in schemes.iter().zip(&artifact.students) {
+            let student = restored.student(scheme);
+            assert_eq!(student.embedding.data(), stored.embedding.data());
+            assert_eq!(student.layers[0].wqkv.data(), stored.layers[0].wqkv.data());
+        }
+        assert_eq!(restored.students.len(), schemes.len());
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! aggregate agreement and the decode throughput (tokens/sec).
 //!
 //! The run is described by a [`GenOptions`] builder — prompt length, step
-//! budget, an optional scheme override, an optional pre-prepared
-//! teacher/prompt, an optional streaming sink — and
-//! [`Pipeline::generation`] is the one entry point.
+//! budget, an optional pre-prepared teacher/prompt, an optional streaming
+//! sink — and [`Pipeline::generation`] is the one entry point. It runs the
+//! pipeline's configured schemes.
 //!
 //! ## Streaming, byte-identically
 //!
@@ -30,10 +30,11 @@
 //! bytes per stream while interleaving many streams' decode steps.
 
 use crate::json::JsonValue;
-use crate::pipeline::Pipeline;
+use crate::pipeline::{Pipeline, StudentCache};
 use crate::scheme::Scheme;
 use olive_models::{argmax, DecodeSession, TinyTransformer};
 use olive_tensor::rng::Rng;
+use std::sync::Arc;
 
 /// Default prompt length of a generation run, in tokens.
 pub const DEFAULT_PROMPT_TOKENS: usize = 8;
@@ -75,7 +76,8 @@ pub struct GenSchemeResult {
     /// Decode throughput over the generation loop (0.0 when wall times are
     /// stripped).
     pub tokens_per_s: f64,
-    /// Wall time of quantizing + generating, in seconds.
+    /// Wall time of this scheme's own work, in seconds: quantizing its
+    /// weights (or reusing its cached student) and generating.
     pub wall_time_s: f64,
 }
 
@@ -199,20 +201,43 @@ pub const REPORT_TAIL: &str = "\n  ]\n}\n";
 /// A generated teacher model plus the prompt all schemes continue from — the
 /// reusable (cacheable) part of a generation run, mirroring
 /// [`PreparedEval`](crate::PreparedEval) for the evaluation arm.
+///
+/// It also holds the quantize-once students of every generation over it
+/// (see [`student`](Self::student)), which `olive-serve`'s decode scheduler
+/// shares across streams.
 #[derive(Debug, Clone)]
 pub struct PreparedGen {
     /// The FP32 teacher.
     pub teacher: TinyTransformer,
     /// The prompt (at least one token).
     pub prompt: Vec<usize>,
+    pub(crate) students: StudentCache,
+}
+
+impl PreparedGen {
+    pub(crate) fn new(teacher: TinyTransformer, prompt: Vec<usize>) -> Self {
+        PreparedGen {
+            teacher,
+            prompt,
+            students: StudentCache::new(),
+        }
+    }
+
+    /// The teacher quantized under `scheme`: built on the first lookup (or
+    /// seeded from an artifact) and reused afterwards. At most
+    /// [`Scheme::all`]`().len()` students stay resident, oldest out first.
+    pub fn student(&self, scheme: &Scheme) -> Arc<TinyTransformer> {
+        self.students.get(&self.teacher, scheme)
+    }
 }
 
 /// The description of one generation run — the single argument of
 /// [`Pipeline::generation`].
 ///
 /// Defaults: [`DEFAULT_PROMPT_TOKENS`]-token prompt,
-/// [`DEFAULT_MAX_NEW_TOKENS`] decode steps, the pipeline's configured
-/// schemes, a fresh preparation from the pipeline seed, no streaming.
+/// [`DEFAULT_MAX_NEW_TOKENS`] decode steps, a fresh preparation from the
+/// pipeline seed, no streaming. Every run decodes the pipeline's configured
+/// schemes.
 ///
 /// ```
 /// use olive_api::{GenOptions, Pipeline};
@@ -226,7 +251,6 @@ pub struct PreparedGen {
 pub struct GenOptions<'a> {
     prompt_tokens: Option<usize>,
     max_new_tokens: Option<usize>,
-    schemes: Option<Vec<Scheme>>,
     prepared: Option<&'a PreparedGen>,
     sink: Option<&'a mut dyn FnMut(&str)>,
 }
@@ -250,28 +274,9 @@ impl<'a> GenOptions<'a> {
         self
     }
 
-    /// Overrides the pipeline's configured schemes with a single spec string
-    /// for this run (parsed like [`Pipeline::schemes`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unparseable spec, like [`Pipeline::schemes`].
-    pub fn scheme(self, spec: &str) -> Self {
-        match Scheme::parse(spec) {
-            Ok(s) => self.scheme_set([s]),
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Overrides the pipeline's configured schemes with pre-parsed schemes,
-    /// in order.
-    pub fn scheme_set<I: IntoIterator<Item = Scheme>>(mut self, schemes: I) -> Self {
-        self.schemes = Some(schemes.into_iter().collect());
-        self
-    }
-
-    /// Reuses an already-prepared teacher + prompt (the quantize-once/
-    /// serve-many path) instead of preparing from the pipeline seed.
+    /// Reuses an already-prepared teacher, prompt and students (the
+    /// quantize-once/serve-many path) instead of preparing from the pipeline
+    /// seed.
     pub fn prepared(mut self, prepared: &'a PreparedGen) -> Self {
         self.prepared = Some(prepared);
         self
@@ -305,7 +310,7 @@ impl Pipeline {
         let prompt = (0..prompt_tokens.max(1))
             .map(|_| rng.below(self.model.config.vocab))
             .collect();
-        PreparedGen { teacher, prompt }
+        PreparedGen::new(teacher, prompt)
     }
 
     /// A [`GenReport`] carrying this pipeline's identity (model, task, seed,
@@ -336,13 +341,12 @@ impl Pipeline {
     /// point for generation (see [`GenOptions`] for the knobs).
     pub fn generation(&self, options: GenOptions<'_>) -> GenReport {
         let max_new_tokens = options.max_new_tokens.unwrap_or(DEFAULT_MAX_NEW_TOKENS);
-        let schemes = options.schemes.as_deref().unwrap_or(&self.schemes);
         match options.prepared {
-            Some(prepared) => self.generate_inner(prepared, max_new_tokens, schemes, options.sink),
+            Some(prepared) => self.generate_inner(prepared, max_new_tokens, options.sink),
             None => {
                 let prompt_tokens = options.prompt_tokens.unwrap_or(DEFAULT_PROMPT_TOKENS);
                 let prepared = self.prepare_generation(prompt_tokens);
-                self.generate_inner(&prepared, max_new_tokens, schemes, options.sink)
+                self.generate_inner(&prepared, max_new_tokens, options.sink)
             }
         }
     }
@@ -351,20 +355,19 @@ impl Pipeline {
         &self,
         prepared: &PreparedGen,
         max_new_tokens: usize,
-        schemes: &[Scheme],
         mut sink: Option<&mut dyn FnMut(&str)>,
     ) -> GenReport {
         let streaming = sink.is_some();
         let mut report = self.gen_report_skeleton(prepared.prompt.clone(), max_new_tokens);
-        report.results.reserve(schemes.len());
+        report.results.reserve(self.schemes.len());
         if let Some(sink) = sink.as_deref_mut() {
             sink(&head_fragment(&report));
         }
-        for (i, scheme) in schemes.iter().enumerate() {
+        for (i, scheme) in self.schemes.iter().enumerate() {
             let quantizer = scheme.build();
             // olive-lint: allow(no-wallclock-in-deterministic-paths): feeds only wall_time_s, which without_wall_times strips before any byte comparison
             let start = std::time::Instant::now();
-            let student = prepared.teacher.quantize_weights(quantizer.as_ref());
+            let student = prepared.student(scheme);
             let quantize_acts = self.quantize_activations && quantizer.quantizes_activations();
             let act_q = quantize_acts.then_some(quantizer.as_ref());
             let mut result = GenSchemeResult {
@@ -585,18 +588,42 @@ mod tests {
     }
 
     #[test]
-    fn gen_options_scheme_overrides_the_pipeline_schemes() {
-        let pipeline = tiny_pipeline().schemes(["uniform:4"]);
-        let report = pipeline.generation(
-            GenOptions::new()
-                .prompt_tokens(3)
-                .max_new_tokens(2)
-                .scheme("fp32"),
+    fn students_are_quantized_once_per_scheme() {
+        let prepared = tiny_pipeline().prepare_generation(3);
+        let scheme = Scheme::parse("olive-4bit").unwrap();
+        let a = prepared.student(&scheme);
+        let b = prepared.student(&scheme);
+        assert!(Arc::ptr_eq(&a, &b), "second lookup must be a cache hit");
+        assert_eq!(prepared.students.len(), 1);
+        // The cached student is a fresh quantization, bit for bit.
+        let direct = prepared.teacher.quantize_weights(scheme.build().as_ref());
+        assert_eq!(a.embedding.data(), direct.embedding.data());
+        assert_eq!(a.layers[0].wqkv.data(), direct.layers[0].wqkv.data());
+    }
+
+    #[test]
+    fn repeated_generations_over_one_preparation_quantize_once() {
+        let pipeline = tiny_pipeline().schemes(["olive-4bit"]);
+        let prepared = pipeline.prepare_generation(4);
+        let run = || {
+            pipeline
+                .generation(GenOptions::new().prepared(&prepared).max_new_tokens(5))
+                .without_wall_times()
+                .to_json()
+        };
+        let scheme = &pipeline.schemes[0];
+        let first = run();
+        assert_eq!(
+            prepared.students.len(),
+            1,
+            "the first run caches its student"
         );
-        assert_eq!(report.results.len(), 1);
-        assert_eq!(report.results[0].spec, "fp32");
-        // The override is per-run: the pipeline itself is untouched.
-        assert_eq!(gen(&pipeline, 3, 2).results[0].spec, "uniform:4");
+        let student = prepared.student(scheme);
+        assert_eq!(run(), first);
+        let reused = prepared.student(scheme);
+        assert!(Arc::ptr_eq(&student, &reused), "the second run reuses it");
+        // The cached student decodes the bytes a fresh preparation does.
+        assert_eq!(first, gen(&pipeline, 4, 5).without_wall_times().to_json());
     }
 
     #[test]

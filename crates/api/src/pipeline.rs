@@ -27,9 +27,10 @@ use olive_models::{
     eval_scores, student_scores, teacher_logits, EngineConfig, EvalTask, OutlierSeverity,
     TinyTransformer,
 };
+use olive_runtime::{lock_or_recover, FifoMap};
 use olive_tensor::rng::Rng;
 use olive_tensor::Tensor;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Default number of evaluation sequences per task (what the paper-table
 /// harnesses use).
@@ -142,19 +143,6 @@ pub struct ModelSpec {
 }
 
 impl ModelSpec {
-    /// A model spec from scratch.
-    pub fn custom(
-        name: impl Into<String>,
-        severity: OutlierSeverity,
-        config: EngineConfig,
-    ) -> Self {
-        ModelSpec {
-            name: name.into(),
-            severity,
-            config,
-        }
-    }
-
     /// Renames the spec (e.g. `ModelFamily::Gpt2.small().named("GPT2-XL")`).
     pub fn named(mut self, name: impl Into<String>) -> Self {
         self.name = name.into();
@@ -391,54 +379,47 @@ impl EvalReport {
     }
 }
 
-/// Deterministic per-scheme student cache carried by a [`PreparedEval`]:
-/// quantizing a teacher is pure in (teacher, scheme spec), so each student
-/// is built at most once per preparation and reused by every later
-/// `run_prepared` — the serving layers' repeated evals against one cached
-/// preparation skip re-quantization entirely. Shared across clones (the
-/// cache is derived data); it is a lookup table only, never iterated into
-/// output, so bytes are unaffected.
-#[derive(Debug, Default, Clone)]
-struct StudentCache {
-    inner: Arc<std::sync::Mutex<StudentEntries>>,
-}
-
-/// The cache's storage: `(scheme spec, student)` pairs, linear-scanned (a
-/// preparation sees a handful of schemes, not thousands).
-type StudentEntries = Vec<(String, Arc<TinyTransformer>)>;
+/// The quantize-once students of one preparation, keyed by scheme spec.
+///
+/// Quantizing a teacher is pure in (teacher, scheme), so a student is built
+/// on the first lookup and reused by every later run over the same
+/// preparation. At most one student per registry scheme
+/// ([`Scheme::all`]`().len()`) stays resident, oldest out first. Clones share
+/// one cache. It is a lookup table only, never iterated into output, so
+/// eviction costs a re-quantization, never a byte.
+#[derive(Debug, Clone)]
+pub(crate) struct StudentCache(Arc<Mutex<FifoMap<Arc<TinyTransformer>>>>);
 
 impl StudentCache {
-    fn lookup(&self, spec: &str) -> Option<Arc<TinyTransformer>> {
-        let inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        inner
-            .iter()
-            .find(|(s, _)| s == spec)
-            .map(|(_, m)| Arc::clone(m))
+    pub(crate) fn new() -> Self {
+        StudentCache(Arc::new(Mutex::new(FifoMap::new(Scheme::all().len()))))
     }
 
-    /// Inserts `student` for `spec` unless a concurrent builder won the
-    /// race; returns the cached winner either way (builds are deterministic,
-    /// so both candidates hold identical weights).
-    fn insert(&self, spec: &str, student: Arc<TinyTransformer>) -> Arc<TinyTransformer> {
-        let mut inner = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some((_, m)) = inner.iter().find(|(s, _)| s == spec) {
-            return Arc::clone(m);
+    /// The student of `teacher` under `scheme`, quantized on a miss outside
+    /// the lock. Racing builders may each keep their own `Arc`; both hold
+    /// the same bits.
+    pub(crate) fn get(&self, teacher: &TinyTransformer, scheme: &Scheme) -> Arc<TinyTransformer> {
+        let spec = scheme.to_string();
+        if let Some(hit) = lock_or_recover(&self.0).get(&spec) {
+            return hit;
         }
-        inner.push((spec.to_string(), Arc::clone(&student)));
+        let student = Arc::new(teacher.quantize_weights(scheme.build().as_ref()));
+        lock_or_recover(&self.0).insert(spec, Arc::clone(&student));
         student
     }
 
-    fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .len()
+    /// Loads already-quantized `(spec, student)` pairs, such as an
+    /// artifact's.
+    pub(crate) fn seed(&self, students: &[(String, TinyTransformer)]) {
+        let mut cache = lock_or_recover(&self.0);
+        for (spec, student) in students {
+            cache.insert(spec.clone(), Arc::new(student.clone()));
+        }
+    }
+
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        lock_or_recover(&self.0).len()
     }
 }
 
@@ -447,19 +428,18 @@ impl StudentCache {
 /// instead of going through a registry scheme (the Fig. 3 clipping/pruning
 /// motivation study).
 ///
-/// It holds the teacher, the task and the quantize-once students, and not
-/// the teacher's logits of the task: [`Pipeline::run_prepared`] recomputes
-/// those once per run. Keeping them would grow every preparation a serving
-/// cache holds by its task's logits (32 KiB for BERT-tiny at 8 inputs).
+/// It holds the teacher, the task and the quantize-once students of every
+/// run over it (see [`student`](Self::student)), and not the teacher's
+/// logits of the task: [`Pipeline::run_prepared`] recomputes those once per
+/// run. Keeping them would grow every preparation a serving cache holds by
+/// its task's logits (32 KiB for BERT-tiny at 8 inputs).
 #[derive(Debug, Clone)]
 pub struct PreparedEval {
     /// The FP32 teacher.
     pub teacher: TinyTransformer,
     /// The evaluation inputs.
     pub task: EvalTask,
-    /// Quantize-once students, filled lazily by `run_prepared` and seeded
-    /// from artifact snapshots at load time.
-    students: StudentCache,
+    pub(crate) students: StudentCache,
 }
 
 impl PreparedEval {
@@ -468,34 +448,15 @@ impl PreparedEval {
         PreparedEval {
             teacher,
             task,
-            students: StudentCache::default(),
+            students: StudentCache::new(),
         }
     }
 
-    /// The quantized student for `spec`, building it with `build` on the
-    /// first request and reusing the cached copy afterwards. The build runs
-    /// outside the cache lock; if two threads race, the first insert wins
-    /// (both candidates are bit-identical — quantization is deterministic).
-    pub fn student_for(
-        &self,
-        spec: &str,
-        build: impl FnOnce() -> TinyTransformer,
-    ) -> Arc<TinyTransformer> {
-        if let Some(cached) = self.students.lookup(spec) {
-            return cached;
-        }
-        self.students.insert(spec, Arc::new(build()))
-    }
-
-    /// Pre-populates the cache with an already-quantized student (artifact
-    /// loading: the snapshot carries the admission work).
-    pub fn seed_student(&self, spec: impl Into<String>, student: TinyTransformer) {
-        let _ = self.students.insert(&spec.into(), Arc::new(student));
-    }
-
-    /// Number of cached students (diagnostic; used by tests).
-    pub fn cached_students(&self) -> usize {
-        self.students.len()
+    /// The teacher quantized under `scheme`: built on the first lookup (or
+    /// seeded from an artifact) and reused afterwards. At most
+    /// [`Scheme::all`]`().len()` students stay resident, oldest out first.
+    pub fn student(&self, scheme: &Scheme) -> Arc<TinyTransformer> {
+        self.students.get(&self.teacher, scheme)
     }
 
     /// Fidelity of a student whose weights are `f(name, weight)` (activations
@@ -615,13 +576,6 @@ impl Pipeline {
         self
     }
 
-    /// Explicitly sets activation quantization (on by default; schemes that
-    /// cannot quantize activations, like GOBO, stay weight-only regardless).
-    pub fn quantize_activations(mut self, on: bool) -> Self {
-        self.quantize_activations = on;
-        self
-    }
-
     /// Generates the teacher and evaluation task without running any scheme.
     pub fn prepare(&self) -> PreparedEval {
         self.prepare_with_logits().0
@@ -716,9 +670,7 @@ impl Pipeline {
         // Quantize-once: the student for this spec is cached on the
         // preparation, so repeated runs (the serving cache's steady state)
         // pay only the eval.
-        let student = prepared.student_for(&scheme.to_string(), || {
-            prepared.teacher.quantize_weights(quantizer.as_ref())
-        });
+        let student = prepared.student(scheme);
         let quantize_acts = self.quantize_activations && quantizer.quantizes_activations();
         let act_q = quantize_acts.then_some(quantizer.as_ref());
         let scores = student_scores(teacher_logits, &student, &prepared.task, act_q);
@@ -784,17 +736,39 @@ mod tests {
     fn run_prepared_reuses_cached_students() {
         let pipeline = tiny_pipeline().schemes(["olive-4bit", "uniform:4"]);
         let prepared = pipeline.prepare();
-        assert_eq!(prepared.cached_students(), 0);
+        assert_eq!(prepared.students.len(), 0);
         let first = pipeline.run_prepared(&prepared);
-        assert_eq!(prepared.cached_students(), 2);
+        assert_eq!(prepared.students.len(), 2);
         let second = pipeline.run_prepared(&prepared);
         // A second run must hit the cache (no new students) and reproduce
         // the report byte-for-byte once wall times are stripped.
-        assert_eq!(prepared.cached_students(), 2);
+        assert_eq!(prepared.students.len(), 2);
         assert_eq!(
             first.without_wall_times().to_json(),
             second.without_wall_times().to_json()
         );
+    }
+
+    #[test]
+    fn students_past_the_bound_stay_bounded_and_keep_the_bytes() {
+        // Two specs more than the registry holds: each pass evicts students
+        // it needs again later, and re-quantizes them to the bytes of a
+        // fresh run.
+        let bound = Scheme::all().len();
+        let pipeline = Pipeline::new(ModelFamily::Bert.tiny())
+            .seed(3)
+            .batches(2)
+            .calibrate(Calibration::confident(2))
+            .scheme_set(Scheme::all())
+            .schemes(["olive-4bit@per-row", "uniform:4@per-row"]);
+        let prepared = pipeline.prepare();
+        let direct = pipeline.run().without_wall_times().to_json();
+        for _ in 0..2 {
+            let served = pipeline.run_prepared(&prepared);
+            assert_eq!(served.results.len(), bound + 2);
+            assert_eq!(served.without_wall_times().to_json(), direct);
+            assert_eq!(prepared.students.len(), bound);
+        }
     }
 
     #[test]

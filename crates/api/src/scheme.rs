@@ -29,7 +29,7 @@
 //!
 //! Append `@per-row` (or the explicit default `@per-tensor`) to any spec to
 //! select the calibration granularity; per-row wraps the base quantizer in
-//! [`PerRowQuantizer`](olive_core::PerRowQuantizer).
+//! [`PerRowQuantizer`].
 
 use olive_accel::QuantScheme;
 use olive_baselines::{

@@ -100,7 +100,10 @@ fn round_trip_is_bit_identical_across_families_and_schemes() {
             );
             for (spec, student) in &artifact.students {
                 let loaded = reloaded
-                    .student(spec)
+                    .students
+                    .iter()
+                    .find(|(s, _)| s == spec)
+                    .map(|(_, m)| m)
                     .ok_or_else(|| format!("student '{spec}' lost in round-trip"))?;
                 prop_assert!(
                     loaded.embedding.data() == student.embedding.data(),

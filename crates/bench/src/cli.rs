@@ -42,7 +42,7 @@ impl BenchCli {
         Self::parse_from(std::env::args().skip(1))
     }
 
-    /// Parses an explicit argument list (testable core of [`parse`]).
+    /// Parses an explicit argument list (testable core of [`parse`](Self::parse)).
     ///
     /// # Errors
     ///

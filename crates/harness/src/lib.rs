@@ -4,13 +4,13 @@
 //! built and tested **offline** (no crates.io access), so the usual `proptest`
 //! and `criterion` dependencies are replaced by this crate:
 //!
-//! * [`check`] — a deterministic property-testing runner: properties are
+//! * [`check`](mod@check) — a deterministic property-testing runner: properties are
 //!   checked over seeded pseudo-random cases drawn with [`gen`] strategies on
 //!   top of [`olive_tensor::rng::Rng`]; a failing case is reported with its
 //!   property name, case index, seed and `Debug`-rendered input so it can be
 //!   replayed exactly.
 //! * [`gen`] — composable case generators (numeric ranges, vectors, seeds).
-//! * [`bench`] — a `std::time`-based micro-benchmark runner with warmup,
+//! * [`bench`](mod@bench) — a `std::time`-based micro-benchmark runner with warmup,
 //!   per-iteration samples, median/p95/min/mean statistics and optional
 //!   element throughput, reported as a plain-text [`report::Table`].
 //! * [`report`] — the fixed-width text/CSV table renderer shared with the

@@ -3,9 +3,10 @@
 //! Zero-dependency data-parallel runtime for the OliVe reproduction: a
 //! persistent [`Pool`] of `std::thread` workers plus the row-range primitives
 //! ([`par_rows`], [`par_rows_mut`], [`par_map`]) the tensor, core and model
-//! layers build their hot loops on, and a bounded
-//! [`queue::BoundedQueue`] that feeds `olive-serve`'s decode scheduler: it
-//! hands the consumer whatever is queued, never lingering for more.
+//! layers build their hot loops on, a bounded
+//! [`queue::BoundedQueue`] that feeds `olive-serve`'s decode scheduler (it
+//! hands the consumer whatever is queued, never lingering for more), and
+//! [`FifoMap`], the bounded map behind every serving cache.
 //!
 //! ## Thread-count selection
 //!
@@ -73,7 +74,7 @@ pub mod queue;
 pub mod sync;
 
 pub use pool::{Pool, MAX_THREADS};
-pub use queue::{BoundedQueue, PushError};
+pub use queue::{BoundedQueue, FifoMap, PushError};
 pub use sync::{lock_or_recover, wait_or_recover, wait_timeout_or_recover};
 
 use std::cell::Cell;

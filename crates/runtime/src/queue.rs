@@ -1,5 +1,7 @@
-//! A bounded multi-producer/single-consumer queue — the admission queue in
-//! front of `olive-serve`'s continuous-batching decode scheduler.
+//! The bounded containers of the serving layers: a multi-producer/
+//! single-consumer queue — the admission queue in front of `olive-serve`'s
+//! continuous-batching decode scheduler — and [`FifoMap`], the keyed map
+//! behind every cache.
 //!
 //! Producers [`try_push`](BoundedQueue::try_push) items; when the queue is at
 //! capacity the push fails *immediately* instead of blocking, which is what
@@ -17,7 +19,7 @@
 //! panic propagation through [`Pool`](crate::Pool)-backed batch execution.
 
 use crate::sync::{lock_or_recover, wait_or_recover};
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Condvar, Mutex};
 
 /// Why a push was refused.
@@ -148,6 +150,62 @@ impl<T> BoundedQueue<T> {
     }
 }
 
+/// A bounded map that evicts in insertion order, oldest first: the simplest
+/// eviction policy whose behaviour is easy to reason about under concurrent
+/// fill. It is the one container behind `olive-serve`'s preparation and
+/// response caches and each preparation's quantize-once students.
+///
+/// Overwriting a key keeps its place in the eviction order. The map is not
+/// synchronised; callers share it behind a mutex.
+#[derive(Debug)]
+pub struct FifoMap<V> {
+    entries: BTreeMap<String, V>,
+    order: VecDeque<String>,
+    capacity: usize,
+}
+
+impl<V: Clone> FifoMap<V> {
+    /// An empty map holding at most `capacity` entries (at least 1).
+    pub fn new(capacity: usize) -> Self {
+        FifoMap {
+            entries: BTreeMap::new(),
+            order: VecDeque::new(),
+            capacity: capacity.max(1),
+        }
+    }
+
+    /// A clone of the value under `key`, if it is resident.
+    pub fn get(&self, key: &str) -> Option<V> {
+        self.entries.get(key).cloned()
+    }
+
+    /// Inserts `value` under `key`, evicting the oldest entries first when
+    /// a new key would exceed the capacity.
+    pub fn insert(&mut self, key: String, value: V) {
+        if let Some(slot) = self.entries.get_mut(&key) {
+            *slot = value;
+            return;
+        }
+        while self.order.len() >= self.capacity {
+            if let Some(oldest) = self.order.pop_front() {
+                self.entries.remove(&oldest);
+            }
+        }
+        self.order.push_back(key.clone());
+        self.entries.insert(key, value);
+    }
+
+    /// Entries currently resident.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// True when no entry is resident.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,5 +316,20 @@ mod tests {
         assert_eq!(q.capacity(), 1);
         q.try_push(1).unwrap();
         assert_eq!(q.try_push(2).unwrap_err().0, PushError::Full);
+    }
+
+    #[test]
+    fn fifo_map_evicts_oldest_first() {
+        let mut map = FifoMap::new(2);
+        assert!(map.is_empty());
+        map.insert("a".into(), 1);
+        map.insert("b".into(), 2);
+        map.insert("a".into(), 10); // overwrite, no eviction
+        assert_eq!(map.len(), 2);
+        map.insert("c".into(), 3); // evicts "a" (oldest insertion)
+        assert_eq!(map.get("a"), None);
+        assert_eq!(map.get("b"), Some(2));
+        assert_eq!(map.get("c"), Some(3));
+        assert_eq!(map.len(), 2);
     }
 }

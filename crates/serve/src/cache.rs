@@ -2,11 +2,15 @@
 //!
 //! The deployment model the paper's accelerator assumes is a model quantized
 //! *once* and then served for millions of requests. This cache realises that
-//! for the proxy pipelines: the expensive part of an `/v1/eval` — generating
+//! for the proxy pipelines. The expensive part of an `/v1/eval` — generating
 //! the FP32 teacher and its calibrated task, which a miss does in
 //! [`Pipeline::prepare_and_run`](olive_api::Pipeline::prepare_and_run) —
 //! is computed once per (family, size, seed, batches, calibration, task)
-//! and shared across every request and every scheme; the fully rendered
+//! and shared across every request and every scheme; a `/v1/generate`
+//! preparation (teacher and prompt) once per (family, size, seed, prompt
+//! length). Each preparation owns its quantized students
+//! ([`PreparedEval::student`], [`PreparedGen::student`]), at most one per
+//! registry scheme, so they are evicted with it. The fully rendered eval
 //! response body is additionally cached per (preparation, scheme set,
 //! weights-only) so a repeated request is answered without touching the
 //! model at all.
@@ -14,77 +18,27 @@
 //! Correctness leans on determinism, not invalidation: a cache entry is a
 //! pure function of its key (the runtime's bit-determinism contract), so a
 //! hit can never serve a stale or divergent answer, and eviction (bounded
-//! FIFO) is purely a memory-footprint concern.
+//! FIFO, [`FifoMap`]) is purely a memory-footprint concern.
 
 use crate::protocol::{EvalRequest, GenerateRequest};
 use olive_api::{ModelArtifact, PreparedEval, PreparedGen};
-use olive_models::TinyTransformer;
-use olive_runtime::lock_or_recover;
-use std::collections::BTreeMap;
+use olive_runtime::{lock_or_recover, FifoMap};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Most prepared (teacher, task) pairs kept alive.
+/// Most preparations kept alive in each of the eval (teacher, task) and
+/// generate (teacher, prompt) maps.
 pub const MAX_PREPARED: usize = 32;
-
-/// Most prepared (teacher, prompt) generation preparations kept alive.
-pub const MAX_GEN_PREPARED: usize = 32;
-
-/// Most quantized student models kept alive (the decode scheduler's
-/// quantize-once half of quantize-once/serve-many).
-pub const MAX_STUDENTS: usize = 32;
 
 /// Most rendered response bodies kept alive.
 pub const MAX_RESPONSES: usize = 1024;
-
-/// A bounded FIFO map: the simplest eviction policy whose behaviour is easy
-/// to reason about under concurrent fill (insertion order, oldest out).
-struct FifoMap<V> {
-    entries: BTreeMap<String, V>,
-    order: Vec<String>,
-    capacity: usize,
-}
-
-impl<V: Clone> FifoMap<V> {
-    fn new(capacity: usize) -> Self {
-        FifoMap {
-            entries: BTreeMap::new(),
-            order: Vec::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    fn get(&self, key: &str) -> Option<V> {
-        self.entries.get(key).cloned()
-    }
-
-    fn insert(&mut self, key: String, value: V) {
-        if let std::collections::btree_map::Entry::Occupied(mut slot) =
-            self.entries.entry(key.clone())
-        {
-            slot.insert(value);
-            return;
-        }
-        while self.order.len() >= self.capacity {
-            let oldest = self.order.remove(0);
-            self.entries.remove(&oldest);
-        }
-        self.order.push(key.clone());
-        self.entries.insert(key, value);
-    }
-
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-}
 
 /// Shared cache of prepared models and rendered eval responses, optionally
 /// backed by an on-disk artifact store (see [`ModelCache::with_artifact_dir`]).
 pub struct ModelCache {
     prepared: Mutex<FifoMap<Arc<PreparedEval>>>,
     gen_prepared: Mutex<FifoMap<Arc<PreparedGen>>>,
-    students: Mutex<FifoMap<Arc<TinyTransformer>>>,
     responses: Mutex<FifoMap<Arc<String>>>,
     /// Directory of `olive-prepare` snapshots consulted before computing a
     /// preparation in-process.
@@ -118,26 +72,21 @@ impl ModelCache {
     pub fn with_artifact_dir(artifact_dir: Option<PathBuf>) -> Self {
         ModelCache {
             prepared: Mutex::new(FifoMap::new(MAX_PREPARED)),
-            gen_prepared: Mutex::new(FifoMap::new(MAX_GEN_PREPARED)),
-            students: Mutex::new(FifoMap::new(MAX_STUDENTS)),
+            gen_prepared: Mutex::new(FifoMap::new(MAX_PREPARED)),
             responses: Mutex::new(FifoMap::new(MAX_RESPONSES)),
             artifact_dir,
             artifacts_loaded: AtomicU64::new(0),
         }
     }
 
-    /// Looks `key` up in the artifact store. On a hit, also seeds the
-    /// student cache with every quantized student the snapshot carries (the
-    /// per-scheme admission work `olive-prepare` already did offline).
+    /// Looks `key` up in the artifact store. The preparation rebuilt from a
+    /// hit carries the snapshot's quantized students (the per-scheme
+    /// admission work `olive-prepare` already did offline).
     fn load_artifact(&self, key: &str) -> Option<ModelArtifact> {
         let dir = self.artifact_dir.as_deref()?;
         match ModelArtifact::load_from_dir(dir, key) {
             Ok(Some(artifact)) => {
                 self.artifacts_loaded.fetch_add(1, Ordering::Relaxed);
-                for (spec, student) in &artifact.students {
-                    let student_key = format!("{}|scheme={spec}", artifact.key);
-                    lock_or_recover(&self.students).insert(student_key, Arc::new(student.clone()));
-                }
                 Some(artifact)
             }
             Ok(None) => None,
@@ -204,9 +153,9 @@ impl ModelCache {
         body
     }
 
-    /// The prepared teacher + prompt for `req`, computing and caching on
-    /// miss — the reusable part of every `/v1/generate`, shared across
-    /// schemes and across the decode scheduler's concurrent sessions.
+    /// The prepared teacher, prompt and students for `req`, computing and
+    /// caching on miss — the reusable part of every `/v1/generate`, shared
+    /// across schemes and across the decode scheduler's concurrent sessions.
     pub fn gen_prepared(&self, req: &GenerateRequest) -> Arc<PreparedGen> {
         let key = req.prepared_key();
         if let Some(hit) = lock_or_recover(&self.gen_prepared).get(&key) {
@@ -222,21 +171,6 @@ impl ModelCache {
             );
         lock_or_recover(&self.gen_prepared).insert(key, Arc::clone(&p));
         p
-    }
-
-    /// The quantized student for `req`'s scheme over `prepared`'s teacher,
-    /// computing and caching on miss. Weight quantization is the expensive
-    /// per-scheme admission step of a decode session; caching it means a
-    /// repeat request is admitted without touching the model.
-    pub fn student(&self, req: &GenerateRequest, prepared: &PreparedGen) -> Arc<TinyTransformer> {
-        let key = format!("{}|scheme={}", req.prepared_key(), req.scheme);
-        if let Some(hit) = lock_or_recover(&self.students).get(&key) {
-            return hit;
-        }
-        let quantizer = req.scheme.build();
-        let student = Arc::new(prepared.teacher.quantize_weights(quantizer.as_ref()));
-        lock_or_recover(&self.students).insert(key, Arc::clone(&student));
-        student
     }
 
     /// (prepared eval models, prepared generation models, cached response
@@ -330,25 +264,6 @@ mod tests {
     }
 
     #[test]
-    fn students_are_quantized_once_per_scheme() {
-        let cache = ModelCache::new();
-        let req = GenerateRequest::decode(
-            &JsonValue::parse(r#"{"scheme": "olive-4bit", "prompt_tokens": 3}"#).unwrap(),
-        )
-        .unwrap();
-        let prepared = cache.gen_prepared(&req);
-        let a = cache.student(&req, &prepared);
-        let b = cache.student(&req, &prepared);
-        assert!(Arc::ptr_eq(&a, &b), "second lookup must be a cache hit");
-        // The cached student is the same quantization generate_inner performs.
-        let direct = prepared
-            .teacher
-            .quantize_weights(req.scheme.build().as_ref());
-        assert_eq!(a.embedding.data(), direct.embedding.data());
-        assert_eq!(a.layers[0].wqkv.data(), direct.layers[0].wqkv.data());
-    }
-
-    #[test]
     fn cached_bodies_match_a_direct_pipeline_run() {
         let cache = ModelCache::new();
         let req = request(r#"{"scheme": "olive-4bit", "seed": 3, "batches": 2, "oversample": 2}"#);
@@ -412,13 +327,16 @@ mod tests {
         let cold = ModelCache::with_artifact_dir(Some(dir.clone()));
         let prepared = cold.gen_prepared(&req);
         assert_eq!(cold.artifacts_loaded(), 1);
-        // The student was seeded from the snapshot: no quantization happens
-        // on lookup, and the weights equal a fresh quantization bit-for-bit.
-        let student = cold.student(&req, &prepared);
+        // The preparation rebuilt from the snapshot hands out one student
+        // per scheme, whose weights equal a fresh quantization bit for bit.
+        assert!(Arc::ptr_eq(&prepared, &cold.gen_prepared(&req)));
+        let student = prepared.student(&req.scheme);
+        assert!(Arc::ptr_eq(&student, &prepared.student(&req.scheme)));
         let direct = prepared
             .teacher
             .quantize_weights(req.scheme.build().as_ref());
         assert_eq!(student.embedding.data(), direct.embedding.data());
+        assert_eq!(student.layers[0].wqkv.data(), direct.layers[0].wqkv.data());
         let mut got = String::new();
         let _ = generate_stream(&cold, &req, &mut |f| got.push_str(f));
         assert_eq!(
@@ -445,19 +363,5 @@ mod tests {
         assert_eq!(*served.as_str(), direct);
         assert_eq!(cache.artifacts_loaded(), 0);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn fifo_map_evicts_oldest_first() {
-        let mut map = FifoMap::new(2);
-        map.insert("a".into(), 1);
-        map.insert("b".into(), 2);
-        map.insert("a".into(), 10); // overwrite, no eviction
-        assert_eq!(map.len(), 2);
-        map.insert("c".into(), 3); // evicts "a" (oldest insertion)
-        assert_eq!(map.get("a"), None);
-        assert_eq!(map.get("b"), Some(2));
-        assert_eq!(map.get("c"), Some(3));
-        assert_eq!(map.len(), 2);
     }
 }

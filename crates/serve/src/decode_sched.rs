@@ -6,7 +6,7 @@
 //! independent forward passes per step. This module uses vLLM-style
 //! **continuous batching** instead:
 //!
-//! * every in-flight stream is a [`Flight`] — a step-schedulable decode
+//! * every in-flight stream is a `Flight` — a step-schedulable decode
 //!   session whose KV state lives in pages reserved from a shared
 //!   [`KvPool`];
 //! * each scheduler **tick** advances every flight by one *run* of tokens:
@@ -447,7 +447,7 @@ impl SchedCore {
             let req = job.request;
             let quantizer = req.scheme.build();
             let quantize_acts = pipeline.quantizes_activations_with(&req.scheme);
-            let student = self.cache.student(&req, &prepared);
+            let student = prepared.student(&req.scheme);
             let cfg = &prepared.teacher.config;
             let mut flight = Flight {
                 sink: job.sink,

@@ -39,8 +39,8 @@
 //! batch at the next tick instead of waiting for running ones to finish —
 //! no head-of-line blocking — and the door keeps the unary path's 503 +
 //! `Retry-After` back-pressure contract. The prepared teacher + prompt are
-//! cached per `(family, size, seed, prompt_tokens)` and the quantized
-//! student per scheme on top of that, so scheme comparisons share one
+//! cached per `(family, size, seed, prompt_tokens)`, and each preparation
+//! holds its quantized student per scheme, so scheme comparisons share one
 //! preparation.
 //!
 //! ## The determinism contract

@@ -7,13 +7,13 @@
 //! requests are untrusted input, so nothing here panics.
 //!
 //! All three POST endpoints decode through one typed layer
-//! ([`RequestDecoder`]): the field whitelist is checked before any field is
+//! (`RequestDecoder`): the field whitelist is checked before any field is
 //! read (a typo'd field name 400s even when everything else is valid), and
 //! every typed accessor produces its error in one place — so "must be an
 //! unsigned integer", range violations and missing-field messages are
 //! uniform across the whole API, not per-endpoint dialects. The model
 //! fields the eval and generate endpoints share (`family`, `size`, `seed`,
-//! `weights_only`, `task`) decode through one [`ModelParams`] reader.
+//! `weights_only`, `task`) decode through one `ModelParams` reader.
 
 use olive_api::{
     Calibration, JsonValue, ModelFamily, ModelSpec, Pipeline, Scheme, DEFAULT_BATCHES,

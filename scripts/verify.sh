@@ -2,8 +2,8 @@
 # Tier-1 verification gate for the OliVe reproduction workspace.
 #
 # Runs entirely offline (the workspace has zero crates.io dependencies; see
-# README.md). Exits non-zero if the build, the test suite, doc tests, or
-# lints fail.
+# README.md). Exits non-zero if the build, the test suite, doc tests, doc
+# links, or lints fail.
 #
 # Lint-tool availability: locally a missing clippy/rustfmt is soft-skipped so
 # minimal toolchains can still verify; in CI (the CI env variable is set, as
@@ -56,6 +56,12 @@ cargo run --release -q -p olive-lint -- --self-test
 # noise. Run them explicitly so documented examples stay honest.
 echo "== cargo test --workspace --doc -q =="
 cargo test --workspace --doc -q
+
+# Doc links: rustdoc warns on an intra-doc link that no longer resolves or
+# that points a public page at a private item, which is what deleting or
+# moving a public item leaves behind. Fail on any rustdoc warning.
+echo "== RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # Serving smoke: the olive-serve daemon must come up, answer /healthz and
 # /v1/eval with valid JSON via the std-only client, and shut down cleanly.
