@@ -592,13 +592,9 @@ fn handle_request(
         }
         // The registry is static and identical on every worker; route it
         // like any other key so the load spreads deterministically.
-        ("GET", "/v1/schemes") => proxy_unary(request, "schemes", state, scope, writer),
-        ("POST", "/v1/eval" | "/v1/quantize") => match routing_key(request) {
-            Ok(key) => proxy_unary(request, &key, state, scope, writer),
-            Err(response) => write_unary(response, request, state, scope, writer, false),
-        },
-        ("POST", "/v1/generate") => match routing_key(request) {
-            Ok(key) => proxy_stream(request, &key, state, scope, writer),
+        ("GET", "/v1/schemes") => proxy(request, "schemes", state, scope, writer),
+        ("POST", "/v1/eval" | "/v1/generate" | "/v1/quantize") => match routing_key(request) {
+            Ok(key) => proxy(request, &key, state, scope, writer),
             Err(response) => write_unary(response, request, state, scope, writer, false),
         },
         ("POST", "/shutdown") => {
@@ -800,103 +796,17 @@ fn relay(response: &HttpResponse) -> Response {
     out
 }
 
-/// One worker attempt for a unary endpoint: a single proxied request, plus
-/// one same-worker retry when the worker sheds load with a 503 (honouring
-/// its `Retry-After`, capped) — transient back-pressure usually clears
-/// within the advertised window.
-fn attempt_unary(
-    state: &RouterState,
-    worker: &WorkerSlot,
-    request: &Request,
-    body: Option<&str>,
-    trace_headers: &[(&str, &str)],
-) -> io::Result<HttpResponse> {
-    let mut conn = Connection::open_with(worker.sock, state.config.timeouts)?;
-    let response =
-        conn.request_with_headers(&request.method, &request.path, body, trace_headers)?;
-    if response.status != 503 {
-        return Ok(response);
-    }
-    count_retry(state, worker);
-    std::thread::sleep(retry_delay(&response, state.config.retry_after_cap));
-    conn.request_with_headers(&request.method, &request.path, body, trace_headers)
-}
-
-/// Proxies a unary request along the candidate plan. Responses are relayed
-/// byte-for-byte — because every worker computes identical bytes for the
-/// same request (the serving determinism contract), failing over can never
-/// change the answer, only whether one arrives.
-fn proxy_unary(
-    request: &Request,
-    key: &str,
-    state: &RouterState,
-    scope: &RequestScope,
-    writer: &mut TcpStream,
-) -> AfterResponse {
-    let body = match request.body_utf8() {
-        Ok(text) if !text.is_empty() => Some(text),
-        Ok(_) => None,
-        Err(e) => {
-            return write_unary(
-                Response::error(e.status, &e.message),
-                request,
-                state,
-                scope,
-                writer,
-                false,
-            )
-        }
-    };
-    let trace_headers = scope.header_refs();
-    let planned = plan(state, key);
-    let total = planned.len();
-    for (attempt, &index) in planned.iter().enumerate() {
-        let Some(worker) = state.workers.get(index) else {
-            continue;
-        };
-        match attempt_unary(state, worker, request, body, &trace_headers) {
-            Ok(response) => {
-                record_success(worker);
-                if response.status == 503 && attempt + 1 < total {
-                    // Still backed up after the same-worker retry: any other
-                    // worker produces identical bytes, so fail over.
-                    count_failover(state, worker);
-                    continue;
-                }
-                count_served(state, worker);
-                return write_unary(relay(&response), request, state, scope, writer, false);
-            }
-            Err(_) => {
-                record_failure(worker, state.config.unhealthy_after);
-                if attempt + 1 < total {
-                    count_failover(state, worker);
-                }
-            }
-        }
-    }
-    count_shed(state, &planned);
-    write_unary(
-        Response::error(503, "no worker available for this request")
-            .with_header("Retry-After", "1"),
-        request,
-        state,
-        scope,
-        writer,
-        false,
-    )
-}
-
-/// The outcome of one streaming attempt against one worker.
-enum StreamAttempt {
+/// The outcome of one attempt against one worker.
+enum Attempt {
     /// The full stream was relayed; `reusable` says whether the client
     /// connection's framing survived (the terminating chunk was written).
     Streamed { reusable: bool },
-    /// The worker answered a plain (non-chunked) response — an error —
-    /// before any byte reached the client.
+    /// The worker answered a plain (non-chunked) response — a unary
+    /// endpoint's answer, or an error — before any byte reached the client.
     Unary(HttpResponse),
     /// The attempt failed before any byte reached the client: safe to fail
     /// over to the next candidate.
-    NotStarted(#[allow(dead_code)] io::Error),
+    NotStarted,
     /// The attempt failed after the chunked head was written. The relay is
     /// truncated without the terminating chunk — the client sees a hard
     /// framing error, never a complete-looking answer — and the connection
@@ -905,12 +815,15 @@ enum StreamAttempt {
     Broken { worker_fault: bool },
 }
 
-/// One streaming attempt: the worker's chunks are relayed to the client the
-/// moment each is decoded (chunk boundaries preserved), so a routed stream
-/// is byte- and framing-identical to hitting the worker directly. Includes
-/// the same single same-worker 503 retry as the unary path — nothing has
-/// been written to the client at that point.
-fn attempt_stream(
+/// One worker attempt: a single proxied request, plus one same-worker retry
+/// when the worker sheds load with a 503 (honouring its `Retry-After`,
+/// capped) — transient back-pressure usually clears within the advertised
+/// window, and nothing has been written to the client at that point. A
+/// plain answer comes back as [`Attempt::Unary`]; a chunked one is relayed
+/// to the client the moment each chunk is decoded (chunk boundaries
+/// preserved), so a routed stream is byte- and framing-identical to hitting
+/// the worker directly.
+fn attempt(
     state: &RouterState,
     worker: &WorkerSlot,
     request: &Request,
@@ -918,10 +831,9 @@ fn attempt_stream(
     scope: &RequestScope,
     writer: &mut TcpStream,
     keep_alive: bool,
-) -> StreamAttempt {
-    let mut conn = match Connection::open_with(worker.sock, state.config.timeouts) {
-        Ok(conn) => conn,
-        Err(e) => return StreamAttempt::NotStarted(e),
+) -> Attempt {
+    let Ok(mut conn) = Connection::open_with(worker.sock, state.config.timeouts) else {
+        return Attempt::NotStarted;
     };
     let trace_headers = scope.header_refs();
     let echo_headers = scope.headers();
@@ -967,7 +879,7 @@ fn attempt_stream(
                     write_chunked_head_with(writer, 200, keep_alive, &echo_headers)
                         .and_then(|()| write_last_chunk(writer))
                 };
-                StreamAttempt::Streamed {
+                Attempt::Streamed {
                     reusable: finished.is_ok(),
                 }
             }
@@ -978,22 +890,25 @@ fn attempt_stream(
                     std::thread::sleep(retry_delay(&response, state.config.retry_after_cap));
                     continue;
                 }
-                StreamAttempt::Unary(response)
+                Attempt::Unary(response)
             }
-            Err(_) if sink_error => StreamAttempt::Broken {
+            Err(_) if sink_error => Attempt::Broken {
                 worker_fault: false,
             },
-            Err(_) if started => StreamAttempt::Broken { worker_fault: true },
-            Err(e) => StreamAttempt::NotStarted(e),
+            Err(_) if started => Attempt::Broken { worker_fault: true },
+            Err(_) => Attempt::NotStarted,
         };
     }
 }
 
-/// Proxies `/v1/generate` along the candidate plan, streaming chunk-by-chunk.
-/// Fail-over happens only while nothing has reached the client; once the
-/// chunked head is out, a failure truncates the stream exactly as a worker
-/// death would on a direct connection.
-fn proxy_stream(
+/// Proxies a request along the candidate plan: plain answers whole,
+/// `/v1/generate` chunk by chunk. Responses are relayed byte-for-byte —
+/// because every worker computes identical bytes for the same request (the
+/// serving determinism contract), failing over can never change the answer,
+/// only whether one arrives. Fail-over happens only while nothing has
+/// reached the client; once a chunked head is out, a failure truncates the
+/// stream exactly as a worker death would on a direct connection.
+fn proxy(
     request: &Request,
     key: &str,
     state: &RouterState,
@@ -1017,36 +932,38 @@ fn proxy_stream(
     let keep_alive = request.keep_alive() && !state.shutdown.load(Ordering::SeqCst);
     let planned = plan(state, key);
     let total = planned.len();
-    for (attempt, &index) in planned.iter().enumerate() {
+    for (i, &index) in planned.iter().enumerate() {
         let Some(worker) = state.workers.get(index) else {
             continue;
         };
-        match attempt_stream(state, worker, request, body, scope, writer, keep_alive) {
-            StreamAttempt::Streamed { reusable } => {
+        match attempt(state, worker, request, body, scope, writer, keep_alive) {
+            Attempt::Streamed { reusable } => {
                 // Success bookkeeping and scope.finish already ran inside
-                // attempt_stream, before the terminating chunk went out.
+                // attempt, before the terminating chunk went out.
                 return if reusable && keep_alive {
                     AfterResponse::KeepAlive
                 } else {
                     AfterResponse::Close
                 };
             }
-            StreamAttempt::Unary(response) => {
+            Attempt::Unary(response) => {
                 record_success(worker);
-                if response.status == 503 && attempt + 1 < total {
+                if response.status == 503 && i + 1 < total {
+                    // Still backed up after the same-worker retry: any other
+                    // worker produces identical bytes, so fail over.
                     count_failover(state, worker);
                     continue;
                 }
                 count_served(state, worker);
                 return write_unary(relay(&response), request, state, scope, writer, false);
             }
-            StreamAttempt::NotStarted(_) => {
+            Attempt::NotStarted => {
                 record_failure(worker, state.config.unhealthy_after);
-                if attempt + 1 < total {
+                if i + 1 < total {
                     count_failover(state, worker);
                 }
             }
-            StreamAttempt::Broken { worker_fault } => {
+            Attempt::Broken { worker_fault } => {
                 if worker_fault {
                     record_failure(worker, state.config.unhealthy_after);
                 }

@@ -272,8 +272,9 @@ fn router_metrics_break_down_routing_per_worker() {
 }
 
 /// A scripted one-worker stub: answers `/healthz` 200, and its first POST
-/// with `503 + Retry-After` before serving the real body — the shape of a
-/// worker shedding load under back-pressure.
+/// with `503 + Retry-After` before serving the real body (chunked for
+/// `/v1/generate`, as a worker streams it) — the shape of a worker shedding
+/// load under back-pressure.
 fn start_backpressure_stub(body: &'static str) -> (SocketAddr, Arc<AtomicU32>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("stub must bind");
     let addr = listener.local_addr().expect("stub addr");
@@ -290,6 +291,7 @@ fn start_backpressure_stub(body: &'static str) -> (SocketAddr, Arc<AtomicU32>) {
                     break;
                 }
                 let is_post = line.starts_with("POST");
+                let streamed = line.starts_with("POST /v1/generate ");
                 let mut content_length = 0usize;
                 loop {
                     let mut header = String::new();
@@ -317,6 +319,11 @@ fn start_backpressure_stub(body: &'static str) -> (SocketAddr, Arc<AtomicU32>) {
                 } else if counter.fetch_add(1, Ordering::SeqCst) == 0 {
                     "HTTP/1.1 503 Service Unavailable\r\nRetry-After: 1\r\nContent-Length: 0\r\n\r\n"
                         .to_string()
+                } else if streamed {
+                    format!(
+                        "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nTransfer-Encoding: chunked\r\n\r\n{:x}\r\n{body}\r\n0\r\n\r\n",
+                        body.len()
+                    )
                 } else {
                     format!(
                         "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
@@ -332,36 +339,45 @@ fn start_backpressure_stub(body: &'static str) -> (SocketAddr, Arc<AtomicU32>) {
     (addr, posts)
 }
 
+/// One proxy loop serves plain and streamed endpoints alike, so the
+/// same-worker retry is pinned on both: `/v1/eval` answers plainly,
+/// `/v1/generate` streams. Each input gets a fresh stub and router.
 #[test]
 fn a_503_is_retried_on_the_same_worker_honouring_retry_after() {
-    let (addr, posts) = start_backpressure_stub("{\"ok\": true}");
-    let router = Router::start(RouterConfig {
-        workers: vec![addr.to_string()],
-        // Cap the advertised 1-second Retry-After so the test stays fast;
-        // the cap path is exactly what production uses against a hostile
-        // or clock-skewed worker.
-        retry_after_cap: Duration::from_millis(50),
-        ..RouterConfig::default()
-    })
-    .expect("router must start");
+    for (path, body) in [("/v1/eval", EVAL_BODY), ("/v1/generate", GEN_BODY)] {
+        let (addr, posts) = start_backpressure_stub("{\"ok\": true}");
+        let router = Router::start(RouterConfig {
+            workers: vec![addr.to_string()],
+            // Cap the advertised 1-second Retry-After so the test stays
+            // fast; the cap path is exactly what production uses against a
+            // hostile or clock-skewed worker.
+            retry_after_cap: Duration::from_millis(50),
+            ..RouterConfig::default()
+        })
+        .expect("router must start");
 
-    let response = client::post_json(router.local_addr(), "/v1/eval", EVAL_BODY).unwrap();
-    assert_eq!(response.status, 200, "{}", response.body);
-    assert_eq!(response.body, "{\"ok\": true}");
-    assert_eq!(
-        posts.load(Ordering::SeqCst),
-        2,
-        "the 503 must be retried on the same worker exactly once"
-    );
+        let response = client::post_json(router.local_addr(), path, body).unwrap();
+        assert_eq!(response.status, 200, "{path}: {}", response.body);
+        assert_eq!(response.body, "{\"ok\": true}", "{path}");
+        assert_eq!(
+            response.chunks.is_some(),
+            path == "/v1/generate",
+            "{path}: relayed in the worker's framing"
+        );
+        assert_eq!(
+            posts.load(Ordering::SeqCst),
+            2,
+            "{path}: the 503 must be retried on the same worker exactly once"
+        );
 
-    let health = client::get(router.local_addr(), "/healthz").unwrap();
-    let v = JsonValue::parse(&health.body).unwrap();
-    assert!(
-        v.get("requests_retried")
-            .and_then(JsonValue::as_u64)
-            .is_some_and(|retried| retried >= 1),
-        "the retry must be visible in the router's own counters"
-    );
+        let health = client::get(router.local_addr(), "/healthz").unwrap();
+        let v = JsonValue::parse(&health.body).unwrap();
+        assert_eq!(
+            v.get("requests_retried").and_then(JsonValue::as_u64),
+            Some(1),
+            "{path}: the retry must be visible in the router's own counters"
+        );
 
-    router.shutdown();
+        router.shutdown();
+    }
 }

@@ -4,9 +4,10 @@
 //! persistent [`Pool`] of `std::thread` workers plus the row-range primitives
 //! ([`par_rows`], [`par_rows_mut`], [`par_map`]) the tensor, core and model
 //! layers build their hot loops on, a bounded
-//! [`queue::BoundedQueue`] that feeds `olive-serve`'s decode scheduler (it
-//! hands the consumer whatever is queued, never lingering for more), and
-//! [`FifoMap`], the bounded map behind every serving cache.
+//! [`queue::BoundedQueue`], the one queue in front of `olive-serve`'s decode
+//! scheduler (its consumer pops the front only once it can take it, so the
+//! bound covers every waiting item), and [`FifoMap`], the bounded map behind
+//! every serving cache.
 //!
 //! ## Thread-count selection
 //!

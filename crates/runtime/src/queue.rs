@@ -1,22 +1,22 @@
 //! The bounded containers of the serving layers: a multi-producer/
-//! single-consumer queue — the admission queue in front of `olive-serve`'s
+//! single-consumer queue — the one queue in front of `olive-serve`'s
 //! continuous-batching decode scheduler — and [`FifoMap`], the keyed map
 //! behind every cache.
 //!
 //! Producers [`try_push`](BoundedQueue::try_push) items; when the queue is at
 //! capacity the push fails *immediately* instead of blocking, which is what
 //! lets a server turn overload into back-pressure (HTTP 503) rather than
-//! unbounded memory growth. A consumer drains items with
-//! [`pop_batch`](BoundedQueue::pop_batch): it blocks until at least one item
-//! is available, then takes up to `max_batch` of the items queued by then.
-//! It never waits for more to arrive: a lone request starts at once, and
-//! whatever queued behind it is taken with it.
+//! unbounded memory growth. The consumer takes items one at a time from the
+//! front with [`pop_if`](BoundedQueue::pop_if), which pops only when a
+//! predicate accepts the front item (the decode scheduler's "do its KV pages
+//! fit?"), so an item the consumer cannot take yet keeps its place *and*
+//! keeps counting against the capacity. An idle consumer blocks in
+//! [`wait`](BoundedQueue::wait) until an item arrives.
 //!
-//! Items come out in exactly the order they went in (FIFO), so a consumer
-//! that processes batches with order-preserving primitives such as
-//! [`par_map`](crate::par_map) observes global FIFO order end to end; the
-//! tests in `crates/runtime/tests/queue_pool.rs` pin this down together with
-//! panic propagation through [`Pool`](crate::Pool)-backed batch execution.
+//! Items come out in exactly the order they went in (FIFO); the tests in
+//! `crates/runtime/tests/queue_pool.rs` pin this down end to end together
+//! with panic propagation through [`Pool`](crate::Pool)-backed execution of
+//! what was popped.
 
 use crate::sync::{lock_or_recover, wait_or_recover};
 use std::collections::{BTreeMap, VecDeque};
@@ -46,8 +46,9 @@ struct Inner<T> {
     closed: bool,
 }
 
-/// A bounded FIFO queue with non-blocking producers and a batch-draining
-/// consumer. See the [module docs](self) for the protocol.
+/// A bounded FIFO queue with non-blocking producers and a consumer that pops
+/// the front only when it can take it. See the [module docs](self) for the
+/// protocol.
 pub struct BoundedQueue<T> {
     inner: Mutex<Inner<T>>,
     /// Signalled whenever an item arrives or the queue closes.
@@ -104,37 +105,31 @@ impl<T> BoundedQueue<T> {
         Ok(())
     }
 
-    /// Blocks until at least one item is available (or the queue closes),
-    /// then takes up to `max_batch` of the items queued by then, without
-    /// waiting for more.
-    ///
-    /// Returns the batch in FIFO order; an empty vector means the queue is
-    /// closed *and* drained — the consumer should exit.
-    pub fn pop_batch(&self, max_batch: usize) -> Vec<T> {
+    /// Pops the front item if `accept` takes it; never blocks. Returns
+    /// `None` when the queue is empty or `accept` refuses the front item,
+    /// which then stays at the front. `accept` runs under the queue's lock,
+    /// so it must be cheap.
+    pub fn pop_if(&self, accept: impl FnOnce(&T) -> bool) -> Option<T> {
+        let mut inner = lock_or_recover(&self.inner);
+        if accept(inner.items.front()?) {
+            inner.items.pop_front()
+        } else {
+            None
+        }
+    }
+
+    /// Blocks until an item is queued or the queue is closed. Returns
+    /// `false` once the queue is closed *and* drained — the consumer should
+    /// exit.
+    pub fn wait(&self) -> bool {
         let mut inner = lock_or_recover(&self.inner);
         while inner.items.is_empty() {
             if inner.closed {
-                return Vec::new();
+                return false;
             }
             inner = wait_or_recover(&self.available, inner);
         }
-        let take = max_batch.max(1).min(inner.items.len());
-        inner.items.drain(..take).collect()
-    }
-
-    /// Collects up to `max_batch` items that are already queued, without
-    /// blocking. Returns an empty vector when nothing is queued *or* the
-    /// queue is closed-and-drained — a non-blocking consumer distinguishes
-    /// the two via [`is_closed`](Self::is_closed).
-    ///
-    /// This is the polling counterpart of [`pop_batch`](Self::pop_batch)
-    /// for consumers that have other work to do between drains (e.g. a
-    /// decode scheduler admitting new streams between ticks).
-    pub fn try_pop_batch(&self, max_batch: usize) -> Vec<T> {
-        let max_batch = max_batch.max(1);
-        let mut inner = lock_or_recover(&self.inner);
-        let take = max_batch.min(inner.items.len());
-        inner.items.drain(..take).collect()
+        true
     }
 
     /// Closes the queue: pending items remain poppable, new pushes fail with
@@ -212,14 +207,18 @@ mod tests {
     use std::sync::{mpsc, Arc};
     use std::time::Duration;
 
+    /// Pops every queued item, front first.
+    fn drain<T>(q: &BoundedQueue<T>) -> Vec<T> {
+        std::iter::from_fn(|| q.pop_if(|_| true)).collect()
+    }
+
     #[test]
     fn push_pop_preserves_fifo_order() {
         let q = BoundedQueue::new(16);
         for i in 0..10 {
             q.try_push(i).unwrap();
         }
-        let batch = q.pop_batch(10);
-        assert_eq!(batch, (0..10).collect::<Vec<_>>());
+        assert_eq!(drain(&q), (0..10).collect::<Vec<_>>());
     }
 
     #[test]
@@ -230,8 +229,8 @@ mod tests {
         let (err, item) = q.try_push("c").unwrap_err();
         assert_eq!(err, PushError::Full);
         assert_eq!(item, "c");
-        // Draining frees capacity again.
-        assert_eq!(q.pop_batch(1), vec!["a"]);
+        // Popping frees capacity again.
+        assert_eq!(q.pop_if(|_| true), Some("a"));
         q.try_push("c").unwrap();
         assert_eq!(q.len(), 2);
     }
@@ -244,57 +243,45 @@ mod tests {
         assert!(q.is_closed());
         let (err, _) = q.try_push(2).unwrap_err();
         assert_eq!(err, PushError::Closed);
-        assert_eq!(q.pop_batch(8), vec![1]);
+        assert!(q.wait(), "a closed queue with items left does not block");
+        assert_eq!(drain(&q), vec![1]);
         // Closed and drained: the consumer-exit signal.
-        assert!(q.pop_batch(8).is_empty());
+        assert!(!q.wait());
     }
 
     #[test]
-    fn pop_batch_caps_at_max_batch() {
-        let q = BoundedQueue::new(16);
-        for i in 0..9 {
+    fn a_refused_front_keeps_its_place_and_its_capacity() {
+        let q = BoundedQueue::new(3);
+        assert_eq!(q.pop_if(|_| panic!("no front to judge")), None::<u32>);
+        for i in 0..3 {
             q.try_push(i).unwrap();
         }
-        assert_eq!(q.pop_batch(4), vec![0, 1, 2, 3]);
-        assert_eq!(q.pop_batch(4), vec![4, 5, 6, 7]);
-        assert_eq!(q.pop_batch(4), vec![8]);
+        assert_eq!(q.pop_if(|&front| front > 0), None, "front refused");
+        assert_eq!(q.len(), 3, "the refused front is still queued");
+        assert_eq!(q.try_push(9).unwrap_err().0, PushError::Full);
+        // Only the front is ever judged: the items behind it wait too.
+        assert_eq!(q.pop_if(|&front| front == 0), Some(0));
+        assert_eq!(drain(&q), vec![1, 2]);
     }
 
     #[test]
-    fn try_pop_batch_never_blocks_and_preserves_fifo() {
-        let q = BoundedQueue::new(8);
-        assert!(q.try_pop_batch(4).is_empty(), "empty queue drains to empty");
-        for i in 0..5 {
-            q.try_push(i).unwrap();
-        }
-        assert_eq!(q.try_pop_batch(3), vec![0, 1, 2]);
-        assert_eq!(q.try_pop_batch(3), vec![3, 4]);
-        assert!(q.try_pop_batch(3).is_empty());
-        // Closed queues keep draining pending items non-blockingly too.
-        q.try_push(9).unwrap();
-        q.close();
-        assert_eq!(q.try_pop_batch(3), vec![9]);
-        assert!(q.try_pop_batch(3).is_empty() && q.is_closed());
-    }
-
-    #[test]
-    fn blocked_pop_batch_returns_a_lone_item_without_waiting_for_more() {
+    fn a_blocked_wait_returns_once_an_item_is_queued() {
         let q = Arc::new(BoundedQueue::new(8));
         let (tx, rx) = mpsc::channel();
         let consumer = {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || tx.send(q.pop_batch(8)).unwrap())
+            std::thread::spawn(move || tx.send(q.wait()).unwrap())
         };
         // Give the consumer time to park on the empty queue; the assertion
         // holds whichever side gets there first.
         std::thread::sleep(Duration::from_millis(20));
         q.try_push(7u32).unwrap();
-        // Nothing more arrives: the batch must come back with the one item
-        // instead of waiting for `max_batch`, and a wait fails, not hangs.
-        let batch = rx
+        // A wait that misses the push fails, not hangs.
+        let woke = rx
             .recv_timeout(Duration::from_secs(30))
-            .expect("pop_batch kept waiting after an item was queued");
-        assert_eq!(batch, vec![7]);
+            .expect("wait kept blocking after an item was queued");
+        assert!(woke);
+        assert_eq!(drain(&q), vec![7], "waiting takes nothing");
         consumer.join().unwrap();
     }
 
@@ -303,11 +290,11 @@ mod tests {
         let q = Arc::new(BoundedQueue::<u32>::new(4));
         let consumer = {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || q.pop_batch(4))
+            std::thread::spawn(move || q.wait())
         };
         std::thread::sleep(Duration::from_millis(10));
         q.close();
-        assert!(consumer.join().unwrap().is_empty());
+        assert!(!consumer.join().unwrap());
     }
 
     #[test]

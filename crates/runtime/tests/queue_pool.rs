@@ -1,5 +1,5 @@
 //! The queue/pool composition contract: a bounded producer/consumer queue
-//! ([`BoundedQueue`]) drained in batches that execute on the
+//! ([`BoundedQueue`]) popped front first into batches that execute on the
 //! [`Pool`]-backed [`par_map`] primitive. Pins down FIFO-order preservation
 //! end to end and panic propagation out of batch execution, at 1 and 8
 //! threads.
@@ -8,6 +8,13 @@ use olive_runtime::{par_map, with_threads, BoundedQueue};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::Arc;
+
+/// Pops up to `max_batch` queued items, front first, without blocking.
+fn pop_up_to<T>(queue: &BoundedQueue<T>, max_batch: usize) -> Vec<T> {
+    std::iter::from_fn(|| queue.pop_if(|_| true))
+        .take(max_batch)
+        .collect()
+}
 
 /// Pushes `n` sequenced jobs from several producer threads (in a globally
 /// agreed order via a handoff token), drains them in batches executed with
@@ -23,12 +30,9 @@ fn fifo_roundtrip(threads: usize, n: usize, max_batch: usize) {
     queue.close();
 
     let mut results: Vec<u64> = Vec::with_capacity(n);
-    loop {
-        let batch = queue.pop_batch(max_batch);
-        if batch.is_empty() {
-            break;
-        }
-        assert!(batch.len() <= max_batch);
+    while queue.wait() {
+        let batch = pop_up_to(&queue, max_batch);
+        assert!(!batch.is_empty() && batch.len() <= max_batch);
         // par_map returns results in input order regardless of which worker
         // computed what, so batch-level FIFO extends to result-level FIFO.
         let processed = with_threads(threads, || par_map(&batch, |&job| job * 10 + 1));
@@ -65,19 +69,16 @@ fn concurrent_producers_all_get_answers() {
             let queue = Arc::clone(&queue);
             std::thread::spawn(move || {
                 let mut served = 0usize;
-                loop {
-                    let batch = queue.pop_batch(8);
-                    if batch.is_empty() {
-                        return served;
-                    }
+                while queue.wait() {
                     let (jobs, senders): (Vec<u64>, Vec<mpsc::Sender<u64>>) =
-                        batch.into_iter().unzip();
+                        pop_up_to(&queue, 8).into_iter().unzip();
                     let answers = with_threads(threads, || par_map(&jobs, |&x| x * x));
                     for (tx, answer) in senders.into_iter().zip(answers) {
                         tx.send(answer).unwrap();
                         served += 1;
                     }
                 }
+                served
             })
         };
         let producers: Vec<_> = (0..4u64)
@@ -157,7 +158,7 @@ fn batch_panic_propagates_to_the_draining_thread() {
         for i in 0..8u64 {
             queue.try_push(i).unwrap();
         }
-        let batch = queue.pop_batch(8);
+        let batch = pop_up_to(&queue, 8);
         let result = catch_unwind(AssertUnwindSafe(|| {
             with_threads(threads, || {
                 par_map(&batch, |&job| {
@@ -172,7 +173,7 @@ fn batch_panic_propagates_to_the_draining_thread() {
         );
         // The queue and the global pool both survive: the next batch works.
         queue.try_push(42).unwrap();
-        let next = queue.pop_batch(8);
+        let next = pop_up_to(&queue, 8);
         let answers = with_threads(threads, || par_map(&next, |&x| x + 1));
         assert_eq!(answers, vec![43]);
     }

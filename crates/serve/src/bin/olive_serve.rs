@@ -9,8 +9,10 @@
 //! `--port 0` (the default) picks an ephemeral port; the chosen URL is
 //! printed as `olive-serve listening on http://HOST:PORT` so harnesses can
 //! scrape it. `--queue-capacity` bounds both the unary requests computing at
-//! once and the generation requests waiting for the decode scheduler; past
-//! it, requests are answered 503 + `Retry-After: 1`. With
+//! once and the generation requests waiting for one of the
+//! `--max-sessions` decode sessions (the decode scheduler's one queue);
+//! past it, requests are answered 503 + `Retry-After: 1`. A generation
+//! whose KV pages exceed `--kv-pool-pages` is answered 503 at once. With
 //! `--allow-shutdown`, `POST /shutdown` stops the server and the process
 //! exits 0 after finishing the requests it accepted. With
 //! `--artifact-dir`, preparation misses cold-start bit-identically from

@@ -31,9 +31,10 @@ impl HttpResponse {
     }
 }
 
-/// Per-chunk callback for [`Connection::request_with_sink`]: invoked with
-/// each decoded chunk before the next one is read from the socket; an `Err`
-/// aborts the read (and desynchronizes the connection — drop it afterwards).
+/// Per-chunk callback for [`Connection::request_with_sink_and_headers`]:
+/// invoked with each decoded chunk before the next one is read from the
+/// socket; an `Err` aborts the read (and desynchronizes the connection —
+/// drop it afterwards).
 pub type ChunkSink<'a> = &'a mut dyn FnMut(&str) -> std::io::Result<()>;
 
 /// Connection timeout knobs: how long to wait for the TCP connect, for each
@@ -142,29 +143,12 @@ impl Connection {
         self.read_response(None)
     }
 
-    /// Like [`Connection::request`], but hands each chunk of a chunked
-    /// response to `sink` the moment it is decoded — before the next chunk
-    /// is read from the socket — so a proxy can relay a stream with no
-    /// buffering delay. The returned [`HttpResponse`] still carries the full
-    /// body and chunk list; for a non-chunked response `sink` is never
-    /// called.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors, malformed responses, and any error `sink`
-    /// returns (which desynchronizes the connection — drop it afterwards).
-    pub fn request_with_sink(
-        &mut self,
-        method: &str,
-        path: &str,
-        body: Option<&str>,
-        sink: ChunkSink<'_>,
-    ) -> std::io::Result<HttpResponse> {
-        self.request_with_sink_and_headers(method, path, body, sink, &[])
-    }
-
-    /// [`Connection::request_with_sink`] with extra request headers — the
-    /// streaming counterpart of [`Connection::request_with_headers`].
+    /// Like [`Connection::request_with_headers`], but hands each chunk of a
+    /// chunked response to `sink` the moment it is decoded — before the
+    /// next chunk is read from the socket — so a proxy can relay a stream
+    /// with no buffering delay. The returned [`HttpResponse`] still carries
+    /// the full body and chunk list; for a non-chunked response `sink` is
+    /// never called.
     ///
     /// # Errors
     ///
@@ -380,10 +364,16 @@ mod tests {
         let mut conn = Connection::open_with(addr, timeouts).unwrap();
         let mut seen = Vec::new();
         let err = conn
-            .request_with_sink("GET", "/v1/generate", None, &mut |chunk| {
-                seen.push(chunk.to_string());
-                Ok(())
-            })
+            .request_with_sink_and_headers(
+                "GET",
+                "/v1/generate",
+                None,
+                &mut |chunk| {
+                    seen.push(chunk.to_string());
+                    Ok(())
+                },
+                &[],
+            )
             .expect_err("stalled stream must error");
         assert!(is_timeout(&err), "expected a timeout error, got {err}");
         assert_eq!(
@@ -413,10 +403,16 @@ mod tests {
             Connection::open_with(addr, Timeouts::uniform(Duration::from_secs(2))).unwrap();
         let mut seen = Vec::new();
         let response = conn
-            .request_with_sink("GET", "/x", None, &mut |chunk| {
-                seen.push(chunk.to_string());
-                Ok(())
-            })
+            .request_with_sink_and_headers(
+                "GET",
+                "/x",
+                None,
+                &mut |chunk| {
+                    seen.push(chunk.to_string());
+                    Ok(())
+                },
+                &[],
+            )
             .unwrap();
         assert_eq!(seen, vec!["one".to_string(), "two".to_string()]);
         assert_eq!(response.chunks, Some(seen));

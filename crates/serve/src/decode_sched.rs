@@ -53,7 +53,7 @@
 //!   which the `olive-runtime` determinism contract makes bit-identical to
 //!   any other thread count, and the logits are scattered back in
 //!   group-key order;
-//! * a short pool only ever *defers admission* (a parked request waits for
+//! * a short pool only ever *defers admission* (the queue's head waits for
 //!   pages) — it can never truncate or alter a decode, because a flight
 //!   reserves its worst-case pages up front, all-or-nothing;
 //! * the fragments are the very constructors `GenReport::to_json`
@@ -64,11 +64,21 @@
 //! staggered concurrent streams, mixed prompt lengths and a mid-stream
 //! client disconnect, at `OLIVE_THREADS` ∈ {1, 8}.
 //!
-//! [`SchedCore`] is the synchronous engine (admission, one
+//! ## Back-pressure
+//!
+//! Requests wait in one [`BoundedQueue`] and nowhere else. Each tick admits
+//! the requests queued when it began, popping the queue's head only when a
+//! session slot is free and the head's KV pages fit the free pool, so a
+//! waiting request keeps its place *and* its share of `queue_capacity`:
+//! once that many wait, [`DecodeScheduler::submit`] answers 503 +
+//! `Retry-After: 1`, the unary admission counter's contract. A request
+//! whose pages exceed the whole pool is answered 503 at submit, since it
+//! could never be admitted.
+//!
+//! [`SchedCore`] is the synchronous engine (admission from the queue, one
 //! [`tick`](SchedCore::tick) = one merged feed — directly drivable by
-//! tests); [`DecodeScheduler`] wraps it in the bounded-queue/worker-thread
-//! lifecycle with the same 503 back-pressure contract as the unary
-//! admission counter.
+//! tests); [`DecodeScheduler`] runs it on one worker thread that blocks on
+//! the queue while idle.
 
 use crate::cache::ModelCache;
 use crate::http::Response;
@@ -86,7 +96,7 @@ use olive_runtime::{lock_or_recover, BoundedQueue, PushError};
 use olive_telemetry::{
     latency_buckets_us, Counter, Gauge, Histogram, Registry, Span, Stopwatch, Telemetry,
 };
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
@@ -94,16 +104,15 @@ use std::thread::JoinHandle;
 /// Decode-scheduling policy.
 #[derive(Debug, Clone)]
 pub struct SchedConfig {
-    /// Most decode sessions in flight at once; further requests park in
-    /// admission order.
+    /// Most decode sessions in flight at once; further requests wait in the
+    /// queue in arrival order.
     pub max_sessions: usize,
-    /// Most queued requests pulled into the parked set per tick.
-    pub admit_batch: usize,
     /// Floats per KV page.
     pub kv_page_floats: usize,
     /// Total pages in the shared KV pool.
     pub kv_pool_pages: usize,
-    /// Queue bound; pushes beyond it are answered 503.
+    /// Most requests waiting for admission (sessions in flight excluded);
+    /// submits beyond it are answered 503 + `Retry-After: 1`.
     pub queue_capacity: usize,
 }
 
@@ -111,7 +120,6 @@ impl Default for SchedConfig {
     fn default() -> Self {
         SchedConfig {
             max_sessions: 8,
-            admit_batch: 8,
             kv_page_floats: 2048,
             kv_pool_pages: 8192,
             queue_capacity: 64,
@@ -128,9 +136,10 @@ pub enum StreamEvent {
     /// The stream completed; write the terminating chunk (keep-alive safe).
     Done,
     /// The request failed; answer with this (non-chunked) response instead.
-    /// Sent after a `Chunk` only on internal failure, where the connection
-    /// layer truncates the chunked body (a visible framing error) rather
-    /// than serving a complete-looking answer.
+    /// The scheduler sends it only to admitted flights, whose head chunks
+    /// are already out, when a tick panics: the connection layer then
+    /// truncates the chunked body (a visible framing error) rather than
+    /// serving a complete-looking answer. Queued requests never see it.
     Failed(Response),
 }
 
@@ -140,13 +149,13 @@ pub struct SchedStats {
     /// Generation requests answered (completed, failed, or disconnected):
     /// `olive_decode_streams_served_total`.
     pub served: Counter,
-    /// Requests shed with 503 because the queue was full:
-    /// `olive_decode_streams_rejected_total`.
+    /// Requests shed with 503 because `queue_capacity` requests were
+    /// already waiting: `olive_decode_streams_rejected_total`.
     pub rejected: Counter,
     /// Scheduler ticks executed (only ticks that fed at least one flight):
     /// `olive_decode_ticks_total`.
     pub ticks: Counter,
-    /// Decode sessions in flight right now (parked requests excluded):
+    /// Decode sessions in flight right now (queued requests excluded):
     /// `olive_decode_sessions`.
     pub sessions: Gauge,
     /// KV pages reserved by live flights right now: `olive_kv_pages_used`.
@@ -178,7 +187,7 @@ impl SchedStats {
             ),
             rejected: registry.counter(
                 "olive_decode_streams_rejected_total",
-                "Generation requests shed with 503 because the decode queue was full.",
+                "Generation requests shed with 503 because queue_capacity requests were waiting.",
             ),
             ticks: registry.counter(
                 "olive_decode_ticks_total",
@@ -186,7 +195,7 @@ impl SchedStats {
             ),
             sessions: registry.gauge(
                 "olive_decode_sessions",
-                "Decode sessions in flight right now (parked requests excluded).",
+                "Decode sessions in flight right now (queued requests excluded).",
             ),
             kv_pages_used: registry.gauge(
                 "olive_kv_pages_used",
@@ -211,11 +220,6 @@ impl SchedStats {
             batch_sizes: Mutex::new(BTreeMap::new()),
             registry: Arc::clone(registry),
         }
-    }
-
-    /// Stats on a private registry — for tests driving a [`SchedCore`].
-    pub fn detached() -> SchedStats {
-        SchedStats::new(&Arc::new(Registry::new()))
     }
 
     fn record_tick(&self, fed: usize) {
@@ -363,21 +367,38 @@ pub struct TickReport {
     pub admitted: usize,
 }
 
-/// The synchronous scheduling engine: admission, parked-request FIFO, and
-/// the per-tick emit → merge → feed cycle. Single-threaded by design — the
-/// [`DecodeScheduler`] worker owns one; tests drive one directly.
+/// KV pages one request needs across both lanes, at `page_floats` floats a
+/// page: student and teacher each decode `prompt + max_new_tokens - 1`
+/// positions of the request's model.
+fn pages_for(req: &GenerateRequest, page_floats: usize) -> usize {
+    let model = req.size.spec(req.family).config;
+    let positions = req.prompt_tokens.max(1) + req.max_new_tokens - 1;
+    let tokens_per_page = (page_floats / model.d_model).max(1);
+    2 * pages_needed(model.n_layers, positions, tokens_per_page)
+}
+
+/// The synchronous scheduling engine: admission from the scheduler's queue
+/// and the per-tick emit → merge → feed cycle. Single-threaded by design —
+/// the [`DecodeScheduler`] worker owns one; tests drive one directly.
 pub struct SchedCore {
     cache: Arc<ModelCache>,
     config: SchedConfig,
     pool: KvPool,
     flights: Vec<Flight>,
-    parked: VecDeque<GenJob>,
+    /// The one place requests wait, in arrival order, until admitted.
+    queue: Arc<BoundedQueue<GenJob>>,
     stats: Arc<SchedStats>,
 }
 
 impl SchedCore {
-    /// An idle core over `cache` with a fresh KV pool.
-    pub fn new(config: SchedConfig, cache: Arc<ModelCache>, stats: Arc<SchedStats>) -> Self {
+    /// An idle core admitting from `queue` and decoding against `cache`,
+    /// with a fresh KV pool.
+    pub fn new(
+        config: SchedConfig,
+        cache: Arc<ModelCache>,
+        queue: Arc<BoundedQueue<GenJob>>,
+        stats: Arc<SchedStats>,
+    ) -> Self {
         let pool = KvPool::new(config.kv_page_floats, config.kv_pool_pages);
         stats.mirror_pool(&pool, 0);
         SchedCore {
@@ -385,66 +406,45 @@ impl SchedCore {
             config,
             pool,
             flights: Vec::new(),
-            parked: VecDeque::new(),
+            queue,
             stats,
         }
     }
 
-    /// Parks a request for admission on the next tick.
-    pub fn enqueue(&mut self, job: GenJob) {
-        self.parked.push_back(job);
-    }
-
-    /// Whether any flight or parked request still needs ticks.
+    /// Whether any flight or queued request still needs ticks.
     pub fn has_work(&self) -> bool {
-        !self.flights.is_empty() || !self.parked.is_empty()
+        !self.flights.is_empty() || !self.queue.is_empty()
     }
 
-    /// KV pages one request needs across both lanes: student and teacher
-    /// each decode `prompt + max_new_tokens - 1` positions.
-    fn pages_for(&self, req: &GenerateRequest, model: &TinyTransformer) -> usize {
-        let positions = req.prompt_tokens.max(1) + req.max_new_tokens - 1;
-        let tokens_per_page = (self.config.kv_page_floats / model.config.d_model).max(1);
-        2 * pages_needed(model.config.n_layers, positions, tokens_per_page)
-    }
-
-    /// Admits parked requests in FIFO order while session slots and KV pages
-    /// last. Strict FIFO: the first request that does not fit blocks the
-    /// ones behind it (no small-request bypass), so admission order — and
-    /// with it the served bytes — cannot depend on pool timing.
-    fn admit(&mut self) -> usize {
+    /// Admits up to `queued` requests from the queue in FIFO order while
+    /// session slots and KV pages last. Strict FIFO: a head whose pages do
+    /// not fit the free pool stays queued and blocks the ones behind it (no
+    /// small-request bypass), so admission order — and with it the served
+    /// bytes — cannot depend on pool timing. Every head fits once the
+    /// flights release their pages: [`DecodeScheduler::submit`] refuses a
+    /// request larger than the pool.
+    fn admit(&mut self, queued: usize) -> usize {
         let mut admitted = 0;
-        while self.flights.len() < self.config.max_sessions {
-            let Some(job) = self.parked.front() else {
-                break;
+        while admitted < queued && self.flights.len() < self.config.max_sessions {
+            let page_floats = self.config.kv_page_floats;
+            let free = self.pool.pages_free();
+            let Some(job) = self
+                .queue
+                .pop_if(|job| pages_for(&job.request, page_floats) <= free)
+            else {
+                break; // nothing queued, or the head waits for pages
             };
-            let req = &job.request;
-            let pipeline = req.pipeline();
-            let prepared = self.cache.gen_prepared(req);
-            let need = self.pages_for(req, &prepared.teacher);
-            if need > self.pool.capacity() {
-                // Can never fit, even alone — parking forever would wedge
-                // the FIFO behind an unservable request.
-                let job = self.parked.pop_front().expect("front checked above");
-                let _ = job.sink.send(StreamEvent::Failed(Response::error(
-                    503,
-                    "generation needs more KV-cache memory than the server has \
-                     (lower prompt_tokens/max_new_tokens)",
-                )));
-                self.stats.served.inc();
-                continue;
-            }
-            let Some(pages) = self.pool.try_reserve(need) else {
-                break; // wait for a flight to finish and release pages
-            };
-            let half = pages.len() / 2;
-            let mut pages = pages;
-            let teacher_pages = pages.split_off(half);
-            let job = self.parked.pop_front().expect("front checked above");
+            let mut pages = self
+                .pool
+                .try_reserve(pages_for(&job.request, page_floats))
+                .expect("the popped request's pages fit the free pool");
+            let teacher_pages = pages.split_off(pages.len() / 2);
             if let Some(span) = &job.span {
                 span.event("batched");
             }
             let req = job.request;
+            let pipeline = req.pipeline();
+            let prepared = self.cache.gen_prepared(&req);
             let quantizer = req.scheme.build();
             let quantize_acts = pipeline.quantizes_activations_with(&req.scheme);
             let student = prepared.student(&req.scheme);
@@ -656,14 +656,19 @@ impl SchedCore {
     }
 
     /// One scheduler tick: emit pending steps, release finished flights,
-    /// admit parked requests (freed pages are reusable immediately), then
+    /// admit the requests queued when it began (freed pages are reusable
+    /// immediately), then
     /// run one merged batched forward per model group and advance every fed
     /// flight's position by its run. Returns what happened, for
     /// instrumentation.
     pub fn tick(&mut self) -> TickReport {
+        // Only requests queued when the tick began are admitted: one that
+        // arrives while the tick emits waits for the next tick, so it cannot
+        // lengthen the prefill an earlier arrival is about to run.
+        let queued = self.queue.len();
         let finished = self.emit();
         self.sweep();
-        let admitted = self.admit();
+        let admitted = self.admit(queued);
         let (forwards, parallel) = self.feed();
         let mut fed = 0;
         for flight in &mut self.flights {
@@ -686,19 +691,15 @@ impl SchedCore {
         }
     }
 
-    /// Fails every flight and parked request with a 500 and rebuilds the KV
-    /// pool — the panic-recovery path: a poisoned tick must never wedge the
+    /// Fails every admitted flight with a 500 and rebuilds the KV pool —
+    /// the panic-recovery path: a poisoned tick must never wedge the
     /// scheduler or leak pages. Flights already mid-stream get their chunked
     /// body truncated by the connection layer (a visible framing error).
+    /// Queued requests took no part in the tick: they stay queued and are
+    /// served afterwards.
     pub fn fail_all(&mut self, message: &str) {
         for flight in self.flights.drain(..) {
             let _ = flight
-                .sink
-                .send(StreamEvent::Failed(Response::error(500, message)));
-            self.stats.served.inc();
-        }
-        for job in self.parked.drain(..) {
-            let _ = job
                 .sink
                 .send(StreamEvent::Failed(Response::error(500, message)));
             self.stats.served.inc();
@@ -712,11 +713,12 @@ impl SchedCore {
 }
 
 /// The continuous-batching scheduler: [`SchedCore`] driven by one worker
-/// thread behind a bounded queue, with the same back-pressure contract as
-/// the unary admission counter. One instance per server; shut down
-/// explicitly.
+/// thread, admitting from one bounded queue, with the same back-pressure
+/// contract as the unary admission counter. One instance per server; shut
+/// down explicitly.
 pub struct DecodeScheduler {
     queue: Arc<BoundedQueue<GenJob>>,
+    config: SchedConfig,
     stats: Arc<SchedStats>,
     telemetry: Telemetry,
     worker: Mutex<Option<JoinHandle<()>>>,
@@ -726,14 +728,18 @@ impl DecodeScheduler {
     /// Starts a scheduler whose worker decodes against `cache`, registering
     /// its instruments on `telemetry`'s registry.
     pub fn start(config: SchedConfig, cache: Arc<ModelCache>, telemetry: Telemetry) -> Self {
-        let scheduler = Self::paused_with(&config, telemetry);
-        let queue = Arc::clone(&scheduler.queue);
-        let stats = Arc::clone(&scheduler.stats);
+        let scheduler = Self::paused_with(config, telemetry);
+        let core = SchedCore::new(
+            scheduler.config.clone(),
+            cache,
+            Arc::clone(&scheduler.queue),
+            Arc::clone(&scheduler.stats),
+        );
         let telemetry = scheduler.telemetry.clone();
         // olive-lint: allow(no-spawn-outside-runtime): the one long-lived decode-scheduler thread; each tick's batched forwards still run on the Pool
         let handle = std::thread::Builder::new()
             .name("olive-serve-decode".into())
-            .spawn(move || decode_loop(&queue, &config, &cache, &stats, &telemetry))
+            .spawn(move || decode_loop(core, &telemetry))
             .expect("spawning the decode scheduler thread");
         *lock_or_recover(&scheduler.worker) = Some(handle);
         scheduler
@@ -742,13 +748,14 @@ impl DecodeScheduler {
     /// A scheduler with no worker thread — requests queue but never decode.
     /// Lets tests exercise the back-pressure path deterministically.
     #[cfg(test)]
-    fn paused(config: &SchedConfig) -> Self {
+    fn paused(config: SchedConfig) -> Self {
         Self::paused_with(config, Telemetry::detached())
     }
 
-    fn paused_with(config: &SchedConfig, telemetry: Telemetry) -> Self {
+    fn paused_with(config: SchedConfig, telemetry: Telemetry) -> Self {
         DecodeScheduler {
             queue: Arc::new(BoundedQueue::new(config.queue_capacity)),
+            config,
             stats: Arc::new(SchedStats::new(telemetry.registry())),
             telemetry,
             worker: Mutex::new(None),
@@ -757,8 +764,11 @@ impl DecodeScheduler {
 
     /// Submits a generation request and returns the event receiver the
     /// connection thread drains into chunked writes — or answers
-    /// immediately with 503 (+ `Retry-After: 1`) when the queue is full,
-    /// and 503 without `Retry-After` when the server is shutting down.
+    /// immediately with 503 (+ `Retry-After: 1`) when `queue_capacity`
+    /// requests are already waiting, 503 without `Retry-After` when the
+    /// request's KV pages exceed the whole pool (it could never be
+    /// admitted), and 503 without `Retry-After` when the server is shutting
+    /// down.
     ///
     /// `span` is the request's trace span (or `None`): purely
     /// observational — the streamed bytes are a function of `request`
@@ -773,6 +783,14 @@ impl DecodeScheduler {
         request: GenerateRequest,
         span: Option<Arc<Span>>,
     ) -> Result<mpsc::Receiver<StreamEvent>, Response> {
+        if pages_for(&request, self.config.kv_page_floats) > self.config.kv_pool_pages {
+            self.stats.served.inc();
+            return Err(Response::error(
+                503,
+                "generation needs more KV-cache memory than the server has \
+                 (lower prompt_tokens/max_new_tokens)",
+            ));
+        }
         if let Some(span) = &span {
             span.event("queued");
         }
@@ -823,41 +841,25 @@ impl Drop for DecodeScheduler {
     }
 }
 
-/// The worker loop: non-blocking queue drains while flights are active (a
-/// tick must never stall behind an empty queue), blocking waits when idle.
-/// Exits when the queue is closed *and* drained *and* every flight has
-/// finished — shutdown completes accepted streams, it never drops them.
-fn decode_loop(
-    queue: &BoundedQueue<GenJob>,
-    config: &SchedConfig,
-    cache: &Arc<ModelCache>,
-    stats: &Arc<SchedStats>,
-    telemetry: &Telemetry,
-) {
-    let mut core = SchedCore::new(config.clone(), Arc::clone(cache), Arc::clone(stats));
+/// The worker loop: ticks while any flight or queued request needs it (a
+/// tick never waits on the queue), and blocks on the queue when idle. Exits
+/// when the queue is closed *and* drained *and* every flight has finished —
+/// shutdown completes accepted streams, it never drops them.
+fn decode_loop(mut core: SchedCore, telemetry: &Telemetry) {
     loop {
-        let jobs = if core.has_work() {
-            queue.try_pop_batch(config.admit_batch)
-        } else {
-            let batch = queue.pop_batch(config.admit_batch);
-            if batch.is_empty() {
-                return; // closed and drained, nothing in flight
-            }
-            batch
-        };
-        for job in jobs {
-            core.enqueue(job);
+        if !core.has_work() && !core.queue.wait() {
+            return; // closed and drained, nothing in flight
         }
         // A panic (a poisonous request) is contained to the tick: every
-        // affected stream is answered or truncated, the pool is rebuilt,
-        // and the scheduler keeps serving.
+        // admitted stream is answered or truncated, the pool is rebuilt,
+        // and the scheduler keeps serving the queue.
         let ticking = telemetry.stopwatch();
         match catch_unwind(AssertUnwindSafe(|| core.tick())) {
             Ok(report) => {
                 // Idle spins (nothing fed) are not observations — they
                 // would drown the histogram in sub-µs noise.
                 if report.fed > 0 {
-                    stats.tick_duration_us.observe_elapsed(&ticking);
+                    core.stats.tick_duration_us.observe_elapsed(&ticking);
                 }
             }
             Err(_) => core.fail_all("internal error executing the request"),
@@ -875,21 +877,23 @@ mod tests {
     }
 
     fn core_with_config(config: SchedConfig) -> SchedCore {
-        SchedCore::new(
-            config,
-            Arc::new(ModelCache::new()),
-            Arc::new(SchedStats::detached()),
-        )
+        let queue = Arc::new(BoundedQueue::new(config.queue_capacity));
+        let stats = Arc::new(SchedStats::new(&Arc::new(Registry::new())));
+        SchedCore::new(config, Arc::new(ModelCache::new()), queue, stats)
     }
 
-    /// A test job with no span and inert timing.
-    fn job(request: GenerateRequest, sink: mpsc::Sender<StreamEvent>) -> GenJob {
-        GenJob {
-            request,
+    /// Pushes `text` onto the core's queue as a job with no span and inert
+    /// timing, and returns its stream.
+    fn enqueue(core: &SchedCore, text: &str) -> mpsc::Receiver<StreamEvent> {
+        let (sink, events) = mpsc::channel();
+        let job = GenJob {
+            request: gen_request(text),
             sink,
             span: None,
             queued_at: Stopwatch::disabled(),
-        }
+        };
+        assert!(core.queue.try_push(job).is_ok(), "the test queue is full");
+        events
     }
 
     /// Drains a stream to completion: (concatenated body, chunk count).
@@ -930,12 +934,7 @@ mod tests {
     fn concurrent_sessions_merge_into_one_forward_per_model_group() {
         let req_text = r#"{"scheme": "olive-4bit", "prompt_tokens": 4, "max_new_tokens": 3}"#;
         let mut core = core_with_config(SchedConfig::default());
-        let mut receivers = Vec::new();
-        for _ in 0..5 {
-            let (tx, rx) = mpsc::channel();
-            core.enqueue(job(gen_request(req_text), tx));
-            receivers.push(rx);
-        }
+        let receivers = enqueue_copies(&core, req_text, 5);
         let mut feeding_ticks = 0;
         while core.has_work() {
             let report = core.tick();
@@ -969,13 +968,11 @@ mod tests {
     fn late_arrival_prefills_in_one_tick_beside_a_running_decode() {
         let req_text = r#"{"scheme": "olive-4bit", "prompt_tokens": 4, "max_new_tokens": 5}"#;
         let mut core = core_with_config(SchedConfig::default());
-        let (tx, early) = mpsc::channel();
-        core.enqueue(job(gen_request(req_text), tx));
+        let early = enqueue(&core, req_text);
         while core.flights.first().map_or(0, |f| f.steps_done) < 2 {
             core.tick();
         }
-        let (tx, late) = mpsc::channel();
-        core.enqueue(job(gen_request(req_text), tx));
+        let late = enqueue(&core, req_text);
         let report = core.tick();
         assert_eq!(report.admitted, 1);
         assert_eq!(
@@ -1008,12 +1005,10 @@ mod tests {
         let olive = r#"{"scheme": "olive-4bit", "prompt_tokens": 3, "max_new_tokens": 2}"#;
         let uniform = r#"{"scheme": "uniform:4", "prompt_tokens": 3, "max_new_tokens": 2}"#;
         let mut core = core_with_config(SchedConfig::default());
-        let mut receivers = Vec::new();
-        for text in [olive, olive, uniform] {
-            let (tx, rx) = mpsc::channel();
-            core.enqueue(job(gen_request(text), tx));
-            receivers.push((text, rx));
-        }
+        let receivers: Vec<_> = [olive, olive, uniform]
+            .into_iter()
+            .map(|text| (text, enqueue(&core, text)))
+            .collect();
         while core.has_work() {
             let report = core.tick();
             if report.fed > 0 {
@@ -1044,12 +1039,7 @@ mod tests {
             kv_pool_pages: 16,
             ..SchedConfig::default()
         });
-        let mut receivers = Vec::new();
-        for _ in 0..3 {
-            let (tx, rx) = mpsc::channel();
-            core.enqueue(job(gen_request(req_text), tx));
-            receivers.push(rx);
-        }
+        let receivers = enqueue_copies(&core, req_text, 3);
         let mut max_fed = 0;
         while core.has_work() {
             let report = core.tick();
@@ -1063,40 +1053,35 @@ mod tests {
         assert_eq!(core.pool.pages_used(), 0, "all pages must be released");
     }
 
-    /// A request whose worst case exceeds the whole pool is answered 503
-    /// instead of wedging the FIFO forever.
+    /// A request whose worst case exceeds the whole pool is answered 503 at
+    /// submit instead of waiting in the queue for pages that can never free
+    /// up, and a request that fits is still served.
     #[test]
     fn oversized_requests_fail_instead_of_wedging_the_queue() {
         // 8 pages fit the minimal follow-up request exactly (2 layers × K&V ×
-        // 1 page × 2 lanes) while the 15-position request up front needs 64.
-        let mut core = core_with_config(SchedConfig {
-            kv_page_floats: 64,
-            kv_pool_pages: 8,
-            ..SchedConfig::default()
-        });
-        let (tx, rx) = mpsc::channel();
-        core.enqueue(job(
-            gen_request(r#"{"scheme": "fp32", "prompt_tokens": 8, "max_new_tokens": 8}"#),
-            tx,
-        ));
-        let (tx2, rx2) = mpsc::channel();
-        core.enqueue(job(
-            gen_request(r#"{"scheme": "fp32", "prompt_tokens": 1, "max_new_tokens": 1}"#),
-            tx2,
-        ));
-        while core.has_work() {
-            core.tick();
-        }
-        match rx.recv().unwrap() {
-            StreamEvent::Failed(response) => {
-                assert_eq!(response.status, 503);
-                assert!(response.body.contains("KV-cache"), "{}", response.body);
-            }
-            other => panic!("expected Failed, got {other:?}"),
-        }
-        // The request behind it is served normally.
-        let (body, _) = drain(&rx2);
-        assert!(body.ends_with(REPORT_TAIL), "{body}");
+        // 1 page × 2 lanes) while the 15-position request needs 64.
+        let scheduler = DecodeScheduler::start(
+            SchedConfig {
+                kv_page_floats: 64,
+                kv_pool_pages: 8,
+                ..SchedConfig::default()
+            },
+            Arc::new(ModelCache::new()),
+            Telemetry::detached(),
+        );
+        let oversized =
+            gen_request(r#"{"scheme": "fp32", "prompt_tokens": 8, "max_new_tokens": 8}"#);
+        let response = scheduler.submit(oversized, None).unwrap_err();
+        assert_eq!(response.status, 503);
+        assert!(response.body.contains("KV-cache"), "{}", response.body);
+        assert!(response.extra_headers.is_empty(), "retrying cannot help");
+        assert_eq!(scheduler.queue_depth(), 0);
+        assert_eq!(scheduler.stats().rejected.get(), 0, "not a queue shed");
+
+        let fits = gen_request(r#"{"scheme": "fp32", "prompt_tokens": 1, "max_new_tokens": 1}"#);
+        let events = scheduler.submit(fits.clone(), None).expect("queued");
+        assert_eq!(drain(&events).0, direct_body(&fits));
+        scheduler.shutdown();
     }
 
     /// A client that disconnects mid-stream frees its session and pages;
@@ -1105,10 +1090,8 @@ mod tests {
     fn disconnects_release_the_session_and_pages() {
         let req_text = r#"{"scheme": "olive-4bit", "prompt_tokens": 4, "max_new_tokens": 6}"#;
         let mut core = core_with_config(SchedConfig::default());
-        let (tx_gone, rx_gone) = mpsc::channel();
-        core.enqueue(job(gen_request(req_text), tx_gone));
-        let (tx, rx) = mpsc::channel();
-        core.enqueue(job(gen_request(req_text), tx));
+        let rx_gone = enqueue(&core, req_text);
+        let rx = enqueue(&core, req_text);
         core.tick();
         assert_eq!(core.flights.len(), 2);
         drop(rx_gone); // client hangs up mid-decode
@@ -1120,28 +1103,31 @@ mod tests {
         assert_eq!(core.stats.served.get(), 2);
     }
 
-    /// fail_all (the panic-recovery path) answers every stream and resets
-    /// the pool.
+    /// fail_all (the panic-recovery path) answers every admitted stream 500
+    /// and resets the pool; a request still queued took no part in the
+    /// failed tick and is served afterwards, byte for byte.
     #[test]
-    fn fail_all_answers_everything_and_resets_the_pool() {
+    fn fail_all_fails_admitted_flights_and_keeps_queued_requests() {
+        let text = r#"{"scheme": "fp32"}"#;
         let mut core = core_with_config(SchedConfig::default());
-        let (tx, rx) = mpsc::channel();
-        core.enqueue(job(gen_request(r#"{"scheme": "fp32"}"#), tx));
+        let admitted = enqueue(&core, text);
         core.tick();
-        let (tx2, rx2) = mpsc::channel();
-        core.enqueue(job(gen_request(r#"{"scheme": "fp32"}"#), tx2));
+        let queued = enqueue(&core, text);
         core.fail_all("internal error executing the request");
-        assert!(!core.has_work());
         assert_eq!(core.pool.pages_used(), 0);
-        for events in [rx, rx2] {
-            let failed = events
-                .try_iter()
-                .find(|e| matches!(e, StreamEvent::Failed(_)));
-            let Some(StreamEvent::Failed(response)) = failed else {
-                panic!("every stream must see a Failed event");
-            };
-            assert_eq!(response.status, 500);
+        assert!(core.flights.is_empty());
+        let failed = admitted
+            .try_iter()
+            .find(|e| matches!(e, StreamEvent::Failed(_)));
+        let Some(StreamEvent::Failed(response)) = failed else {
+            panic!("the admitted stream must see a Failed event");
+        };
+        assert_eq!(response.status, 500);
+        assert_eq!(core.queue.len(), 1, "the queued request stays queued");
+        while core.has_work() {
+            core.tick();
         }
+        assert_eq!(drain(&queued).0, direct_body(&gen_request(text)));
     }
 
     /// The live scheduler end to end: chunks then Done, bytes equal to the
@@ -1169,7 +1155,7 @@ mod tests {
     /// full queue -> 503 + Retry-After, closed queue -> 503 without.
     #[test]
     fn full_queue_is_answered_503_with_retry_after() {
-        let scheduler = DecodeScheduler::paused(&SchedConfig {
+        let scheduler = DecodeScheduler::paused(SchedConfig {
             queue_capacity: 2,
             ..SchedConfig::default()
         });
@@ -1192,6 +1178,70 @@ mod tests {
         assert!(closed.extra_headers.is_empty());
     }
 
+    /// The queue bound holds while the worker runs. With one session and a
+    /// queue of two, a long stream takes the session and two requests wait
+    /// behind it, so every further submit is shed with 503 +
+    /// `Retry-After: 1` until one of them finishes. Each submit is followed
+    /// by two worker ticks, so the worker has had a whole tick to move it
+    /// off the queue (which an unbounded second queue behind this one
+    /// would do). Accepted requests never outnumber finished ones by more
+    /// than `max_sessions + queue_capacity`, however fast the worker runs,
+    /// and every accepted stream keeps its bytes.
+    #[test]
+    fn a_running_scheduler_sheds_past_max_sessions_plus_queue_capacity() {
+        let (max_sessions, queue_capacity) = (1, 2);
+        let scheduler = DecodeScheduler::start(
+            SchedConfig {
+                max_sessions,
+                queue_capacity,
+                ..SchedConfig::default()
+            },
+            Arc::new(ModelCache::new()),
+            Telemetry::detached(),
+        );
+        let stats = scheduler.stats();
+        let long = gen_request(
+            r#"{"family": "gpt2", "size": "small", "scheme": "olive-4bit",
+                "prompt_tokens": 8, "max_new_tokens": 256}"#,
+        );
+        let mut accepted = Vec::new();
+        let mut shed = 0;
+        for _ in 0..8 {
+            match scheduler.submit(long.clone(), None) {
+                Ok(events) => {
+                    accepted.push(events);
+                    // Read after the submit, `served` can only over-count
+                    // what had finished when the submit was accepted.
+                    let unfinished = accepted.len() - stats.served.get() as usize;
+                    assert!(
+                        unfinished <= max_sessions + queue_capacity,
+                        "accepted with {unfinished} streams unfinished"
+                    );
+                }
+                Err(response) => {
+                    assert_eq!(response.status, 503, "{}", response.body);
+                    assert_eq!(
+                        response.extra_headers,
+                        vec![("Retry-After".to_string(), "1".to_string())]
+                    );
+                    shed += 1;
+                }
+            }
+            assert!(scheduler.queue_depth() <= queue_capacity);
+            let ticks = stats.ticks.get();
+            while stats.ticks.get() < ticks + 2 && (stats.served.get() as usize) < accepted.len() {
+                std::thread::yield_now();
+            }
+        }
+        assert!(shed > 0, "a 256-step stream outlived seven submits");
+        assert_eq!(stats.rejected.get(), shed);
+        let direct = direct_body(&long);
+        for events in &accepted {
+            assert_eq!(drain(events).0, direct);
+        }
+        scheduler.shutdown();
+    }
+
     /// Two identical gpt2-small olive-4bit streams: enough weight work per
     /// tick that, at two threads, every tick runs its groups on the pool.
     /// The student and teacher disagree on three of the four steps, so a
@@ -1200,18 +1250,8 @@ mod tests {
         "prompt_tokens": 8, "max_new_tokens": 4}"#;
 
     /// Queues `n` copies of `text` and returns their receivers.
-    fn enqueue_copies(
-        core: &mut SchedCore,
-        text: &str,
-        n: usize,
-    ) -> Vec<mpsc::Receiver<StreamEvent>> {
-        (0..n)
-            .map(|_| {
-                let (tx, rx) = mpsc::channel();
-                core.enqueue(job(gen_request(text), tx));
-                rx
-            })
-            .collect()
+    fn enqueue_copies(core: &SchedCore, text: &str, n: usize) -> Vec<mpsc::Receiver<StreamEvent>> {
+        (0..n).map(|_| enqueue(core, text)).collect()
     }
 
     /// Ticks `core` until it is idle at `threads` threads, returning the
@@ -1239,7 +1279,7 @@ mod tests {
         let mut forwards = Vec::new();
         for threads in [1usize, 2] {
             let mut core = core_with_config(SchedConfig::default());
-            let receivers = enqueue_copies(&mut core, SMALL_PAIR, 2);
+            let receivers = enqueue_copies(&core, SMALL_PAIR, 2);
             let reports = run_to_idle(&mut core, threads);
             assert!(
                 reports.iter().all(|r| r.parallel == (threads > 1)),
@@ -1262,8 +1302,8 @@ mod tests {
     fn a_group_panicking_on_the_pool_fails_the_tick_and_recovers() {
         olive_runtime::with_threads(2, || {
             let mut core = core_with_config(SchedConfig::default());
-            let receivers = enqueue_copies(&mut core, SMALL_PAIR, 2);
-            assert_eq!(core.admit(), 2);
+            let receivers = enqueue_copies(&core, SMALL_PAIR, 2);
+            assert_eq!(core.admit(2), 2);
             let cfg = core.flights[0].student.config;
             let page_floats = core.config.kv_page_floats;
             core.flights[0].student_kv =
@@ -1282,7 +1322,7 @@ mod tests {
                 });
                 assert_eq!(failed.expect("every stream is answered").status, 500);
             }
-            let receivers = enqueue_copies(&mut core, SMALL_PAIR, 1);
+            let receivers = enqueue_copies(&core, SMALL_PAIR, 1);
             while core.has_work() {
                 core.tick();
             }
@@ -1300,14 +1340,14 @@ mod tests {
     #[test]
     fn tick_dispatch_follows_the_gemm_work_rule() {
         let mut core = core_with_config(SchedConfig::default());
-        let _streams = enqueue_copies(&mut core, SMALL_PAIR, 2);
+        let _streams = enqueue_copies(&core, SMALL_PAIR, 2);
         let reports = run_to_idle(&mut core, 2);
         assert_eq!(reports.len(), 4);
         assert!(reports.iter().all(|r| r.parallel), "{reports:?}");
 
         let tiny = r#"{"scheme": "olive-4bit", "prompt_tokens": 4, "max_new_tokens": 3}"#;
         let mut core = core_with_config(SchedConfig::default());
-        let _stream = enqueue_copies(&mut core, tiny, 1);
+        let _stream = enqueue_copies(&core, tiny, 1);
         let reports = run_to_idle(&mut core, 2);
         assert_eq!(reports.len(), 3);
         assert!(reports[0].parallel, "the prefill dispatches");

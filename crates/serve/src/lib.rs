@@ -38,7 +38,8 @@
 //! fragments back out to their connections. New streams join the
 //! batch at the next tick instead of waiting for running ones to finish —
 //! no head-of-line blocking — and the door keeps the unary path's 503 +
-//! `Retry-After` back-pressure contract. The prepared teacher + prompt are
+//! `Retry-After` back-pressure contract: streams wait for a session in the
+//! scheduler's one bounded queue, and a full queue sheds. The prepared teacher + prompt are
 //! cached per `(family, size, seed, prompt_tokens)`, and each preparation
 //! holds its quantized student per scheme, so scheme comparisons share one
 //! preparation.

@@ -69,7 +69,7 @@ impl ModelSize {
         }
     }
 
-    fn spec(self, family: ModelFamily) -> ModelSpec {
+    pub(crate) fn spec(self, family: ModelFamily) -> ModelSpec {
         match self {
             ModelSize::Tiny => family.tiny(),
             ModelSize::Small => family.small(),

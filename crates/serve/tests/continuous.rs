@@ -4,8 +4,8 @@
 //! disconnecting mid-stream — must each produce bytes identical to the
 //! direct `Pipeline::generation(..).without_wall_times().to_json()` for
 //! their request, at `OLIVE_THREADS` ∈ {1, 8} and across decode-scheduler
-//! shapes (admission batch sizes, session caps, and a KV pool small enough
-//! to force deferred admission).
+//! shapes (session caps, and a KV pool small enough to force deferred
+//! admission).
 //!
 //! One `#[test]` drives the whole matrix because it mutates the
 //! process-global `OLIVE_THREADS` variable; splitting it would race the
@@ -143,9 +143,8 @@ fn concurrent_sessions_stream_bit_identical_bytes() {
             .collect(),
     );
 
-    // Scheduler shapes: wide-open (everything admits at once), serialized
-    // admission (one request pulled per tick, two sessions at most), and a
-    // tight KV pool. Each survivor needs 8 pages at the default geometry
+    // Scheduler shapes: wide-open (everything admits at once), two sessions
+    // at most (the rest wait in the queue), and a tight KV pool. Each survivor needs 8 pages at the default geometry
     // (2 layers x K&V x 1 page x 2 lanes) and the disconnecting 64-step
     // stream needs 16, so 24 pages admit at most three flights at a time
     // and the rest wait for pages to free up. The bytes must never notice.
@@ -153,7 +152,6 @@ fn concurrent_sessions_stream_bit_identical_bytes() {
         SchedConfig::default(),
         SchedConfig {
             max_sessions: 2,
-            admit_batch: 1,
             ..SchedConfig::default()
         },
         SchedConfig {

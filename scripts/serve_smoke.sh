@@ -15,7 +15,10 @@
 #     drives one real chunked stream through the daemon. The rehearsal runs
 #     with --trace-log and finishes by scraping /metrics and /debug/trace:
 #     the served requests must show up as counters, spans and trace-log
-#     lines.
+#     lines. It also runs with small, non-default back-pressure bounds
+#     (--queue-capacity, --max-sessions, --kv-pool-pages) that its
+#     one-request-at-a-time traffic fits, so the flags are parsed and
+#     applied on every run; the smoke test above keeps the defaults.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -31,7 +34,8 @@ SERVER_PID=""
 # On ANY exit (incl. a failed client step under set -e): never leave the
 # daemon orphaned. The happy path disarms the kill by clearing SERVER_PID.
 trap '[[ -n "$SERVER_PID" ]] && kill "$SERVER_PID" 2>/dev/null; rm -f "$OUT" "$TRACE_LOG"' EXIT
-target/release/olive-serve --port 0 --allow-shutdown --trace-log "$TRACE_LOG" >"$OUT" &
+target/release/olive-serve --port 0 --allow-shutdown --trace-log "$TRACE_LOG" \
+    --queue-capacity 2 --max-sessions 1 --kv-pool-pages 64 >"$OUT" &
 SERVER_PID=$!
 
 # Wait (max ~5s) for the listening line, then scrape the URL.
@@ -66,7 +70,8 @@ for want in \
     'olive_http_requests_total{endpoint="/v1/eval",status="2xx"} 1' \
     'olive_http_requests_total{endpoint="/v1/generate",status="2xx"} 1' \
     'olive_batch_jobs_served_total 1' \
-    'olive_decode_streams_served_total 1'
+    'olive_decode_streams_served_total 1' \
+    'olive_kv_pages_free 64'
 do
     if ! grep -qF "$want" <<<"$METRICS"; then
         echo "serve_smoke: /metrics is missing '$want'" >&2
