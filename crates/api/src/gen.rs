@@ -10,24 +10,23 @@
 //! aggregate agreement and the decode throughput (tokens/sec).
 //!
 //! The run is described by a [`GenOptions`] builder — prompt length, step
-//! budget, an optional pre-prepared teacher/prompt, an optional streaming
-//! sink — and [`Pipeline::generation`] is the one entry point. It runs the
-//! pipeline's configured schemes.
+//! budget, an optional pre-prepared teacher/prompt — and
+//! [`Pipeline::generation`] is the one entry point. It runs the pipeline's
+//! configured schemes.
 //!
 //! ## Streaming, byte-identically
 //!
 //! The report's JSON is assembled from **fragments** — a head, one fragment
 //! per decode step, a per-scheme tail carrying the summary, a report tail —
 //! and [`GenReport::to_json`] is defined as the concatenation of exactly
-//! those fragments. A [`GenOptions::stream`] sink receives each fragment
-//! *as the step is decoded*, which is what `olive-serve` writes as HTTP
-//! chunks: a streamed `/v1/generate` body, chunks concatenated, is
-//! byte-identical to the unstreamed `without_wall_times().to_json()` by
-//! construction, not by careful bookkeeping. The fragment constructors
-//! ([`head_fragment`], [`scheme_head_fragment`], [`step_fragment`],
-//! [`scheme_tail_fragment`], [`REPORT_TAIL`]) are public precisely so the
-//! continuous-batching scheduler in `olive-serve` can emit the very same
-//! bytes per stream while interleaving many streams' decode steps.
+//! those fragments. The fragment constructors ([`head_fragment`],
+//! [`scheme_head_fragment`], [`step_fragment`], [`scheme_tail_fragment`],
+//! [`REPORT_TAIL`]) are public so the continuous-batching scheduler in
+//! `olive-serve` can emit them as HTTP chunks, each step's the moment it is
+//! decoded, while interleaving many streams' decode steps: a streamed
+//! `/v1/generate` body, chunks concatenated, is byte-identical to the
+//! unstreamed `without_wall_times().to_json()` by construction, not by
+//! careful bookkeeping.
 
 use crate::json::JsonValue;
 use crate::pipeline::{Pipeline, StudentCache};
@@ -127,7 +126,7 @@ impl GenReport {
     }
 
     /// Renders the report as machine-readable JSON: the concatenation of the
-    /// same fragments a [`GenOptions::stream`] sink receives.
+    /// fragments `olive-serve` streams.
     pub fn to_json(&self) -> String {
         let mut out = head_fragment(self);
         for (i, r) in self.results.iter().enumerate() {
@@ -236,8 +235,7 @@ impl PreparedGen {
 ///
 /// Defaults: [`DEFAULT_PROMPT_TOKENS`]-token prompt,
 /// [`DEFAULT_MAX_NEW_TOKENS`] decode steps, a fresh preparation from the
-/// pipeline seed, no streaming. Every run decodes the pipeline's configured
-/// schemes.
+/// pipeline seed. Every run decodes the pipeline's configured schemes.
 ///
 /// ```
 /// use olive_api::{GenOptions, Pipeline};
@@ -252,7 +250,6 @@ pub struct GenOptions<'a> {
     prompt_tokens: Option<usize>,
     max_new_tokens: Option<usize>,
     prepared: Option<&'a PreparedGen>,
-    sink: Option<&'a mut dyn FnMut(&str)>,
 }
 
 impl<'a> GenOptions<'a> {
@@ -279,20 +276,6 @@ impl<'a> GenOptions<'a> {
     /// seed.
     pub fn prepared(mut self, prepared: &'a PreparedGen) -> Self {
         self.prepared = Some(prepared);
-        self
-    }
-
-    /// Streams the report's JSON fragments into `sink` as they become
-    /// available — one head, one fragment per decode step (emitted the
-    /// moment the step is decoded), one tail per scheme, one report tail.
-    /// The fragments concatenate to exactly the returned report's
-    /// [`GenReport::to_json`].
-    ///
-    /// Wall times are stripped from both the stream and the returned report:
-    /// a fragment, once emitted, could not honestly carry a measurement that
-    /// finishes later, and serving requires byte-stable output anyway.
-    pub fn stream(mut self, sink: &'a mut dyn FnMut(&str)) -> Self {
-        self.sink = Some(sink);
         self
     }
 }
@@ -342,28 +325,19 @@ impl Pipeline {
     pub fn generation(&self, options: GenOptions<'_>) -> GenReport {
         let max_new_tokens = options.max_new_tokens.unwrap_or(DEFAULT_MAX_NEW_TOKENS);
         match options.prepared {
-            Some(prepared) => self.generate_inner(prepared, max_new_tokens, options.sink),
+            Some(prepared) => self.generate_inner(prepared, max_new_tokens),
             None => {
                 let prompt_tokens = options.prompt_tokens.unwrap_or(DEFAULT_PROMPT_TOKENS);
                 let prepared = self.prepare_generation(prompt_tokens);
-                self.generate_inner(&prepared, max_new_tokens, options.sink)
+                self.generate_inner(&prepared, max_new_tokens)
             }
         }
     }
 
-    fn generate_inner(
-        &self,
-        prepared: &PreparedGen,
-        max_new_tokens: usize,
-        mut sink: Option<&mut dyn FnMut(&str)>,
-    ) -> GenReport {
-        let streaming = sink.is_some();
+    fn generate_inner(&self, prepared: &PreparedGen, max_new_tokens: usize) -> GenReport {
         let mut report = self.gen_report_skeleton(prepared.prompt.clone(), max_new_tokens);
         report.results.reserve(self.schemes.len());
-        if let Some(sink) = sink.as_deref_mut() {
-            sink(&head_fragment(&report));
-        }
-        for (i, scheme) in self.schemes.iter().enumerate() {
+        for scheme in &self.schemes {
             let quantizer = scheme.build();
             // olive-lint: allow(no-wallclock-in-deterministic-paths): feeds only wall_time_s, which without_wall_times strips before any byte comparison
             let start = std::time::Instant::now();
@@ -379,9 +353,6 @@ impl Pipeline {
                 tokens_per_s: 0.0,
                 wall_time_s: 0.0,
             };
-            if let Some(sink) = sink.as_deref_mut() {
-                sink(&scheme_head_fragment(&result, i == 0));
-            }
 
             // The student decodes greedily; the teacher is forced along the
             // student's tokens so every step compares like with like.
@@ -398,9 +369,6 @@ impl Pipeline {
                     token: argmax(&s_logits),
                     teacher_token: argmax(&t_logits),
                 };
-                if let Some(sink) = sink.as_deref_mut() {
-                    sink(&step_fragment(&step, step_index == 0));
-                }
                 result.steps.push(step);
                 if step_index + 1 < max_new_tokens {
                     s_logits = student_session.push(step.token);
@@ -413,19 +381,11 @@ impl Pipeline {
                 let agreed = result.steps.iter().filter(|s| s.agree()).count();
                 result.agreement = agreed as f64 / result.steps.len() as f64;
             }
-            if !streaming {
-                result.wall_time_s = elapsed;
-                if elapsed > 0.0 {
-                    result.tokens_per_s = max_new_tokens as f64 / elapsed;
-                }
-            }
-            if let Some(sink) = sink.as_deref_mut() {
-                sink(&scheme_tail_fragment(&result));
+            result.wall_time_s = elapsed;
+            if elapsed > 0.0 {
+                result.tokens_per_s = max_new_tokens as f64 / elapsed;
             }
             report.results.push(result);
-        }
-        if let Some(sink) = sink {
-            sink(REPORT_TAIL);
         }
         report
     }
@@ -488,36 +448,6 @@ mod tests {
             gen.teacher.layers[0].wqkv.data(),
             eval.teacher.layers[0].wqkv.data()
         );
-    }
-
-    #[test]
-    fn streamed_fragments_concatenate_to_the_report_json() {
-        let pipeline = tiny_pipeline().schemes(["olive-4bit", "uniform:4", "fp32"]);
-        let prepared = pipeline.prepare_generation(4);
-        let mut streamed = String::new();
-        let mut fragments = 0usize;
-        let mut sink = |fragment: &str| {
-            streamed.push_str(fragment);
-            fragments += 1;
-        };
-        let report = pipeline.generation(
-            GenOptions::new()
-                .prepared(&prepared)
-                .max_new_tokens(7)
-                .stream(&mut sink),
-        );
-        assert_eq!(streamed, report.to_json());
-        assert_eq!(
-            streamed,
-            pipeline
-                .generation(GenOptions::new().prepared(&prepared).max_new_tokens(7))
-                .without_wall_times()
-                .to_json()
-        );
-        // head + per scheme (head + 7 steps + tail) + report tail.
-        assert_eq!(fragments, 1 + 3 * (1 + 7 + 1) + 1);
-        // Streamed reports carry no wall-clock measurements.
-        assert!(report.results.iter().all(|r| r.wall_time_s == 0.0));
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //!   [`Pipeline::generation`] takes a [`GenOptions`] run description,
 //!   decodes each scheme autoregressively (KV-cached) and scores every
 //!   greedy step against the FP32 teacher, producing a [`GenReport`]
-//!   (tokens, per-step agreement, tokens/sec) whose JSON can also be
-//!   emitted fragment-by-fragment for streaming ([`GenOptions::stream`]).
+//!   (tokens, per-step agreement, tokens/sec) whose JSON is the
+//!   concatenation of fragments a server can stream as they are decoded.
 //! * [`json`] — the zero-dependency JSON values the reports render through.
 //! * [`artifact`] — prepared-model snapshots ([`ModelArtifact`]): the
 //!   versioned, checksummed on-disk form of a prepared teacher + calibration

@@ -3,8 +3,9 @@
 //! A zero-dependency HTTP front door that scales `olive-serve` horizontally:
 //! N worker processes behind one address, with each request consistent-hashed
 //! to the worker whose cache already holds its model. Everything is `std` —
-//! the same `TcpListener` loop, HTTP/1.1 layer and client the serving crate
-//! uses — so the whole scale-out story adds no dependency.
+//! the router is one more `olive_serve::daemon::Service` behind the
+//! connection loop every worker runs, over the serving crate's HTTP/1.1
+//! layer and client — so the whole scale-out story adds no dependency.
 //!
 //! ## Topology
 //!

@@ -1,31 +1,24 @@
-//! The router daemon: accept loop, request proxying, retry and health state.
+//! The router's [`Service`]: request proxying, retry and health state,
+//! behind the same [`Daemon`] that fronts every `olive-serve` worker.
 //!
-//! One thread per client connection (mirroring `olive_serve::server`), plus
-//! a background probe thread that re-checks unhealthy workers. All shared
-//! state is atomics — the request path takes no locks, so a slow worker can
-//! never stall an unrelated request through the router itself.
+//! A background probe thread re-checks unhealthy workers. All shared state
+//! is atomics — the request path takes no locks, so a slow worker can never
+//! stall an unrelated request through the router itself.
 
 use crate::ring::Ring;
 use olive_api::JsonValue;
 use olive_runtime::lock_or_recover;
 use olive_serve::client::{Connection, HttpResponse, Timeouts};
-use olive_serve::http::{
-    read_request, write_chunk, write_chunked_head_with, write_last_chunk, ReadOutcome, Request,
-    Response, IDLE_TIMEOUT,
-};
+use olive_serve::daemon::{Daemon, Exchange, Service};
+use olive_serve::http::{Request, Response};
 use olive_serve::{EvalRequest, GenerateRequest, QuantizeRequest, TRACE_HEADER};
-use olive_telemetry::{latency_buckets_us, Counter, Gauge, Registry, Span, Stopwatch, Telemetry};
+use olive_telemetry::{Counter, Gauge, Registry, Telemetry};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// How long a kept-alive client connection may sit idle before the router
-/// closes it, in units of [`IDLE_TIMEOUT`] polling ticks (20 × 500 ms = 10 s)
-/// — the same policy the workers apply to their own connections.
-const MAX_IDLE_TICKS: u32 = 20;
 
 /// Timeout for health probes and `/healthz` aggregation fetches: these hit
 /// an endpoint that never computes anything, so a worker that cannot answer
@@ -182,7 +175,6 @@ struct RouterCounters {
     retried: Counter,
     failed_over: Counter,
     rejected: Counter,
-    connections: Counter,
 }
 
 impl RouterCounters {
@@ -204,10 +196,6 @@ impl RouterCounters {
                 "olive_router_requests_rejected_total",
                 "Requests shed with 503 after every candidate was exhausted.",
             ),
-            connections: registry.counter(
-                "olive_router_connections_accepted_total",
-                "Client TCP connections accepted since startup.",
-            ),
         }
     }
 }
@@ -217,38 +205,14 @@ struct RouterState {
     ring: Ring,
     workers: Vec<WorkerSlot>,
     counters: RouterCounters,
-    telemetry: Telemetry,
-    shutdown: AtomicBool,
-    local_addr: SocketAddr,
+    /// Cleared by [`Router::wait`] once the accept loop has exited; the
+    /// probe thread stops on it.
+    probing: AtomicBool,
 }
 
-impl RouterState {
-    /// One per-request observation, mirroring the workers' scheme: a
-    /// labelled count by endpoint and status class, and (timing on) the
-    /// wall-clock service latency.
-    fn record_request(&self, endpoint: &str, status: u16, served: &Stopwatch) {
-        let class = match status {
-            200..=299 => "2xx",
-            300..=399 => "3xx",
-            400..=499 => "4xx",
-            _ => "5xx",
-        };
-        let registry = self.telemetry.registry();
-        registry
-            .counter_with(
-                "olive_router_http_requests_total",
-                "Requests handled at the front door, by endpoint and status class.",
-                &[("endpoint", endpoint), ("status", class)],
-            )
-            .inc();
-        registry
-            .histogram_with(
-                "olive_router_http_request_duration_us",
-                "Wall-clock request service time at the router, in microseconds.",
-                &latency_buckets_us(),
-                &[("endpoint", endpoint)],
-            )
-            .observe_elapsed(served);
+impl Service for RouterState {
+    fn healthz(&self, connections: u64) -> String {
+        healthz_body(self, connections)
     }
 
     /// Mirrors each worker's health bit onto its gauge.
@@ -259,89 +223,25 @@ impl RouterState {
                 .set(u64::from(worker.healthy.load(Ordering::SeqCst)));
         }
     }
-}
 
-/// The label value for the `endpoint` dimension: known paths verbatim,
-/// everything else collapsed to `other` so scans cannot explode metric
-/// cardinality.
-fn endpoint_label(path: &str) -> &'static str {
-    match path {
-        "/healthz" => "/healthz",
-        "/metrics" => "/metrics",
-        "/debug/trace" => "/debug/trace",
-        "/v1/schemes" => "/v1/schemes",
-        "/v1/eval" => "/v1/eval",
-        "/v1/generate" => "/v1/generate",
-        "/v1/quantize" => "/v1/quantize",
-        "/shutdown" => "/shutdown",
-        _ => "other",
-    }
-}
-
-/// Everything observed about one in-flight request: the trace id the
-/// router stamps on worker requests and echoes to the client, the span it
-/// feeds, and the service stopwatch. Purely observational — dropping all of
-/// it changes no response byte.
-struct RequestScope {
-    endpoint: &'static str,
-    trace_id: Option<String>,
-    span: Option<Arc<Span>>,
-    served: Stopwatch,
-}
-
-impl RequestScope {
-    fn begin(state: &RouterState, request: &Request) -> RequestScope {
-        let tracer = state.telemetry.tracer();
-        let trace_id = match request.header(TRACE_HEADER) {
-            Some(id) => Some(id.to_string()),
-            None => tracer.enabled().then(|| tracer.new_trace_id()),
+    fn handle(&self, request: &Request, exchange: Exchange<'_>) -> bool {
+        // The registry is static and identical on every worker; route it
+        // like any other key so the load spreads deterministically.
+        let key = match request.path.as_str() {
+            "/v1/schemes" => Ok("schemes".to_string()),
+            _ => routing_key(request),
         };
-        let endpoint = endpoint_label(&request.path);
-        let span = trace_id.as_deref().and_then(|id| tracer.span(id, endpoint));
-        if let Some(span) = &span {
-            span.event("accepted");
-        }
-        RequestScope {
-            endpoint,
-            trace_id,
-            span,
-            served: state.telemetry.stopwatch(),
-        }
-    }
-
-    /// The `x-olive-trace` header pair(s) to stamp on worker requests and
-    /// client responses. Empty when tracing is off and the client sent none.
-    fn headers(&self) -> Vec<(String, String)> {
-        self.trace_id
-            .iter()
-            .map(|id| (TRACE_HEADER.to_string(), id.clone()))
-            .collect()
-    }
-
-    /// Borrowed form for the worker-side client API.
-    fn header_refs(&self) -> Vec<(&str, &str)> {
-        self.trace_id
-            .iter()
-            .map(|id| (TRACE_HEADER, id.as_str()))
-            .collect()
-    }
-
-    /// Records the final status and closes the span. Called exactly once
-    /// per request, after the response bytes are on the wire.
-    fn finish(&self, state: &RouterState, status: u16) {
-        state.record_request(self.endpoint, status, &self.served);
-        if let Some(span) = &self.span {
-            span.finish();
+        match key {
+            Ok(key) => proxy(request, &key, self, exchange),
+            Err(response) => exchange.reply(response),
         }
     }
 }
 
-/// A running router. Mirrors `olive_serve::Server`: drop without
-/// [`Router::shutdown`] leaves the accept thread running for the life of the
-/// process.
+/// A running router: drop without [`Router::shutdown`] leaves the accept
+/// thread running for the life of the process.
 pub struct Router {
-    state: Arc<RouterState>,
-    accept_handle: Mutex<Option<JoinHandle<()>>>,
+    daemon: Daemon<RouterState>,
     probe_handle: Mutex<Option<JoinHandle<()>>>,
 }
 
@@ -358,7 +258,6 @@ impl Router {
     pub fn start(config: RouterConfig) -> io::Result<Router> {
         let telemetry = Telemetry::new(&config.telemetry)?;
         let listener = TcpListener::bind(&config.addr)?;
-        let local_addr = listener.local_addr()?;
         let mut workers = Vec::with_capacity(config.workers.len());
         for addr in &config.workers {
             workers.push(WorkerSlot::new(
@@ -371,48 +270,47 @@ impl Router {
             ring: Ring::new(&config.workers),
             workers,
             counters: RouterCounters::new(telemetry.registry()),
-            telemetry,
-            shutdown: AtomicBool::new(false),
-            local_addr,
+            probing: AtomicBool::new(true),
             config,
         });
-        let accept_state = Arc::clone(&state);
-        let accept_handle = std::thread::Builder::new()
-            .name("olive-router-accept".into())
-            .spawn(move || accept_loop(&listener, &accept_state))?;
-        let probe_state = Arc::clone(&state);
+        let daemon = Daemon::start(
+            listener,
+            Arc::clone(&state),
+            telemetry,
+            state.config.allow_shutdown,
+            "olive-router",
+            "olive_router",
+        )?;
         let probe_handle = std::thread::Builder::new()
             .name("olive-router-probe".into())
-            .spawn(move || probe_loop(&probe_state))?;
+            .spawn(move || probe_loop(&state))?;
         Ok(Router {
-            state,
-            accept_handle: Mutex::new(Some(accept_handle)),
+            daemon,
             probe_handle: Mutex::new(Some(probe_handle)),
         })
     }
 
     /// The bound address (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.state.local_addr
+        self.daemon.local_addr()
     }
 
     /// `http://host:port` of the bound address.
     pub fn url(&self) -> String {
-        format!("http://{}", self.state.local_addr)
+        format!("http://{}", self.local_addr())
     }
 
     /// True once shutdown has been requested (via [`Router::shutdown`] or
     /// `POST /shutdown`).
     pub fn shutdown_requested(&self) -> bool {
-        self.state.shutdown.load(Ordering::SeqCst)
+        self.daemon.shutdown_requested()
     }
 
     /// Blocks until shutdown is requested, then joins the background
     /// threads. The daemon binary's main loop.
     pub fn wait(&self) {
-        if let Some(handle) = lock_or_recover(&self.accept_handle).take() {
-            let _ = handle.join();
-        }
+        self.daemon.wait();
+        self.daemon.service().probing.store(false, Ordering::SeqCst);
         if let Some(handle) = lock_or_recover(&self.probe_handle).take() {
             let _ = handle.join();
         }
@@ -421,7 +319,7 @@ impl Router {
     /// Requests shutdown and waits for it to complete. Idempotent. Workers
     /// keep running: the router owns only its own process.
     pub fn shutdown(&self) {
-        request_shutdown(&self.state);
+        self.daemon.request_shutdown();
         self.wait();
     }
 }
@@ -439,30 +337,6 @@ fn resolve_worker(addr: &str) -> io::Result<SocketAddr> {
     })
 }
 
-/// Flags shutdown and pokes the listener so the accept loop observes it.
-fn request_shutdown(state: &RouterState) {
-    if state.shutdown.swap(true, Ordering::SeqCst) {
-        return;
-    }
-    let _ = TcpStream::connect(state.local_addr);
-}
-
-fn accept_loop(listener: &TcpListener, state: &Arc<RouterState>) {
-    for stream in listener.incoming() {
-        if state.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let Ok(stream) = stream else { continue };
-        state.counters.connections.inc();
-        let state = Arc::clone(state);
-        // Connection threads are detached: they exit on their own via
-        // keep-alive idle polling once shutdown is flagged.
-        let _ = std::thread::Builder::new()
-            .name("olive-router-conn".into())
-            .spawn(move || handle_connection(stream, &state));
-    }
-}
-
 /// Re-checks unhealthy workers every `probe_interval`, marking them healthy
 /// again as soon as their `/healthz` answers. Sleeps in short ticks so
 /// shutdown is observed promptly.
@@ -470,7 +344,7 @@ fn probe_loop(state: &RouterState) {
     let tick =
         Duration::from_millis(50).min(state.config.probe_interval.max(Duration::from_millis(1)));
     let mut slept = Duration::ZERO;
-    while !state.shutdown.load(Ordering::SeqCst) {
+    while state.probing.load(Ordering::SeqCst) {
         std::thread::sleep(tick);
         slept += tick;
         if slept < state.config.probe_interval {
@@ -499,201 +373,6 @@ fn record_failure(worker: &WorkerSlot, unhealthy_after: u32) {
     let failures = worker.consecutive_failures.fetch_add(1, Ordering::SeqCst) + 1;
     if failures >= unhealthy_after && worker.healthy.swap(false, Ordering::SeqCst) {
         worker.became_unhealthy.inc();
-    }
-}
-
-fn handle_connection(stream: TcpStream, state: &RouterState) {
-    if stream.set_read_timeout(Some(IDLE_TIMEOUT)).is_err() || stream.set_nodelay(true).is_err() {
-        return;
-    }
-    let mut reader = std::io::BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
-    let mut writer = stream;
-    let mut idle_ticks = 0u32;
-    loop {
-        match read_request(&mut reader) {
-            ReadOutcome::Disconnected => return,
-            ReadOutcome::Idle => {
-                idle_ticks += 1;
-                if idle_ticks >= MAX_IDLE_TICKS || state.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            ReadOutcome::Bad(error) => {
-                let _ = Response::error(error.status, &error.message).write_to(&mut writer, false);
-                return;
-            }
-            ReadOutcome::Request(request) => {
-                idle_ticks = 0;
-                let scope = RequestScope::begin(state, &request);
-                match handle_request(&request, state, &scope, &mut writer) {
-                    AfterResponse::KeepAlive => {}
-                    AfterResponse::Close => return,
-                }
-            }
-        }
-    }
-}
-
-/// Whether the connection survives the response just written.
-enum AfterResponse {
-    KeepAlive,
-    Close,
-}
-
-fn handle_request(
-    request: &Request,
-    state: &RouterState,
-    scope: &RequestScope,
-    writer: &mut TcpStream,
-) -> AfterResponse {
-    match (request.method.as_str(), request.path.as_str()) {
-        ("GET", "/healthz") => write_unary(
-            Response::json(200, healthz_body(state)),
-            request,
-            state,
-            scope,
-            writer,
-            false,
-        ),
-        ("GET", "/metrics") => {
-            state.refresh_gauges();
-            write_unary(
-                Response::text(200, state.telemetry.registry().render()),
-                request,
-                state,
-                scope,
-                writer,
-                false,
-            )
-        }
-        ("GET", "/debug/trace") => {
-            let n = request
-                .query_param("n")
-                .and_then(|v| v.parse::<usize>().ok())
-                .unwrap_or(32);
-            let traces: Vec<String> = state
-                .telemetry
-                .tracer()
-                .recent(n)
-                .iter()
-                .map(olive_telemetry::TraceRecord::to_json)
-                .collect();
-            write_unary(
-                Response::json(200, format!("{{\"traces\": [{}]}}", traces.join(", "))),
-                request,
-                state,
-                scope,
-                writer,
-                false,
-            )
-        }
-        // The registry is static and identical on every worker; route it
-        // like any other key so the load spreads deterministically.
-        ("GET", "/v1/schemes") => proxy(request, "schemes", state, scope, writer),
-        ("POST", "/v1/eval" | "/v1/generate" | "/v1/quantize") => match routing_key(request) {
-            Ok(key) => proxy(request, &key, state, scope, writer),
-            Err(response) => write_unary(response, request, state, scope, writer, false),
-        },
-        ("POST", "/shutdown") => {
-            if state.config.allow_shutdown {
-                write_unary(
-                    Response::json(
-                        200,
-                        JsonValue::object(vec![("status", JsonValue::Str("shutting down".into()))])
-                            .render(),
-                    ),
-                    request,
-                    state,
-                    scope,
-                    writer,
-                    true,
-                )
-            } else {
-                write_unary(
-                    Response::error(
-                        403,
-                        "shutdown over HTTP is disabled (start with --allow-shutdown)",
-                    ),
-                    request,
-                    state,
-                    scope,
-                    writer,
-                    false,
-                )
-            }
-        }
-        // Known path, wrong method — same parity answers as the workers.
-        (_, "/healthz" | "/metrics" | "/debug/trace" | "/v1/schemes") => write_unary(
-            Response::error(405, "use GET").with_header("Allow", "GET"),
-            request,
-            state,
-            scope,
-            writer,
-            false,
-        ),
-        (_, "/v1/eval" | "/v1/generate" | "/v1/quantize" | "/shutdown") => write_unary(
-            Response::error(405, "use POST").with_header("Allow", "POST"),
-            request,
-            state,
-            scope,
-            writer,
-            false,
-        ),
-        (_, path) => write_unary(
-            Response::error(
-                404,
-                &format!(
-                    "no such endpoint '{path}' (have: GET /healthz, GET /metrics, \
-                     GET /v1/schemes, POST /v1/eval, POST /v1/generate, POST /v1/quantize)"
-                ),
-            ),
-            request,
-            state,
-            scope,
-            writer,
-            false,
-        ),
-    }
-}
-
-/// Writes a router-composed (non-streamed) response, honouring keep-alive
-/// and triggering router shutdown after the bytes are on the wire. Stamps
-/// the trace header (unless an upstream relay already carries it) and
-/// closes out the request's observations.
-fn write_unary(
-    mut response: Response,
-    request: &Request,
-    state: &RouterState,
-    scope: &RequestScope,
-    writer: &mut TcpStream,
-    shutdown: bool,
-) -> AfterResponse {
-    for (name, value) in scope.headers() {
-        if !response
-            .extra_headers
-            .iter()
-            .any(|(existing, _)| existing.eq_ignore_ascii_case(&name))
-        {
-            response = response.with_header(&name, &value);
-        }
-    }
-    let status = response.status;
-    let keep_alive = request.keep_alive() && !shutdown && !state.shutdown.load(Ordering::SeqCst);
-    // Telemetry commits before the reply is on the wire: a client that saw
-    // a complete response must also see it counted in /metrics and traced
-    // in /debug/trace.
-    scope.finish(state, status);
-    let write_result = response.write_to(writer, keep_alive);
-    if shutdown {
-        request_shutdown(state);
-    }
-    if write_result.is_ok() && keep_alive {
-        AfterResponse::KeepAlive
-    } else {
-        AfterResponse::Close
     }
 }
 
@@ -798,20 +477,18 @@ fn relay(response: &HttpResponse) -> Response {
 
 /// The outcome of one attempt against one worker.
 enum Attempt {
-    /// The full stream was relayed; `reusable` says whether the client
-    /// connection's framing survived (the terminating chunk was written).
-    Streamed { reusable: bool },
+    /// The full stream was relayed into the exchange, terminating chunk
+    /// still to write.
+    Streamed,
     /// The worker answered a plain (non-chunked) response — a unary
     /// endpoint's answer, or an error — before any byte reached the client.
     Unary(HttpResponse),
     /// The attempt failed before any byte reached the client: safe to fail
     /// over to the next candidate.
     NotStarted,
-    /// The attempt failed after the chunked head was written. The relay is
-    /// truncated without the terminating chunk — the client sees a hard
-    /// framing error, never a complete-looking answer — and the connection
-    /// closes. `worker_fault` distinguishes a worker dying mid-stream from
-    /// the client going away.
+    /// The attempt failed after the chunked head was written: the relay is
+    /// truncated. `worker_fault` distinguishes a worker dying mid-stream
+    /// from the client going away.
     Broken { worker_fault: bool },
 }
 
@@ -820,7 +497,7 @@ enum Attempt {
 /// capped) — transient back-pressure usually clears within the advertised
 /// window, and nothing has been written to the client at that point. A
 /// plain answer comes back as [`Attempt::Unary`]; a chunked one is relayed
-/// to the client the moment each chunk is decoded (chunk boundaries
+/// into `exchange` the moment each chunk is decoded (chunk boundaries
 /// preserved), so a routed stream is byte- and framing-identical to hitting
 /// the worker directly.
 fn attempt(
@@ -828,15 +505,16 @@ fn attempt(
     worker: &WorkerSlot,
     request: &Request,
     body: Option<&str>,
-    scope: &RequestScope,
-    writer: &mut TcpStream,
-    keep_alive: bool,
+    exchange: &mut Exchange<'_>,
 ) -> Attempt {
     let Ok(mut conn) = Connection::open_with(worker.sock, state.config.timeouts) else {
         return Attempt::NotStarted;
     };
-    let trace_headers = scope.header_refs();
-    let echo_headers = scope.headers();
+    let trace_id = exchange.trace_id().map(str::to_string);
+    let trace_headers: Vec<(&str, &str)> = trace_id
+        .iter()
+        .map(|id| (TRACE_HEADER, id.as_str()))
+        .collect();
     let mut retried_503 = false;
     loop {
         let mut started = false;
@@ -846,43 +524,15 @@ fn attempt(
             &request.path,
             body,
             &mut |chunk| {
-                let relayed = if started {
-                    write_chunk(writer, chunk)
-                } else {
-                    write_chunked_head_with(writer, 200, keep_alive, &echo_headers).and_then(|()| {
-                        started = true;
-                        if let Some(span) = &scope.span {
-                            span.event("first-byte");
-                        }
-                        write_chunk(writer, chunk)
-                    })
-                };
-                if relayed.is_err() {
-                    sink_error = true;
-                }
+                started = true;
+                let relayed = exchange.chunk(chunk);
+                sink_error = relayed.is_err();
                 relayed
             },
             &trace_headers,
         );
         return match result {
-            Ok(response) if response.chunks.is_some() => {
-                // Telemetry commits before the terminating chunk: a client
-                // that saw a complete stream must also see it counted in
-                // /metrics and traced in /debug/trace.
-                record_success(worker);
-                count_served(state, worker);
-                scope.finish(state, 200);
-                let finished = if started {
-                    write_last_chunk(writer)
-                } else {
-                    // A complete but empty stream still frames as chunked.
-                    write_chunked_head_with(writer, 200, keep_alive, &echo_headers)
-                        .and_then(|()| write_last_chunk(writer))
-                };
-                Attempt::Streamed {
-                    reusable: finished.is_ok(),
-                }
-            }
+            Ok(response) if response.chunks.is_some() => Attempt::Streamed,
             Ok(response) => {
                 if response.status == 503 && !retried_503 {
                     retried_503 = true;
@@ -908,43 +558,23 @@ fn attempt(
 /// only whether one arrives. Fail-over happens only while nothing has
 /// reached the client; once a chunked head is out, a failure truncates the
 /// stream exactly as a worker death would on a direct connection.
-fn proxy(
-    request: &Request,
-    key: &str,
-    state: &RouterState,
-    scope: &RequestScope,
-    writer: &mut TcpStream,
-) -> AfterResponse {
+fn proxy(request: &Request, key: &str, state: &RouterState, mut exchange: Exchange<'_>) -> bool {
     let body = match request.body_utf8() {
         Ok(text) if !text.is_empty() => Some(text),
         Ok(_) => None,
-        Err(e) => {
-            return write_unary(
-                Response::error(e.status, &e.message),
-                request,
-                state,
-                scope,
-                writer,
-                false,
-            )
-        }
+        Err(e) => return exchange.reply(Response::error(e.status, &e.message)),
     };
-    let keep_alive = request.keep_alive() && !state.shutdown.load(Ordering::SeqCst);
     let planned = plan(state, key);
     let total = planned.len();
     for (i, &index) in planned.iter().enumerate() {
         let Some(worker) = state.workers.get(index) else {
             continue;
         };
-        match attempt(state, worker, request, body, scope, writer, keep_alive) {
-            Attempt::Streamed { reusable } => {
-                // Success bookkeeping and scope.finish already ran inside
-                // attempt, before the terminating chunk went out.
-                return if reusable && keep_alive {
-                    AfterResponse::KeepAlive
-                } else {
-                    AfterResponse::Close
-                };
+        match attempt(state, worker, request, body, &mut exchange) {
+            Attempt::Streamed => {
+                record_success(worker);
+                count_served(state, worker);
+                return exchange.end();
             }
             Attempt::Unary(response) => {
                 record_success(worker);
@@ -955,7 +585,7 @@ fn proxy(
                     continue;
                 }
                 count_served(state, worker);
-                return write_unary(relay(&response), request, state, scope, writer, false);
+                return exchange.reply(relay(&response));
             }
             Attempt::NotStarted => {
                 record_failure(worker, state.config.unhealthy_after);
@@ -967,20 +597,14 @@ fn proxy(
                 if worker_fault {
                     record_failure(worker, state.config.unhealthy_after);
                 }
-                scope.finish(state, 200);
-                return AfterResponse::Close;
+                return exchange.truncate();
             }
         }
     }
     count_shed(state, &planned);
-    write_unary(
+    exchange.reply(
         Response::error(503, "no worker available for this request")
             .with_header("Retry-After", "1"),
-        request,
-        state,
-        scope,
-        writer,
-        false,
     )
 }
 
@@ -1005,7 +629,7 @@ fn fetch_worker_healthz(worker: &WorkerSlot) -> io::Result<JsonValue> {
 /// workers' numeric gauges summed under `"upstream"`. Fetching every
 /// worker's healthz doubles as an active probe — a worker that answers here
 /// is immediately healthy again, one that does not records a failure.
-fn healthz_body(state: &RouterState) -> String {
+fn healthz_body(state: &RouterState, connections: u64) -> String {
     let mut sums = [0u64; WORKER_GAUGES.len()];
     let mut healthy = 0u64;
     for worker in &state.workers {
@@ -1056,10 +680,7 @@ fn healthz_body(state: &RouterState) -> String {
             "requests_rejected",
             JsonValue::UInt(state.counters.rejected.get()),
         ),
-        (
-            "connections_accepted",
-            JsonValue::UInt(state.counters.connections.get()),
-        ),
+        ("connections_accepted", JsonValue::UInt(connections)),
         ("upstream", upstream),
     ])
     .render()
@@ -1081,9 +702,7 @@ mod tests {
                 })
                 .collect(),
             counters: RouterCounters::new(telemetry.registry()),
-            telemetry,
-            shutdown: AtomicBool::new(false),
-            local_addr: "127.0.0.1:1".parse().unwrap(),
+            probing: AtomicBool::new(true),
             config: RouterConfig {
                 workers: addrs,
                 max_attempts,

@@ -73,12 +73,33 @@ fn routed_bytes_match_a_single_worker_exactly() {
     );
     assert_eq!(routed_gen.chunks, ref_gen.chunks, "chunk boundaries differ");
 
-    // Error parity: unknown paths and bad bodies answer exactly like a
-    // worker would (the front door doesn't invent its own error shapes).
-    let routed_404 = client::get(router.local_addr(), "/nope").unwrap();
-    let routed_400 = client::post_json(router.local_addr(), "/v1/eval", "{nope").unwrap();
-    assert_eq!(routed_404.status, 404);
-    assert_eq!(routed_400.status, 400);
+    // Error parity: unknown paths, wrong methods, a refused shutdown and
+    // bad bodies answer exactly like a worker would, status, body and
+    // `Allow` header (the front door doesn't invent its own error shapes).
+    let ask = |addr: SocketAddr, method: &str, path: &str, body: Option<&str>| {
+        client::Connection::open(addr)
+            .unwrap()
+            .request(method, path, body)
+            .unwrap()
+    };
+    for (method, path, body, status) in [
+        ("GET", "/nope", None, 404),
+        ("GET", "/v1/eval", None, 405),
+        ("POST", "/metrics", None, 405),
+        ("POST", "/shutdown", None, 403),
+        ("POST", "/v1/eval", Some("{nope"), 400),
+    ] {
+        let direct = ask(workers[0].local_addr(), method, path, body);
+        let routed = ask(router.local_addr(), method, path, body);
+        assert_eq!(direct.status, status, "{method} {path}: {}", direct.body);
+        assert_eq!(routed.status, direct.status, "{method} {path}");
+        assert_eq!(routed.body, direct.body, "{method} {path}");
+        assert_eq!(
+            routed.header("Allow"),
+            direct.header("Allow"),
+            "{method} {path}"
+        );
+    }
 
     // Repeating the same request is stable through the ring (affinity).
     let again = client::post_json(router.local_addr(), "/v1/eval", EVAL_BODY).unwrap();

@@ -187,27 +187,25 @@ impl ModelCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use olive_api::{GenOptions, GenReport, JsonValue};
+    use olive_api::{GenOptions, JsonValue};
 
-    /// Streams one `/v1/generate` request end to end on one session:
+    /// Decodes one `/v1/generate` request end to end on one session:
     /// fetches (or computes and caches) the prepared teacher + prompt, then
-    /// decodes through [`Pipeline::generation`](olive_api::Pipeline::generation),
-    /// handing `sink` each JSON fragment as its step is decoded. Returns the
-    /// (wall-time-stripped) report whose `to_json` equals the concatenated
-    /// fragments. The server's `/v1/generate` decodes through the
-    /// continuous-batching scheduler instead, to the same bytes per stream.
-    fn generate_stream(
-        cache: &ModelCache,
-        req: &GenerateRequest,
-        sink: &mut dyn FnMut(&str),
-    ) -> GenReport {
+    /// decodes through [`Pipeline::generation`](olive_api::Pipeline::generation)
+    /// and renders the wall-time-stripped report, the bytes a stream's
+    /// chunks concatenate to. The server's `/v1/generate` decodes through
+    /// the continuous-batching scheduler instead, to the same bytes per
+    /// stream.
+    fn generate_stream(cache: &ModelCache, req: &GenerateRequest) -> String {
         let prepared = cache.gen_prepared(req);
-        req.pipeline().generation(
-            GenOptions::new()
-                .prepared(&prepared)
-                .max_new_tokens(req.max_new_tokens)
-                .stream(sink),
-        )
+        req.pipeline()
+            .generation(
+                GenOptions::new()
+                    .prepared(&prepared)
+                    .max_new_tokens(req.max_new_tokens),
+            )
+            .without_wall_times()
+            .to_json()
     }
 
     fn request(text: &str) -> EvalRequest {
@@ -243,10 +241,8 @@ mod tests {
         };
         let olive = decode(r#"{"scheme": "olive-4bit", "max_new_tokens": 3, "prompt_tokens": 4}"#);
         let fp32 = decode(r#"{"scheme": "fp32", "max_new_tokens": 3, "prompt_tokens": 4}"#);
-        let mut streamed = String::new();
-        let report = generate_stream(&cache, &olive, &mut |f| streamed.push_str(f));
-        assert_eq!(streamed, report.to_json(), "fragments must concatenate");
-        let _ = generate_stream(&cache, &fp32, &mut |_| {});
+        let streamed = generate_stream(&cache, &olive);
+        let _ = generate_stream(&cache, &fp32);
         // One shared generation preparation, no body caching.
         assert_eq!(cache.sizes(), (0, 1, 0));
         // Served bytes equal the direct pipeline's rendering.
@@ -313,8 +309,7 @@ mod tests {
         .unwrap();
 
         let warm = ModelCache::new();
-        let mut want = String::new();
-        let _ = generate_stream(&warm, &req, &mut |f| want.push_str(f));
+        let want = generate_stream(&warm, &req);
 
         let artifact = olive_api::ModelArtifact::gen(
             req.prepared_key(),
@@ -337,8 +332,7 @@ mod tests {
             .quantize_weights(req.scheme.build().as_ref());
         assert_eq!(student.embedding.data(), direct.embedding.data());
         assert_eq!(student.layers[0].wqkv.data(), direct.layers[0].wqkv.data());
-        let mut got = String::new();
-        let _ = generate_stream(&cold, &req, &mut |f| got.push_str(f));
+        let got = generate_stream(&cold, &req);
         assert_eq!(
             got, want,
             "cold-started stream must match in-process stream"

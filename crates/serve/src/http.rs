@@ -21,7 +21,7 @@ pub const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
 
 /// The connection read-timeout tick: the granularity at which connection
 /// threads notice server shutdown between requests. The actual idle-close
-/// threshold is `MAX_IDLE_TICKS` of these (see `crate::server`), not one.
+/// threshold is `MAX_IDLE_TICKS` of these (see `crate::daemon`), not one.
 pub const IDLE_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// A parsed request.

@@ -3,7 +3,8 @@
 //! A zero-dependency HTTP/1.1 inference-and-evaluation server over the OliVe
 //! scheme registry — the layer that turns the reproduction's batch
 //! experiments into a long-lived service. Everything is `std`: the socket
-//! loop is `std::net::TcpListener`, the wire format is the workspace's own
+//! loop ([`daemon`], which `olive-router` runs too) is
+//! `std::net::TcpListener`, the wire format is the workspace's own
 //! `olive_api::json`, and request execution rides the `olive-runtime` worker
 //! pool from PR 2.
 //!
@@ -130,8 +131,10 @@
 //! as JSON lines on disk).
 //! Telemetry is strictly **out of band**: response bodies are byte-identical
 //! with it on or off (`crates/serve/tests/telemetry.rs` proves both), and
-//! telemetry commits before a response's final byte is written, so a client
-//! that saw an answer always finds it counted.
+//! telemetry commits once per request, before a response's final byte is
+//! written ([`daemon::Exchange`]), so a client that saw an answer always
+//! finds it counted, and a stream whose client hangs up mid-body counts
+//! once, as a 2xx.
 //!
 //! ## Quickstart (in-process)
 //!
@@ -162,14 +165,16 @@
 mod admission;
 pub mod cache;
 pub mod client;
+pub mod daemon;
 pub mod decode_sched;
 pub mod http;
 pub mod protocol;
 pub mod server;
 
 pub use cache::ModelCache;
+pub use daemon::TRACE_HEADER;
 pub use decode_sched::{DecodeScheduler, SchedConfig, SchedStats, StreamEvent};
 pub use http::{Request, Response};
 pub use olive_telemetry::TelemetryOptions;
 pub use protocol::{EvalRequest, GenerateRequest, ModelSize, QuantizeRequest};
-pub use server::{ServeConfig, Server, TRACE_HEADER};
+pub use server::{ServeConfig, Server};

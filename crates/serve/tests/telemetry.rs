@@ -15,6 +15,9 @@
 
 use olive_serve::client::{get, post_json, Connection};
 use olive_serve::{ServeConfig, Server, TelemetryOptions, TRACE_HEADER};
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 const EVAL_BODY: &str = r#"{"scheme": "olive-4bit", "batches": 2, "oversample": 2}"#;
 const GEN_BODY: &str =
@@ -217,6 +220,45 @@ fn each_stream_observes_time_to_first_token_once() {
             "{span}"
         );
     }
+}
+
+/// A client that hangs up mid-body is counted once, as a 2xx: its status
+/// line said 200. The scheduler sweeps the flight, counting it served, only
+/// after its connection stopped taking events, which is after the request
+/// was counted, so the test waits on that counter.
+#[test]
+fn an_abandoned_stream_is_counted_once_as_a_2xx() {
+    let server = server_with(true);
+    let addr = server.local_addr();
+    let body = r#"{"scheme": "olive-4bit", "prompt_tokens": 4, "max_new_tokens": 256}"#;
+    let mut client = TcpStream::connect(addr).expect("connect");
+    write!(
+        client,
+        "POST /v1/generate HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .expect("send");
+    let mut first = [0u8; 32];
+    client.read_exact(&mut first).expect("the stream starts");
+    drop(client);
+
+    let deadline = Instant::now() + Duration::from_secs(120);
+    let metrics = loop {
+        let metrics = get(addr, "/metrics").expect("metrics").body;
+        if metrics.contains("olive_decode_streams_served_total 1\n") {
+            break metrics;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the stream was never swept:\n{metrics}"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    server.shutdown();
+    assert!(
+        metrics.contains(r#"olive_http_requests_total{endpoint="/v1/generate",status="2xx"} 1"#),
+        "the abandoned stream must be counted once, as a 2xx:\n{metrics}"
+    );
 }
 
 #[test]
