@@ -6,7 +6,7 @@
 
 use olive_baselines::UniformQuantizer;
 use olive_bench::cli::BenchCli;
-use olive_core::{OliveQuantizer, TensorQuantizer};
+use olive_core::{with_simd, OliveQuantizer, SimdPath, TensorQuantizer};
 use olive_dtypes::abfloat::{AbfloatCode, AbfloatFormat};
 use olive_harness::bench::{black_box, BenchSuite};
 use olive_models::SynthProfile;
@@ -33,9 +33,10 @@ fn bench_tensor_quantize(suite: &mut BenchSuite) {
 
 /// Activation fake quantization at the served shapes: one decode-step row
 /// of the small engine (`d_model` 64 and `d_ff` 256) and one eval forward's
-/// per-tensor `[16, 64]` input. Each `_reference` twin runs the
-/// per-candidate reference search and the packed round trip the fast path
-/// must match bit for bit.
+/// per-tensor `[16, 64]` input, on the dispatched SIMD path. Each `_scalar`
+/// twin runs the same fused path pinned to the scalar kernels, and each
+/// `_reference` twin runs the per-candidate reference search and the packed
+/// round trip both must match bit for bit.
 fn bench_act_quant(suite: &mut BenchSuite) {
     let mut rng = Rng::seed_from(0xAC);
     let q = OliveQuantizer::int4();
@@ -47,10 +48,14 @@ fn bench_act_quant(suite: &mut BenchSuite) {
         let t = SynthProfile::transformer().generate(shape, &mut rng);
         let elements = t.len() as u64;
         let mut out = vec![0.0f32; t.len()];
-        suite.bench_with_elements(&format!("act_quant/{name}"), elements, || {
-            q.quantize_dequantize_into(black_box(t.data()), &mut out);
-            black_box(out[0])
-        });
+        for (suffix, path) in [("", None), ("_scalar", Some(SimdPath::Scalar))] {
+            with_simd(path, || {
+                suite.bench_with_elements(&format!("act_quant/{name}{suffix}"), elements, || {
+                    q.quantize_dequantize_into(black_box(t.data()), &mut out);
+                    black_box(out[0])
+                });
+            });
+        }
         suite.bench_with_elements(&format!("act_quant/{name}_reference"), elements, || {
             let t = black_box(&t);
             black_box(

@@ -11,8 +11,9 @@
 //! * [`quantizer`] — [`OliveQuantizer`]: per-tensor post-training quantization
 //!   with the MSE-minimizing scale/threshold search seeded at 3σ (Sec. 3.4),
 //!   producing packed [`OvpTensor`]s. For the 4-bit types the search scores
-//!   every candidate in one pass and fuses with the fake-quantization round
-//!   trip; the per-candidate loop stays in-tree as its oracle
+//!   eight candidates per pass, stops passes that cannot win, and fuses
+//!   with the fake-quantization round trip; the per-candidate loop stays
+//!   in-tree as its oracle
 //!   ([`OliveQuantizer::reference_select_scale`]).
 //! * [`mac`] — the OliVe MAC unit operating on exponent-integer pairs with an
 //!   int32 accumulator (Sec. 4.4–4.5), including the four-PE decomposition of
@@ -22,8 +23,9 @@
 //!   operands once per call, accumulates in `i64` with the int32 overflow
 //!   check, and shards rows over the runtime pool with statistics merged in
 //!   row order.
-//! * [`simd`] — runtime AVX2 dispatch for the OVP scale search, the
-//!   uniform baseline's scale search and fake quantization, and GELU
+//! * [`simd`] — runtime AVX2 dispatch for the OVP scale search and fake
+//!   quantization, the uniform baseline's scale search and fake
+//!   quantization, GELU and the dense GEMMs
 //!   (the only module in the workspace allowed to contain `unsafe`), with
 //!   the `OLIVE_SIMD` override mirroring `OLIVE_THREADS`. Every path is
 //!   bit-identical to its scalar kernel.

@@ -13,21 +13,25 @@
 //!
 //! ## The fast scale search
 //!
-//! For the 4-bit types, [`OliveQuantizer::select_scale`] scores every
-//! candidate scale in one pass over the sample, vectorised across candidates
-//! (three 8-lane AVX2 vectors, or a scalar loop; see [`crate::simd`]). It
-//! never builds a code: a `FourBitGrid` maps a scale-normalised pair
-//! straight to the grid values `encode_pair` → `decode_pair_values` would
-//! produce, with the outlier and flint4 rounding boundaries derived once from
-//! the dtype encoders themselves. Each candidate's f64 error is still summed
-//! pair by pair in element order, so the chosen scale is bit-identical to
+//! For the 4-bit types, [`OliveQuantizer::select_scale`] scores the
+//! candidate scales eight at a time, vectorised across candidates (one
+//! 8-lane AVX2 vector, or a scalar loop; see [`crate::simd`]), in candidate
+//! order. The first eight score the whole sample; each later eight score
+//! it eight pairs at a time and stop once none of them can still beat the
+//! best mse so far, which cannot change the winner. The search never
+//! builds a code: a `FourBitGrid` maps a scale-normalised pair straight to
+//! the grid values `encode_pair` → `decode_pair_values` would produce, with
+//! the outlier and flint4 rounding boundaries derived once from the dtype
+//! encoders themselves. Each candidate's f64 error is still summed pair by
+//! pair in element order, so the chosen scale is bit-identical to
 //! [`OliveQuantizer::reference_select_scale`], the pre-existing loop kept as
 //! its oracle. For the same types,
 //! [`OliveQuantizer::quantize_dequantize_into`] fuses the search with the
-//! encode → dequantize round trip without allocating.
+//! encode → dequantize round trip without allocating; AVX2 encodes eight
+//! pairs per step.
 
 use crate::encode::{decode_pair_expint, decode_pair_values, encode_pair};
-use crate::simd::{self, CANDIDATE_BLOCK};
+use crate::simd::{Candidates, OvpKernel, SCALE_LANES};
 use olive_dtypes::flint4::FLINT4_MAGNITUDES;
 use olive_dtypes::{AbfloatCode, AbfloatFormat, ExpInt, Flint4, Int4, NormalDataType};
 use olive_tensor::stats::{Moments, TensorStats};
@@ -301,7 +305,9 @@ impl OliveQuantizer {
             "quantize_dequantize_into: input and output lengths differ"
         );
         match self.fast_select_scale(input) {
-            Some((grid, scale)) => grid.dequantize_into(input, self.spec_for_scale(scale), out),
+            Some((kernel, scale)) => {
+                kernel.fake_quant_into(input, self.spec_for_scale(scale).scale, out)
+            }
             None => out.copy_from_slice(
                 self.quantize(&Tensor::from_slice(input))
                     .dequantize()
@@ -364,53 +370,66 @@ impl OliveQuantizer {
     /// The candidate-parallel search: `None` for `int8` and for inputs the
     /// fast path does not cover (a non-finite value, or a candidate scale so
     /// small its inverse overflows), which then take the reference search.
-    fn fast_select_scale(&self, data: &[f32]) -> Option<(&'static FourBitGrid, f32)> {
+    ///
+    /// Candidates are scored eight at a time, in candidate order. The first
+    /// vector scores the whole sample; each later one scores it
+    /// [`SEARCH_CHUNK`] values at a time and stops once none of its usable
+    /// lanes has `partial / count < best_mse`, the best mse of the vectors
+    /// before it. That cannot change the winner: every error term is ≥ 0,
+    /// f64 addition and the division by `count` are monotone, so a stopped
+    /// lane's full mse is ≥ `best_mse`, and the strict `<` that keeps the
+    /// first minimum passes over it, partial sum or full.
+    fn fast_select_scale(&self, data: &[f32]) -> Option<(OvpKernel, f32)> {
         let grid = FourBitGrid::of(self.normal_type)?;
         let (std, max_abs) = finite_std_and_max_abs(data)?;
+        let kernel = OvpKernel::new(grid);
         let max_mag = self.normal_type.max_magnitude() as f32;
         if std == 0.0 {
-            return Some((grid, constant_scale(max_abs, max_mag)));
+            return Some((kernel, constant_scale(max_abs, max_mag)));
         }
         let seed_threshold = seed_threshold(std);
         let cap = self.max_finite_scale();
         let sample = self.search_slice(data);
         let count = sample.len() as f64;
-        let path = simd::resolve_path();
         let mut best_scale = cap_scale(seed_threshold / max_mag, cap);
         let mut best_mse = f64::INFINITY;
-        for first in (0..self.search_steps).step_by(CANDIDATE_BLOCK) {
-            let lanes = (self.search_steps - first).min(CANDIDATE_BLOCK);
+        for first in (0..self.search_steps).step_by(SCALE_LANES) {
+            let lanes = (self.search_steps - first).min(SCALE_LANES);
             // Lanes holding no valid candidate score a harmless unit scale
             // and are never read back.
-            let mut scales = [1.0f32; CANDIDATE_BLOCK];
-            let mut invs = [1.0f32; CANDIDATE_BLOCK];
-            let mut valid = [false; CANDIDATE_BLOCK];
-            for k in 0..lanes {
+            let mut cands = Candidates {
+                scales: [1.0; SCALE_LANES],
+                invs: [1.0; SCALE_LANES],
+                lanes,
+            };
+            let mut valid = [false; SCALE_LANES];
+            for (k, usable) in valid.iter_mut().enumerate().take(lanes) {
                 let scale = self.candidate_scale(seed_threshold, first + k, cap);
                 if scale > 0.0 && scale.is_finite() {
                     let inv = 1.0 / scale;
                     if !inv.is_finite() {
                         return None;
                     }
-                    (scales[k], invs[k], valid[k]) = (scale, inv, true);
+                    (cands.scales[k], cands.invs[k], *usable) = (scale, inv, true);
                 }
             }
-            let mut errs = [0.0f64; CANDIDATE_BLOCK];
-            simd::score_candidates(sample, &scales, &invs, lanes, grid, &mut errs, path);
+            let chunk = if first == 0 { usize::MAX } else { SEARCH_CHUNK };
+            let can_win = |errs: &[f64; SCALE_LANES]| {
+                (0..lanes).any(|k| valid[k] && errs[k] / count < best_mse)
+            };
+            let mut errs = [0.0f64; SCALE_LANES];
+            kernel.score(sample, chunk, &cands, &mut errs, can_win);
             for k in 0..lanes {
-                // `round_trip_mse` scores an unusable scale as +inf.
-                let mse = if valid[k] {
-                    errs[k] / count
-                } else {
-                    f64::INFINITY
-                };
-                if mse < best_mse {
+                // `round_trip_mse` scores an unusable scale as +inf, which
+                // never wins.
+                let mse = errs[k] / count;
+                if valid[k] && mse < best_mse {
                     best_mse = mse;
-                    best_scale = scales[k];
+                    best_scale = cands.scales[k];
                 }
             }
         }
-        Some((grid, best_scale))
+        Some((kernel, best_scale))
     }
 
     /// Candidate `i` of the search window around `seed_threshold`, capped
@@ -492,6 +511,10 @@ impl Default for OliveQuantizer {
         Self::int4()
     }
 }
+
+/// Sample values a later candidate vector of the 4-bit scale search scores
+/// between two checks of whether it can still win: eight pairs.
+const SEARCH_CHUNK: usize = 16;
 
 /// The scale of a zero-variance tensor: its constant maps onto the grid
 /// exactly (an all-zero tensor gets scale 1).
@@ -629,16 +652,17 @@ impl FourBitGrid {
         (m1.copysign(v1) + 0.0, m2.copysign(v2) + 0.0)
     }
 
-    /// `quantize_with_scale` at `spec`'s scale, then `dequantize`, into
-    /// `out`.
-    fn dequantize_into(&self, input: &[f32], spec: QuantSpec, out: &mut [f32]) {
-        let inv = 1.0 / spec.scale;
+    /// `quantize_with_scale` at `scale` (a spec's floored scale), then
+    /// `dequantize`, into `out`, one pair at a time: the scalar path of
+    /// `OvpKernel::fake_quant_into`, and its AVX2 path's tail.
+    pub(crate) fn dequantize_into(&self, input: &[f32], scale: f32, out: &mut [f32]) {
+        let inv = 1.0 / scale;
         for (x, o) in input.chunks(2).zip(out.chunks_mut(2)) {
             let v2 = x.get(1).map_or(0.0, |&x1| x1 * inv);
             let (g1, g2) = self.pair(x[0] * inv, v2);
-            o[0] = g1 * spec.scale;
+            o[0] = g1 * scale;
             if let Some(o1) = o.get_mut(1) {
-                *o1 = g2 * spec.scale;
+                *o1 = g2 * scale;
             }
         }
     }

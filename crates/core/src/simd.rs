@@ -1,15 +1,21 @@
-//! SIMD dispatch for the OVP and uniform scale searches, GELU and the dense
-//! f32 GEMMs.
+//! SIMD dispatch for the OVP and uniform scale searches and fake
+//! quantizations, GELU and the dense f32 GEMMs.
 //!
 //! This module is the **only** place in the workspace where `unsafe` code is
 //! permitted (enforced by the `no-unsafe-outside-simd` olive-lint rule; the
 //! runtime pool's lifetime-erasure internals carry the one grandfathered
-//! exemption in `lint.toml`). It holds five kernels, all floating point and
+//! exemption in `lint.toml`). It holds six kernels, all floating point and
 //! bit-identical across paths:
 //!
-//! * the OVP scale search's candidate scoring (`score_candidates`): lanes
-//!   hold candidates, never pairs, so every candidate's f64 error sum is
-//!   formed by the same IEEE operations in the same order on every path;
+//! * the OVP scale search's candidate scoring (`OvpKernel::score`): lanes
+//!   hold eight candidates, never pairs, so every candidate's f64 error sum
+//!   is formed by the same IEEE operations in the same order on every path.
+//!   It scores a sample in chunks and stops at the caller's stop rule, which
+//!   both paths run through one chunk loop;
+//! * the OVP fake quantization that follows it (`OvpKernel::fake_quant_into`):
+//!   lanes hold eight pairs, split into first and second members, mapped by
+//!   the lane form of `FourBitGrid::pair` the scoring runs (which skips the
+//!   outlier lookup when no lane needs it), and interleaved back;
 //! * the uniform quantizer's ([`score_uniform_candidates`], the same
 //!   layout over single elements) and its fake quantization
 //!   ([`uniform_fake_quant_into`], lanes hold elements). Both divide by the
@@ -179,74 +185,141 @@ pub fn resolve_path() -> SimdPath {
     }
 }
 
-/// Candidate scales one pass of a scale search scores: three 8-lane AVX2
-/// f32 vectors, the default width of the OVP and uniform searches.
+/// Candidate scales one pass of the uniform scale search scores: three
+/// 8-lane AVX2 f32 vectors. It is also the OVP search's default width.
 pub const CANDIDATE_BLOCK: usize = 24;
 
-/// Scores the first `lanes` candidate scales of a 4-bit OVP scale search in
-/// one pass over `sample`: `errs[k]` becomes the sum of squared round-trip
-/// errors at `scales[k]` (`invs[k]` is its inverse), accumulated in f64 pair
-/// by pair in element order with a separate multiply and add — exactly the
-/// sum `OliveQuantizer::round_trip_mse` forms. Lanes at or past `lanes` must
-/// hold a finite placeholder scale; their errors are unspecified.
-///
-/// Every path vectorises across candidates, never across pairs, so each
-/// candidate's sum is formed in the same order and the paths agree bit
-/// for bit.
-pub(crate) fn score_candidates(
-    sample: &[f32],
-    scales: &[f32; CANDIDATE_BLOCK],
-    invs: &[f32; CANDIDATE_BLOCK],
-    lanes: usize,
-    grid: &FourBitGrid,
-    errs: &mut [f64; CANDIDATE_BLOCK],
-    path: SimdPath,
-) {
-    match path {
+/// Candidate scales one call of [`OvpKernel::score`] scores: one 8-lane
+/// AVX2 f32 vector.
+pub(crate) const SCALE_LANES: usize = 8;
+
+/// One vector of the OVP scale search's candidates, as [`OvpKernel::score`]
+/// scores them.
+pub(crate) struct Candidates {
+    /// The scales; a lane at or past `lanes` holds a finite placeholder,
+    /// whose errors are unspecified.
+    pub(crate) scales: [f32; SCALE_LANES],
+    /// The inverse of each scale.
+    pub(crate) invs: [f32; SCALE_LANES],
+    /// The number of leading lanes that hold candidates.
+    pub(crate) lanes: usize,
+}
+
+/// The 4-bit OVP kernels of one quantization: a [`FourBitGrid`] on the
+/// path [`resolve_path`] chose, with the grid broadcast across eight lanes
+/// once, when that path is AVX2.
+pub(crate) struct OvpKernel {
+    grid: &'static FourBitGrid,
+    /// Set only when the CPU supports AVX2.
+    #[cfg(target_arch = "x86_64")]
+    avx2: Option<x86::Grid8>,
+}
+
+impl OvpKernel {
+    pub(crate) fn new(grid: &'static FourBitGrid) -> Self {
+        match resolve_path() {
+            #[cfg(target_arch = "x86_64")]
+            SimdPath::Avx2 => OvpKernel {
+                grid,
+                // SAFETY: `resolve_path` returns AVX2 only when the CPU supports it.
+                avx2: Some(unsafe { x86::Grid8::new(grid) }),
+            },
+            _ => OvpKernel {
+                grid,
+                #[cfg(target_arch = "x86_64")]
+                avx2: None,
+            },
+        }
+    }
+
+    /// Scores `cands` over `sample`, `chunk` values (an even count) at a
+    /// time, and stops after the first chunk that leaves `live(errs)` false.
+    /// `errs[k]` accumulates the squared round-trip errors at
+    /// `cands.scales[k]` in f64, pair by pair in element order with a
+    /// separate multiply and add: scored to the end, it holds the sum
+    /// `OliveQuantizer::round_trip_mse` forms (a last odd element pairs
+    /// with `+0.0` and scores alone).
+    pub(crate) fn score(
+        &self,
+        sample: &[f32],
+        chunk: usize,
+        cands: &Candidates,
+        errs: &mut [f64; SCALE_LANES],
+        live: impl Fn(&[f64; SCALE_LANES]) -> bool,
+    ) {
         #[cfg(target_arch = "x86_64")]
-        SimdPath::Avx2 => {
-            // SAFETY: AVX2 availability was established at dispatch time.
+        if let Some(g) = &self.avx2 {
+            // SAFETY: `avx2` is only built on a CPU that supports AVX2.
             unsafe {
-                if grid.integer_normals {
-                    x86::score_candidates_avx2::<true>(sample, scales, invs, grid, errs)
+                if self.grid.integer_normals {
+                    x86::score_avx2::<true>(sample, chunk, cands, g, errs, live)
                 } else {
-                    x86::score_candidates_avx2::<false>(sample, scales, invs, grid, errs)
+                    x86::score_avx2::<false>(sample, chunk, cands, g, errs, live)
                 }
             }
+            return;
         }
-        _ => score_candidates_scalar(
-            sample,
-            &scales[..lanes],
-            &invs[..lanes],
-            grid,
-            &mut errs[..lanes],
-        ),
+        let lanes = cands.lanes;
+        let (scales, invs) = (&cands.scales[..lanes], &cands.invs[..lanes]);
+        chunked(sample, chunk, errs, live, |part, errs| {
+            let errs = &mut errs[..lanes];
+            let mut pairs = part.chunks_exact(2);
+            for pair in &mut pairs {
+                let (x0, x1) = (pair[0], pair[1]);
+                for ((err, &scale), &inv) in errs.iter_mut().zip(scales).zip(invs) {
+                    let (g0, g1) = self.grid.pair(x0 * inv, x1 * inv);
+                    let d0 = (g0 * scale - x0) as f64;
+                    *err += d0 * d0;
+                    let d1 = (g1 * scale - x1) as f64;
+                    *err += d1 * d1;
+                }
+            }
+            if let [x0] = *pairs.remainder() {
+                for ((err, &scale), &inv) in errs.iter_mut().zip(scales).zip(invs) {
+                    let (g0, _) = self.grid.pair(x0 * inv, 0.0);
+                    let d0 = (g0 * scale - x0) as f64;
+                    *err += d0 * d0;
+                }
+            }
+        });
+    }
+
+    /// `FourBitGrid::dequantize_into` on the dispatched path: writes to
+    /// `out` each pair of `input` scaled by `1 / scale`, mapped to its grid
+    /// values and multiplied by `scale`. AVX2 maps eight pairs per step and
+    /// sends the last `input.len() % 16` values through the scalar loop.
+    pub(crate) fn fake_quant_into(&self, input: &[f32], scale: f32, out: &mut [f32]) {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(g) = &self.avx2 {
+            // SAFETY: `avx2` is only built on a CPU that supports AVX2.
+            unsafe {
+                if self.grid.integer_normals {
+                    x86::fake_quant_avx2::<true>(self.grid, g, input, scale, out)
+                } else {
+                    x86::fake_quant_avx2::<false>(self.grid, g, input, scale, out)
+                }
+            }
+            return;
+        }
+        self.grid.dequantize_into(input, scale, out);
     }
 }
 
-fn score_candidates_scalar(
+/// Runs `score_part` over `sample`, `chunk` values at a time, until a
+/// chunk leaves `live(errs)` false: the one chunk loop of every path, so
+/// the scalar path runs the stop rule the AVX2 path runs.
+#[inline(always)]
+fn chunked(
     sample: &[f32],
-    scales: &[f32],
-    invs: &[f32],
-    grid: &FourBitGrid,
-    errs: &mut [f64],
+    chunk: usize,
+    errs: &mut [f64; SCALE_LANES],
+    live: impl Fn(&[f64; SCALE_LANES]) -> bool,
+    mut score_part: impl FnMut(&[f32], &mut [f64; SCALE_LANES]),
 ) {
-    let mut pairs = sample.chunks_exact(2);
-    for pair in &mut pairs {
-        let (x0, x1) = (pair[0], pair[1]);
-        for ((err, &scale), &inv) in errs.iter_mut().zip(scales).zip(invs) {
-            let (g0, g1) = grid.pair(x0 * inv, x1 * inv);
-            let d0 = (g0 * scale - x0) as f64;
-            *err += d0 * d0;
-            let d1 = (g1 * scale - x1) as f64;
-            *err += d1 * d1;
-        }
-    }
-    if let [x0] = *pairs.remainder() {
-        for ((err, &scale), &inv) in errs.iter_mut().zip(scales).zip(invs) {
-            let (g0, _) = grid.pair(x0 * inv, 0.0);
-            let d0 = (g0 * scale - x0) as f64;
-            *err += d0 * d0;
+    for part in sample.chunks(chunk) {
+        score_part(part, errs);
+        if !live(errs) {
+            break;
         }
     }
 }
@@ -405,7 +478,7 @@ mod x86 {
     //! The intrinsic kernels. `#[target_feature]` makes each function compile
     //! for its ISA regardless of build flags; callers must (and do) prove the
     //! feature is present at runtime before invoking them.
-    use super::{uniform_level, CANDIDATE_BLOCK};
+    use super::{chunked, uniform_level, Candidates, CANDIDATE_BLOCK, SCALE_LANES};
     use crate::quantizer::FourBitGrid;
     use olive_tensor::libm::{
         EXPM1_HALF_LN2, EXPM1_Q, EXPM1_THREE_HALVES_LN2, EXPM1_TINY, INV_LN2, LN2_HI, LN2_LO,
@@ -417,7 +490,7 @@ mod x86 {
 
     /// A [`FourBitGrid`] broadcast across eight lanes.
     #[derive(Clone, Copy)]
-    struct Grid8 {
+    pub struct Grid8 {
         sign: __m256,
         normal_max: __m256,
         half: __m256,
@@ -426,6 +499,24 @@ mod x86 {
         normal_mags: __m256,
         outlier_cuts: [__m256; 6],
         outlier_mags: __m256,
+    }
+
+    impl Grid8 {
+        /// # Safety
+        /// Caller must have verified AVX2 via `is_x86_feature_detected!`.
+        #[target_feature(enable = "avx2")]
+        pub unsafe fn new(grid: &FourBitGrid) -> Grid8 {
+            Grid8 {
+                sign: _mm256_set1_ps(-0.0),
+                normal_max: _mm256_set1_ps(grid.normal_max),
+                half: _mm256_set1_ps(0.5),
+                one: _mm256_set1_ps(1.0),
+                normal_cuts: grid.normal_cuts.map(|c| _mm256_set1_ps(c)),
+                normal_mags: _mm256_loadu_ps(grid.normal_mags.as_ptr()),
+                outlier_cuts: grid.outlier_cuts.map(|c| _mm256_set1_ps(c)),
+                outlier_mags: _mm256_loadu_ps(grid.outlier_mags.as_ptr()),
+            }
+        }
     }
 
     /// `mags[k]` per lane, where `k` counts the `cuts` at or below `a`.
@@ -475,10 +566,55 @@ mod x86 {
         acc[1] = _mm256_add_pd(acc[1], _mm256_mul_pd(hi, hi));
     }
 
-    /// One pair `(x0, x1)` scored at eight candidates: the lane-wise form
-    /// of `FourBitGrid::pair` followed by the error update. `SECOND` is
-    /// false for the unpaired last element of an odd-length sample, whose
-    /// partner is `+0.0` and scores nothing.
+    /// The lane form of `FourBitGrid::pair`: the grid values of the
+    /// scale-normalised pairs `(v1, v2)`, lane by lane, signed but before
+    /// its `+ 0.0` (a small negative value yields −0.0).
+    ///
+    /// When no lane holds an outlier (`max(|v1|, |v2|) > normal_max`), the
+    /// outlier masks, the E2M1 lookup and both blends are skipped: they
+    /// would select the normal magnitudes in every lane.
+    ///
+    /// # Safety
+    /// Caller must have verified AVX2 via `is_x86_feature_detected!`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn grid_pair<const INTEGER: bool>(
+        v1: __m256,
+        v2: __m256,
+        g: &Grid8,
+    ) -> (__m256, __m256) {
+        let a1 = _mm256_andnot_ps(g.sign, v1);
+        let a2 = _mm256_andnot_ps(g.sign, v2);
+        let n1 = normal::<INTEGER>(a1, g);
+        let n2 = normal::<INTEGER>(a2, g);
+        let larger = _mm256_max_ps(a1, a2);
+        let (m1, m2) = if _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_GT_OQ>(larger, g.normal_max)) == 0
+        {
+            (n1, n2)
+        } else {
+            // Algorithm 1: the larger outlier keeps its slot (the left one
+            // on a tie) and its partner becomes the victim.
+            let left = _mm256_and_ps(
+                _mm256_cmp_ps::<_CMP_GT_OQ>(a1, g.normal_max),
+                _mm256_cmp_ps::<_CMP_GE_OQ>(a1, a2),
+            );
+            let right = _mm256_andnot_ps(left, _mm256_cmp_ps::<_CMP_GT_OQ>(a2, g.normal_max));
+            let outlier = lookup(larger, &g.outlier_cuts, g.outlier_mags);
+            (
+                _mm256_blendv_ps(_mm256_andnot_ps(right, n1), outlier, left),
+                _mm256_blendv_ps(_mm256_andnot_ps(left, n2), outlier, right),
+            )
+        };
+        (
+            _mm256_or_ps(m1, _mm256_and_ps(v1, g.sign)),
+            _mm256_or_ps(m2, _mm256_and_ps(v2, g.sign)),
+        )
+    }
+
+    /// One pair `(x0, x1)` scored at eight candidates: [`grid_pair`]
+    /// followed by the error update. `SECOND` is false for the unpaired
+    /// last element of an odd-length sample, whose partner is `+0.0` and
+    /// scores nothing.
     ///
     /// # Safety
     /// Caller must have verified AVX2 via `is_x86_feature_detected!`.
@@ -492,92 +628,84 @@ mod x86 {
         g: &Grid8,
         acc: &mut [__m256d; 2],
     ) {
-        let v1 = _mm256_mul_ps(x0, inv);
-        let v2 = _mm256_mul_ps(x1, inv);
-        let a1 = _mm256_andnot_ps(g.sign, v1);
-        let a2 = _mm256_andnot_ps(g.sign, v2);
-        // Algorithm 1: the larger outlier keeps its slot (the left one on a
-        // tie) and its partner becomes the victim.
-        let left = _mm256_and_ps(
-            _mm256_cmp_ps::<_CMP_GT_OQ>(a1, g.normal_max),
-            _mm256_cmp_ps::<_CMP_GE_OQ>(a1, a2),
-        );
-        let right = _mm256_andnot_ps(left, _mm256_cmp_ps::<_CMP_GT_OQ>(a2, g.normal_max));
-        let outlier = lookup(_mm256_max_ps(a1, a2), &g.outlier_cuts, g.outlier_mags);
-        let m1 = _mm256_blendv_ps(
-            _mm256_andnot_ps(right, normal::<INTEGER>(a1, g)),
-            outlier,
-            left,
-        );
-        let g1 = _mm256_or_ps(m1, _mm256_and_ps(v1, g.sign));
+        let (g1, g2) = grid_pair::<INTEGER>(_mm256_mul_ps(x0, inv), _mm256_mul_ps(x1, inv), g);
         add_square(acc, _mm256_sub_ps(_mm256_mul_ps(g1, scale), x0));
         if SECOND {
-            let m2 = _mm256_blendv_ps(
-                _mm256_andnot_ps(left, normal::<INTEGER>(a2, g)),
-                outlier,
-                right,
-            );
-            let g2 = _mm256_or_ps(m2, _mm256_and_ps(v2, g.sign));
             add_square(acc, _mm256_sub_ps(_mm256_mul_ps(g2, scale), x1));
         }
     }
 
-    /// The AVX2 form of `score_candidates_scalar` over all
-    /// [`CANDIDATE_BLOCK`] lanes: three f32 vectors of candidates, six f64
-    /// vectors of error sums, one pass over the sample.
+    /// The AVX2 form of `OvpKernel::score` over all eight lanes: one f32
+    /// vector of candidates and two f64 vectors of error sums, which stay
+    /// in registers across chunks and are stored to `errs` after each.
     ///
     /// # Safety
     /// Caller must have verified AVX2 via `is_x86_feature_detected!`.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn score_candidates_avx2<const INTEGER: bool>(
+    pub unsafe fn score_avx2<const INTEGER: bool>(
         sample: &[f32],
-        scales: &[f32; CANDIDATE_BLOCK],
-        invs: &[f32; CANDIDATE_BLOCK],
-        grid: &FourBitGrid,
-        errs: &mut [f64; CANDIDATE_BLOCK],
+        chunk: usize,
+        cands: &Candidates,
+        g: &Grid8,
+        errs: &mut [f64; SCALE_LANES],
+        live: impl Fn(&[f64; SCALE_LANES]) -> bool,
     ) {
-        let mut g = Grid8 {
-            sign: _mm256_set1_ps(-0.0),
-            normal_max: _mm256_set1_ps(grid.normal_max),
-            half: _mm256_set1_ps(0.5),
-            one: _mm256_set1_ps(1.0),
-            normal_cuts: [_mm256_setzero_ps(); 7],
-            normal_mags: _mm256_loadu_ps(grid.normal_mags.as_ptr()),
-            outlier_cuts: [_mm256_setzero_ps(); 6],
-            outlier_mags: _mm256_loadu_ps(grid.outlier_mags.as_ptr()),
-        };
-        for (v, &c) in g.normal_cuts.iter_mut().zip(&grid.normal_cuts) {
-            *v = _mm256_set1_ps(c);
-        }
-        for (v, &c) in g.outlier_cuts.iter_mut().zip(&grid.outlier_cuts) {
-            *v = _mm256_set1_ps(c);
-        }
-        let mut scale = [_mm256_setzero_ps(); 3];
-        let mut inv = [_mm256_setzero_ps(); 3];
-        for j in 0..3 {
-            scale[j] = _mm256_loadu_ps(scales[8 * j..].as_ptr());
-            inv[j] = _mm256_loadu_ps(invs[8 * j..].as_ptr());
-        }
-        let mut acc = [[_mm256_setzero_pd(); 2]; 3];
-        let mut pairs = sample.chunks_exact(2);
-        for pair in &mut pairs {
-            let x0 = _mm256_set1_ps(pair[0]);
-            let x1 = _mm256_set1_ps(pair[1]);
-            for j in 0..3 {
-                score_pair::<INTEGER, true>(x0, x1, scale[j], inv[j], &g, &mut acc[j]);
+        let scale = _mm256_loadu_ps(cands.scales.as_ptr());
+        let inv = _mm256_loadu_ps(cands.invs.as_ptr());
+        let mut acc = [
+            _mm256_loadu_pd(errs.as_ptr()),
+            _mm256_loadu_pd(errs[4..].as_ptr()),
+        ];
+        chunked(sample, chunk, errs, live, |part, errs| {
+            let mut pairs = part.chunks_exact(2);
+            for pair in &mut pairs {
+                let x0 = _mm256_set1_ps(pair[0]);
+                let x1 = _mm256_set1_ps(pair[1]);
+                score_pair::<INTEGER, true>(x0, x1, scale, inv, g, &mut acc);
             }
-        }
-        if let [last] = *pairs.remainder() {
-            let x0 = _mm256_set1_ps(last);
-            let x1 = _mm256_setzero_ps();
-            for j in 0..3 {
-                score_pair::<INTEGER, false>(x0, x1, scale[j], inv[j], &g, &mut acc[j]);
+            if let [last] = *pairs.remainder() {
+                let x0 = _mm256_set1_ps(last);
+                score_pair::<INTEGER, false>(x0, _mm256_setzero_ps(), scale, inv, g, &mut acc);
             }
+            _mm256_storeu_pd(errs.as_mut_ptr(), acc[0]);
+            _mm256_storeu_pd(errs[4..].as_mut_ptr(), acc[1]);
+        });
+    }
+
+    /// The AVX2 form of `OvpKernel::fake_quant_into`, eight pairs per step:
+    /// sixteen values are split into their pairs' first and second members
+    /// (in the same lane order per 128-bit half), scaled by `1 / scale`,
+    /// mapped by [`grid_pair`], made `+ 0.0` as `FourBitGrid::pair` does,
+    /// multiplied by `scale` and interleaved back. The last
+    /// `input.len() % 16` values go through `FourBitGrid::dequantize_into`.
+    ///
+    /// # Safety
+    /// Caller must have verified AVX2 via `is_x86_feature_detected!`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn fake_quant_avx2<const INTEGER: bool>(
+        grid: &FourBitGrid,
+        g: &Grid8,
+        input: &[f32],
+        scale: f32,
+        out: &mut [f32],
+    ) {
+        let s = _mm256_set1_ps(scale);
+        let inv = _mm256_set1_ps(1.0 / scale);
+        let zero = _mm256_setzero_ps();
+        let mut xs = input.chunks_exact(16);
+        let mut os = out.chunks_exact_mut(16);
+        for (x, o) in (&mut xs).zip(&mut os) {
+            let lo = _mm256_loadu_ps(x.as_ptr());
+            let hi = _mm256_loadu_ps(x[8..].as_ptr());
+            let v1 = _mm256_mul_ps(_mm256_shuffle_ps::<0x88>(lo, hi), inv);
+            let v2 = _mm256_mul_ps(_mm256_shuffle_ps::<0xDD>(lo, hi), inv);
+            let (g1, g2) = grid_pair::<INTEGER>(v1, v2, g);
+            let g1 = _mm256_mul_ps(_mm256_add_ps(g1, zero), s);
+            let g2 = _mm256_mul_ps(_mm256_add_ps(g2, zero), s);
+            _mm256_storeu_ps(o.as_mut_ptr(), _mm256_unpacklo_ps(g1, g2));
+            _mm256_storeu_ps(o[8..].as_mut_ptr(), _mm256_unpackhi_ps(g1, g2));
         }
-        for (j, halves) in acc.iter().enumerate() {
-            _mm256_storeu_pd(errs[8 * j..].as_mut_ptr(), halves[0]);
-            _mm256_storeu_pd(errs[8 * j + 4..].as_mut_ptr(), halves[1]);
-        }
+        grid.dequantize_into(xs.remainder(), scale, os.into_remainder());
     }
 
     /// `uniform_level` lane by lane: divide, clamp to `[lo, hi]`
@@ -1252,7 +1380,7 @@ mod tests {
     }
 
     #[test]
-    fn score_candidates_matches_round_trip_mse_on_every_path_at_the_boundaries() {
+    fn ovp_kernels_match_round_trip_mse_and_the_codec_on_every_path_at_the_boundaries() {
         use crate::OliveQuantizer;
         use olive_dtypes::NormalDataType;
         let scales: [f32; CANDIDATE_BLOCK] = std::array::from_fn(|k| 0.3 + 0.137 * k as f32);
@@ -1300,20 +1428,63 @@ mod tests {
             sample.push(values[1]);
             let quant = OliveQuantizer::new(ty);
             for path in all_paths() {
-                let mut errs = [0.0f64; CANDIDATE_BLOCK];
-                score_candidates(
-                    &sample,
-                    &scales,
-                    &invs,
-                    CANDIDATE_BLOCK,
-                    grid,
-                    &mut errs,
-                    path,
-                );
-                for (k, &scale) in scales.iter().enumerate() {
-                    let want = quant.round_trip_mse(&sample, scale);
-                    let got = errs[k] / sample.len() as f64;
-                    assert_eq!(got.to_bits(), want.to_bits(), "{ty} path={path} lane={k}");
+                let kernel = with_simd(Some(path), || OvpKernel::new(grid));
+                for (j, (scales, invs)) in scales.chunks(8).zip(invs.chunks(8)).enumerate() {
+                    let cands = Candidates {
+                        scales: scales.try_into().expect("eight lanes"),
+                        invs: invs.try_into().expect("eight lanes"),
+                        lanes: SCALE_LANES,
+                    };
+                    // The whole sample at once, and in chunks of 16 values,
+                    // each adding to the sums the previous one left.
+                    let mut whole = [0.0f64; SCALE_LANES];
+                    kernel.score(&sample, usize::MAX, &cands, &mut whole, |_| true);
+                    let mut parts = [0.0f64; SCALE_LANES];
+                    kernel.score(&sample, 16, &cands, &mut parts, |_| true);
+                    // Stopped after its first chunk, a vector holds that
+                    // chunk's sums (16 values: dividing by 16 is exact).
+                    let mut first = [0.0f64; SCALE_LANES];
+                    kernel.score(&sample, 16, &cands, &mut first, |_| false);
+                    for (k, &scale) in scales.iter().enumerate() {
+                        let want = quant.round_trip_mse(&sample[..16], scale) * 16.0;
+                        assert_eq!(
+                            first[k].to_bits(),
+                            want.to_bits(),
+                            "{ty} path={path} lane={k}"
+                        );
+                    }
+                    for (k, &scale) in scales.iter().enumerate() {
+                        let want = quant.round_trip_mse(&sample, scale);
+                        for errs in [whole, parts] {
+                            let got = errs[k] / sample.len() as f64;
+                            let lane = 8 * j + k;
+                            assert_eq!(
+                                got.to_bits(),
+                                want.to_bits(),
+                                "{ty} path={path} lane={lane}"
+                            );
+                        }
+                    }
+                }
+                // The fake quantization at each candidate, whose cuts the
+                // sample's values sit on, over the whole sample and every
+                // length up to 33.
+                for &scale in &scales {
+                    for len in (0..=33).chain([sample.len()]) {
+                        let input = &sample[..len];
+                        let want = quant
+                            .quantize_with_scale(&Tensor::from_slice(input), scale)
+                            .dequantize();
+                        let mut got = vec![f32::NAN; len];
+                        kernel.fake_quant_into(input, scale, &mut got);
+                        for (i, (g, w)) in got.iter().zip(want.data()).enumerate() {
+                            assert_eq!(
+                                g.to_bits(),
+                                w.to_bits(),
+                                "{ty} path={path} len={len} [{i}]"
+                            );
+                        }
+                    }
                 }
             }
         }

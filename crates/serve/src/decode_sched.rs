@@ -135,12 +135,12 @@ pub enum StreamEvent {
     Chunk(String),
     /// The stream completed; write the terminating chunk (keep-alive safe).
     Done,
-    /// The request failed; answer with this (non-chunked) response instead.
-    /// The scheduler sends it only to admitted flights, whose head chunks
-    /// are already out, when a tick panics: the connection layer then
-    /// truncates the chunked body (a visible framing error) rather than
-    /// serving a complete-looking answer. Queued requests never see it.
-    Failed(Response),
+    /// The request failed. The scheduler sends it only to admitted
+    /// flights, whose head chunks are already out, when a tick panics: the
+    /// connection layer then truncates the chunked body (a visible framing
+    /// error) rather than serving a complete-looking answer. Queued
+    /// requests never see it.
+    Failed,
 }
 
 /// The scheduler's registry-backed instruments — the single source of
@@ -691,17 +691,15 @@ impl SchedCore {
         }
     }
 
-    /// Fails every admitted flight with a 500 and rebuilds the KV pool —
-    /// the panic-recovery path: a poisoned tick must never wedge the
-    /// scheduler or leak pages. Flights already mid-stream get their chunked
-    /// body truncated by the connection layer (a visible framing error).
-    /// Queued requests took no part in the tick: they stay queued and are
-    /// served afterwards.
-    pub fn fail_all(&mut self, message: &str) {
+    /// Fails every admitted flight and rebuilds the KV pool — the
+    /// panic-recovery path: a poisoned tick must never wedge the scheduler
+    /// or leak pages. Flights already mid-stream get their chunked body
+    /// truncated by the connection layer (a visible framing error). Queued
+    /// requests took no part in the tick: they stay queued and are served
+    /// afterwards.
+    pub fn fail_all(&mut self) {
         for flight in self.flights.drain(..) {
-            let _ = flight
-                .sink
-                .send(StreamEvent::Failed(Response::error(500, message)));
+            let _ = flight.sink.send(StreamEvent::Failed);
             self.stats.served.inc();
         }
         // A panic may have fired while stores were moved out of the table;
@@ -862,7 +860,7 @@ fn decode_loop(mut core: SchedCore, telemetry: &Telemetry) {
                     core.stats.tick_duration_us.observe_elapsed(&ticking);
                 }
             }
-            Err(_) => core.fail_all("internal error executing the request"),
+            Err(_) => core.fail_all(),
         }
     }
 }
@@ -907,7 +905,7 @@ mod tests {
                     body.push_str(&data);
                 }
                 StreamEvent::Done => return (body, chunks),
-                StreamEvent::Failed(response) => panic!("unexpected failure: {}", response.body),
+                StreamEvent::Failed => panic!("unexpected failure"),
             }
         }
     }
@@ -1103,9 +1101,9 @@ mod tests {
         assert_eq!(core.stats.served.get(), 2);
     }
 
-    /// fail_all (the panic-recovery path) answers every admitted stream 500
-    /// and resets the pool; a request still queued took no part in the
-    /// failed tick and is served afterwards, byte for byte.
+    /// fail_all (the panic-recovery path) fails every admitted stream and
+    /// resets the pool; a request still queued took no part in the failed
+    /// tick and is served afterwards, byte for byte.
     #[test]
     fn fail_all_fails_admitted_flights_and_keeps_queued_requests() {
         let text = r#"{"scheme": "fp32"}"#;
@@ -1113,16 +1111,15 @@ mod tests {
         let admitted = enqueue(&core, text);
         core.tick();
         let queued = enqueue(&core, text);
-        core.fail_all("internal error executing the request");
+        core.fail_all();
         assert_eq!(core.pool.pages_used(), 0);
         assert!(core.flights.is_empty());
-        let failed = admitted
-            .try_iter()
-            .find(|e| matches!(e, StreamEvent::Failed(_)));
-        let Some(StreamEvent::Failed(response)) = failed else {
-            panic!("the admitted stream must see a Failed event");
-        };
-        assert_eq!(response.status, 500);
+        assert!(
+            admitted
+                .try_iter()
+                .any(|e| matches!(e, StreamEvent::Failed)),
+            "the admitted stream must see a Failed event"
+        );
         assert_eq!(core.queue.len(), 1, "the queued request stays queued");
         while core.has_work() {
             core.tick();
@@ -1296,8 +1293,8 @@ mod tests {
     /// A group that panics on the pool fails its tick, not the scheduler.
     /// One flight's student store is left without pages, so the student
     /// group panics while the teacher group runs on the other lane. The
-    /// tick re-throws, `fail_all` answers both streams 500 and returns
-    /// every page, and the next request streams its direct bytes.
+    /// tick re-throws, `fail_all` fails both streams and returns every
+    /// page, and the next request streams its direct bytes.
     #[test]
     fn a_group_panicking_on_the_pool_fails_the_tick_and_recovers() {
         olive_runtime::with_threads(2, || {
@@ -1313,14 +1310,13 @@ mod tests {
                 tick.is_err(),
                 "the student group's panic must reach the tick"
             );
-            core.fail_all("internal error executing the request");
+            core.fail_all();
             assert_eq!(core.pool.pages_used(), 0);
             for rx in &receivers {
-                let failed = rx.try_iter().find_map(|event| match event {
-                    StreamEvent::Failed(response) => Some(response),
-                    _ => None,
-                });
-                assert_eq!(failed.expect("every stream is answered").status, 500);
+                assert!(
+                    rx.try_iter().any(|e| matches!(e, StreamEvent::Failed)),
+                    "every stream is answered"
+                );
             }
             let receivers = enqueue_copies(&core, SMALL_PAIR, 1);
             while core.has_work() {

@@ -285,7 +285,7 @@ fn stream(events: &mpsc::Receiver<StreamEvent>, mut exchange: Exchange<'_>) -> b
                 }
             }
             StreamEvent::Done => return exchange.end(),
-            StreamEvent::Failed(_) => break,
+            StreamEvent::Failed => break,
         }
     }
     exchange.truncate()

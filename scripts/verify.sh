@@ -12,6 +12,18 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Every SIMD kernel has an AVX2 body that only the auto-detected test pass
+# runs. On a CPU without AVX2 that pass runs the scalar kernels a second time
+# and leaves every AVX2 body untested, so CI must run on an AVX2 host; locally
+# a missing avx2 flag is a warning.
+if ! grep -qw avx2 /proc/cpuinfo 2>/dev/null; then
+    if [[ -n "${CI:-}" ]]; then
+        echo "== no avx2 in /proc/cpuinfo: the AVX2 kernels would go untested; failing in CI =="
+        exit 1
+    fi
+    echo "== warning: no avx2 in /proc/cpuinfo; the AVX2 kernels go untested (hard failure in CI) =="
+fi
+
 echo "== cargo build --workspace --release =="
 cargo build --workspace --release
 
@@ -23,7 +35,7 @@ cargo build --release --examples
 echo "== cargo test --workspace -q =="
 cargo test --workspace -q
 
-# The SIMD kernels (the OVP and uniform scale searches, uniform fake
+# The SIMD kernels (the OVP and uniform scale searches, OVP and uniform fake
 # quantization, GELU and the dense GEMMs) have scalar twins that must be
 # bit-identical. The workspace run above exercises the auto-detected path;
 # this run pins the scalar fallback for olive-core, for olive-models, whose
